@@ -38,12 +38,13 @@ use crate::wire::{Request, Response, SearchHit};
 use orsp_crypto::blind::{sign_blinded, verify_unblinded};
 use orsp_crypto::{RsaPublicKey, TokenMint};
 use orsp_obs::{trace, Counter, Histogram, Registry, TraceContext};
-use orsp_search::{InferredSummary, Ranker, ReviewSummary, SearchIndex};
+use orsp_search::{InferredSummary, Ranker, ReviewSummary, SearchIndex, SearchQuery};
 use orsp_server::{
     lockorder::{self, rank},
     AggregateParts, AggregatePublisher, EntityAggregate, GroupCommitConfig, IngestOutcome,
     IngestService,
-    IngestStats, RejectReason, ShardedIngest, WalBatchItem, WalSink, MIN_AGGREGATE_SUPPORT,
+    IngestStats, RejectReason, ShardedIngest, SupportParts, WalBatchItem, WalSink,
+    MIN_AGGREGATE_SUPPORT,
 };
 use orsp_types::{EntityId, RecordId, StarHistogram};
 use parking_lot::Mutex;
@@ -162,6 +163,7 @@ struct RouterMetrics {
     rpc_aggregate_parts_batch_us: Histogram,
     rpc_replicate_us: Histogram,
     rpc_catch_up_us: Histogram,
+    rpc_search_parts_us: Histogram,
     mint_issued_total: Counter,
     mint_denied_total: Counter,
     ingest_accepted_total: Counter,
@@ -186,6 +188,7 @@ impl RouterMetrics {
             rpc_aggregate_parts_batch_us: obs.histogram("rpc_aggregate_parts_batch_us"),
             rpc_replicate_us: obs.histogram("rpc_replicate_us"),
             rpc_catch_up_us: obs.histogram("rpc_catch_up_us"),
+            rpc_search_parts_us: obs.histogram("rpc_search_parts_us"),
             mint_issued_total: obs.counter("mint_issued_total"),
             mint_denied_total: obs.counter("mint_denied_total"),
             ingest_accepted_total: obs.counter("ingest_accepted_total"),
@@ -414,6 +417,9 @@ impl RspService {
             }
             Request::Replicate { .. } => (&self.metrics.rpc_replicate_us, "server/replicate"),
             Request::CatchUp { .. } => (&self.metrics.rpc_catch_up_us, "server/catch_up"),
+            Request::SearchParts { .. } => {
+                (&self.metrics.rpc_search_parts_us, "server/search_parts")
+            }
         };
         let span = self.obs.span_into(hist);
         let trace_span = self.obs.tracer().root_or_remote(ctx, name);
@@ -496,47 +502,26 @@ impl RspService {
             }
             Request::Search { query } => {
                 let snapshot = self.read_snapshot();
-                let candidates: Vec<(EntityId, ReviewSummary, InferredSummary)> = snapshot
-                    .index
-                    .query(&query)
-                    .into_iter()
-                    .map(|listing| {
-                        let explicit = ReviewSummary {
-                            histogram: snapshot
-                                .explicit
-                                .get(&listing.id)
-                                .cloned()
-                                .unwrap_or_default(),
-                        };
-                        let mut inferred = InferredSummary {
-                            histogram: snapshot
-                                .inferred
-                                .get(&listing.id)
-                                .cloned()
-                                .unwrap_or_default(),
-                            ..InferredSummary::default()
-                        };
-                        if let Some(agg) = self.aggregate_from(&snapshot, listing.id) {
-                            inferred = inferred.with_aggregate(&agg);
-                        }
-                        (listing.id, explicit, inferred)
-                    })
-                    .collect();
-                let mut ranked = snapshot.ranker.rank(candidates);
-                ranked.truncate(self.config.max_search_results);
+                let floor = self.config.min_aggregate_support;
                 Response::SearchResults {
-                    hits: ranked
+                    hits: self
+                        .ranked_hits(&snapshot, &query)
                         .into_iter()
-                        .map(|r| SearchHit {
-                            entity: r.entity,
-                            score: r.score,
-                            explicit: r.explicit.histogram,
-                            inferred: r.inferred.histogram,
-                            histories: r.inferred.histories as u64,
-                            repeat_fraction: r.inferred.repeat_fraction,
+                        .map(|(mut hit, support)| {
+                            (hit.histories, hit.repeat_fraction) = support.published(floor);
+                            hit
                         })
                         .collect(),
                 }
+            }
+            Request::SearchParts { query } => {
+                // Cluster-internal scatter-gather leg, floor-unfiltered
+                // like `AggregateParts`: the proxy floors the summed
+                // support. Hits and support come from one snapshot, so
+                // they cannot straddle a publish.
+                let snapshot = self.read_snapshot();
+                let (hits, support) = self.ranked_hits(&snapshot, &query).into_iter().unzip();
+                Response::SearchParts { hits, support }
             }
             Request::Stats => Response::Stats { snapshot: self.obs.snapshot() },
             Request::Traces => Response::Traces {
@@ -603,10 +588,62 @@ impl RspService {
         }
     }
 
+    /// Rank `query` against one snapshot: the truncated hit list, support
+    /// fields left at zero, each hit paired with the entity's local
+    /// unfloored support counts. A pure lookup — ranking reads only the
+    /// star histograms, and support is two integers per hit; no effort
+    /// point is cloned or sorted on the search path.
+    fn ranked_hits(
+        &self,
+        snapshot: &ReadState,
+        query: &SearchQuery,
+    ) -> Vec<(SearchHit, SupportParts)> {
+        let candidates: Vec<(EntityId, ReviewSummary, InferredSummary)> = snapshot
+            .index
+            .query(query)
+            .into_iter()
+            .map(|listing| {
+                let histogram = |of: &HashMap<EntityId, StarHistogram>| {
+                    of.get(&listing.id).cloned().unwrap_or_default()
+                };
+                (
+                    listing.id,
+                    ReviewSummary { histogram: histogram(&snapshot.explicit) },
+                    InferredSummary {
+                        histogram: histogram(&snapshot.inferred),
+                        ..InferredSummary::default()
+                    },
+                )
+            })
+            .collect();
+        let mut ranked = snapshot.ranker.rank(candidates);
+        ranked.truncate(self.config.max_search_results);
+        ranked
+            .into_iter()
+            .map(|r| {
+                let support = snapshot
+                    .aggregates
+                    .get(&r.entity)
+                    .map(AggregateParts::support)
+                    .unwrap_or_default();
+                let hit = SearchHit {
+                    entity: r.entity,
+                    score: r.score,
+                    explicit: r.explicit.histogram,
+                    inferred: r.inferred.histogram,
+                    histories: 0,
+                    repeat_fraction: 0.0,
+                };
+                (hit, support)
+            })
+            .collect()
+    }
+
     /// The entity's published aggregate if it clears the k-anonymity
     /// floor — a snapshot read, no store lock. Aggregates in the
     /// snapshot were accumulated in record-id order at publish time, so
-    /// they are bit-identical to computing over a merged store.
+    /// they are bit-identical to computing over a merged store. Clones
+    /// and sorts every effort point: `FetchAggregate` only.
     fn aggregate_from(
         &self,
         snapshot: &ReadState,
@@ -782,25 +819,8 @@ mod tests {
         let mut wallet = TokenWallet::new(device, public);
         let entity = EntityId::new(42);
         for i in 0..MIN_AGGREGATE_SUPPORT as u8 {
-            let mut issuer = ServiceIssuer(&svc);
-            wallet.request_token(&mut rng, &mut issuer, Timestamp::EPOCH).unwrap();
-            let upload = orsp_client::UploadRequest {
-                record_id: orsp_types::RecordId::from_bytes([i + 1; 32]),
-                entity,
-                interaction: orsp_types::Interaction {
-                    kind: orsp_types::InteractionKind::Visit,
-                    start: Timestamp::from_seconds(i as i64 * 3600),
-                    duration: SimDuration::minutes(20),
-                    distance_travelled_m: 250.0,
-                    group_size: 1,
-                },
-                token: wallet.take_token().unwrap(),
-                release_at: Timestamp::EPOCH,
-            };
-            assert_eq!(
-                svc.handle(Request::Upload { upload, now: Timestamp::EPOCH }),
-                Response::UploadAccepted
-            );
+            let start = Timestamp::from_seconds(i as i64 * 3600);
+            upload_visit(&svc, &mut wallet, &mut rng, i + 1, entity, start);
         }
         // Not published yet: the snapshot has no aggregates, however many
         // histories the store holds.
@@ -826,6 +846,106 @@ mod tests {
             svc.store_lock_acquisitions(),
             locks_after_publish,
             "read path must not take store-shard locks"
+        );
+    }
+
+    #[test]
+    fn search_parts_is_search_with_the_support_left_as_unfloored_integers() {
+        // Two dentists in one zipcode: entity 1 gets exactly the floor's
+        // worth of histories (two of them repeat visitors), entity 2 two
+        // histories — below the floor.
+        let query = orsp_search::parse_query("dentist near 19120").unwrap();
+        let listing = |id: u64| orsp_search::Listing {
+            id: EntityId::new(id),
+            name: format!("dentist {id}"),
+            category: query.category,
+            location: orsp_types::GeoPoint::ORIGIN,
+            zipcode: query.zipcode,
+        };
+        let mut rng = rng_for(13, "router-test-search-parts");
+        let svc = RspService::new(
+            TokenMint::new(&mut rng, 256, 64, SimDuration::DAY),
+            SearchIndex::build(vec![listing(1), listing(2)]),
+            HashMap::new(),
+            Ranker::default(),
+            ServiceConfig::default(),
+        );
+        let mut wallet = TokenWallet::new(DeviceId::new(5), svc.mint_public_key());
+        let mut record = 0u8;
+        for (entity, visits_per_history) in [(1, vec![2, 3, 1, 1, 1]), (2, vec![1, 2])] {
+            for visits in visits_per_history {
+                record += 1;
+                for visit in 0..visits {
+                    let start = Timestamp::from_seconds(visit * 86_400);
+                    upload_visit(&svc, &mut wallet, &mut rng, record, EntityId::new(entity), start);
+                }
+            }
+        }
+        svc.publish_aggregates();
+
+        let Response::SearchResults { hits: searched } = svc.handle(Request::Search { query })
+        else {
+            panic!("search did not answer hits");
+        };
+        let Response::SearchParts { hits, support } = svc.handle(Request::SearchParts { query })
+        else {
+            panic!("search parts did not answer hits");
+        };
+        // Equal scores (no reviews, no inferences): ties break by id.
+        assert_eq!(searched.iter().map(|h| h.entity.raw()).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(
+            support,
+            vec![
+                SupportParts { histories: 5, repeats: 2 },
+                SupportParts { histories: 2, repeats: 1 }
+            ],
+            "the leg exports below-floor counts; the proxy floors the sum"
+        );
+        assert_eq!((searched[0].histories, searched[0].repeat_fraction), (5, 0.4));
+        assert_eq!((searched[1].histories, searched[1].repeat_fraction), (0, 0.0));
+        // Everything but the support fields is the same answer, and the
+        // node's own support is what the fetched aggregate publishes.
+        let unsupported: Vec<SearchHit> = searched
+            .iter()
+            .map(|h| SearchHit { histories: 0, repeat_fraction: 0.0, ..h.clone() })
+            .collect();
+        assert_eq!(hits, unsupported);
+        match svc.handle(Request::FetchAggregate { entity: EntityId::new(1) }) {
+            Response::Aggregate { aggregate: Some(agg) } => {
+                assert_eq!(agg.histories as u64, searched[0].histories);
+                assert_eq!(agg.repeat_fraction.to_bits(), searched[0].repeat_fraction.to_bits());
+            }
+            other => panic!("expected a published aggregate, got {other:?}"),
+        }
+    }
+
+    /// Mint a token and upload one 20-minute visit to `entity` under the
+    /// record id `[record; 32]`.
+    fn upload_visit(
+        svc: &RspService,
+        wallet: &mut TokenWallet,
+        rng: &mut impl Rng,
+        record: u8,
+        entity: EntityId,
+        start: Timestamp,
+    ) {
+        wallet.request_token(rng, &mut ServiceIssuer(svc), Timestamp::EPOCH).unwrap();
+        let upload = orsp_client::UploadRequest {
+            record_id: orsp_types::RecordId::from_bytes([record; 32]),
+            entity,
+            interaction: orsp_types::Interaction {
+                kind: orsp_types::InteractionKind::Visit,
+                start,
+                duration: SimDuration::minutes(20),
+                distance_travelled_m: 250.0,
+                group_size: 1,
+            },
+            token: wallet.take_token().unwrap(),
+            release_at: Timestamp::EPOCH,
+        };
+        assert_eq!(
+            svc.handle(Request::Upload { upload, now: Timestamp::EPOCH }),
+            Response::UploadAccepted
         );
     }
 

@@ -26,7 +26,9 @@ use orsp_obs::{
     EventSnapshot, HistogramSnapshot, SpanRecord, StatsSnapshot, TraceContext, TraceRecord,
 };
 use orsp_search::SearchQuery;
-use orsp_server::{crc32, AggregateParts, EntityAggregate, RejectReason, WalBatchItem, WalEntry};
+use orsp_server::{
+    crc32, AggregateParts, EntityAggregate, RejectReason, SupportParts, WalBatchItem, WalEntry,
+};
 use orsp_types::{
     Category, DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration,
     StarHistogram, Timestamp,
@@ -288,6 +290,16 @@ pub enum Request {
     /// Against a proxy, the answer merges the proxy's own spans with
     /// every backend's into stitched cross-process trees.
     Traces,
+    /// Cluster-internal: one leg of a proxied [`Request::Search`]. The
+    /// backend answers the same ranked, truncated hit list `Search`
+    /// would, plus each hit's *floor-unfiltered* integer support, both
+    /// read from one snapshot — so the proxy sums support across legs
+    /// and floors the total in a single fan-out round. Same exposure
+    /// rules as [`Request::AggregateParts`].
+    SearchParts {
+        /// The query.
+        query: SearchQuery,
+    },
     /// Cluster-internal: a range primary forwarding a batch of accepted
     /// writes (history entries plus their spent-token keys) to a
     /// follower of `range` at `epoch`. The follower appends the batch
@@ -381,6 +393,17 @@ pub enum Response {
     AggregatePartsBatch {
         /// Per requested entity, in request order.
         parts: Vec<Option<AggregateParts>>,
+    },
+    /// Cluster-internal: the answer to a [`Request::SearchParts`].
+    SearchParts {
+        /// The ranked hits, best first, exactly as `Search` would return
+        /// them except that `histories` and `repeat_fraction` are left at
+        /// zero (they do not travel; `support` carries their source).
+        hits: Vec<SearchHit>,
+        /// Per hit, in hit order: this backend's unfloored support
+        /// counts (zero when the entity has no published histories
+        /// here).
+        support: Vec<SupportParts>,
     },
     /// Completed traces drained by a [`Request::Traces`]. Each drain
     /// returns a trace at most once — polling moves data, it does not
@@ -480,6 +503,7 @@ const T_AGG_PARTS_BATCH: u8 = 0x08;
 const T_TRACES: u8 = 0x09;
 const T_REPLICATE: u8 = 0x0A;
 const T_CATCH_UP: u8 = 0x0B;
+const T_SEARCH_PARTS: u8 = 0x0C;
 // Response tags (high bit set).
 const T_PONG: u8 = 0x81;
 const T_ISSUED: u8 = 0x82;
@@ -498,6 +522,11 @@ const T_REPL_ACK: u8 = 0x8E;
 const T_STALE_EPOCH: u8 = 0x8F;
 const T_CATCH_CHUNK: u8 = 0x90;
 const T_UNAVAILABLE: u8 = 0x91;
+const T_SEARCH_PARTS_RESP: u8 = 0x92;
+
+/// Encoded size of one search hit, in `SearchResults` and `SearchParts`
+/// alike: entity + score + two star histograms + two support words.
+const HIT_LEN: usize = 8 + 8 + 48 + 48 + 8 + 8;
 
 impl Request {
     /// Encode into a complete frame.
@@ -542,8 +571,11 @@ impl Request {
             }
             Request::Search { query } => {
                 buf.put_u8(T_SEARCH);
-                buf.put_u32_le(query.zipcode);
-                buf.put_u16_le(query.category.stable_index() as u16);
+                put_query(&mut buf, query);
+            }
+            Request::SearchParts { query } => {
+                buf.put_u8(T_SEARCH_PARTS);
+                put_query(&mut buf, query);
             }
             Request::Stats => buf.put_u8(T_STATS),
             Request::AggregateParts { entity } => {
@@ -603,9 +635,8 @@ impl Request {
                 now: Timestamp::from_seconds(r.i64()?),
             },
             T_AGGREGATE => Request::FetchAggregate { entity: EntityId::new(r.u64()?) },
-            T_SEARCH => Request::Search {
-                query: SearchQuery { zipcode: r.u32()?, category: r.category()? },
-            },
+            T_SEARCH => Request::Search { query: r.query()? },
+            T_SEARCH_PARTS => Request::SearchParts { query: r.query()? },
             T_STATS => Request::Stats,
             T_AGG_PARTS => Request::AggregateParts { entity: EntityId::new(r.u64()?) },
             T_AGG_PARTS_BATCH => {
@@ -704,12 +735,20 @@ impl Response {
                 buf.put_u8(T_RESULTS);
                 buf.put_u16_le(hits.len() as u16);
                 for hit in hits {
-                    buf.put_u64_le(hit.entity.raw());
-                    buf.put_f64_le(hit.score);
-                    put_histogram(&mut buf, &hit.explicit);
-                    put_histogram(&mut buf, &hit.inferred);
+                    put_ranked(&mut buf, hit);
                     buf.put_u64_le(hit.histories);
                     buf.put_f64_le(hit.repeat_fraction);
+                }
+            }
+            Response::SearchParts { hits, support } => {
+                buf.put_u8(T_SEARCH_PARTS_RESP);
+                debug_assert_eq!(hits.len(), support.len(), "one support entry per hit");
+                debug_assert!(hits.len() <= u16::MAX as usize);
+                buf.put_u16_le(hits.len() as u16);
+                for (hit, support) in hits.iter().zip(support) {
+                    put_ranked(&mut buf, hit);
+                    buf.put_u64_le(support.histories);
+                    buf.put_u64_le(support.repeats);
                 }
             }
             Response::Stats { snapshot } => {
@@ -818,16 +857,25 @@ impl Response {
                 let n = r.u16()? as usize;
                 let mut hits = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
                 for _ in 0..n {
-                    hits.push(SearchHit {
-                        entity: EntityId::new(r.u64()?),
-                        score: r.f64()?,
-                        explicit: r.histogram()?,
-                        inferred: r.histogram()?,
-                        histories: r.u64()?,
-                        repeat_fraction: r.f64()?,
-                    });
+                    let mut hit = r.ranked()?;
+                    hit.histories = r.u64()?;
+                    hit.repeat_fraction = r.f64()?;
+                    hits.push(hit);
                 }
                 Response::SearchResults { hits }
+            }
+            T_SEARCH_PARTS_RESP => {
+                let n = r.u16()? as usize;
+                if n * HIT_LEN > r.remaining() {
+                    return Err(WireError::Malformed("hit list exceeds payload"));
+                }
+                let mut hits = Vec::with_capacity(n);
+                let mut support = Vec::with_capacity(n);
+                for _ in 0..n {
+                    hits.push(r.ranked()?);
+                    support.push(SupportParts { histories: r.u64()?, repeats: r.u64()? });
+                }
+                Response::SearchParts { hits, support }
             }
             T_STATS_RESP => Response::Stats { snapshot: r.snapshot()? },
             T_BUSY => Response::Busy,
@@ -953,6 +1001,19 @@ fn put_interaction(buf: &mut BytesMut, i: &Interaction) {
     buf.put_i64_le(i.duration.as_seconds());
     buf.put_f64_le(i.distance_travelled_m);
     buf.put_u16_le(i.group_size);
+}
+
+fn put_query(buf: &mut BytesMut, query: &SearchQuery) {
+    buf.put_u32_le(query.zipcode);
+    buf.put_u16_le(query.category.stable_index() as u16);
+}
+
+/// The world-determined part of a hit — everything but its support.
+fn put_ranked(buf: &mut BytesMut, hit: &SearchHit) {
+    buf.put_u64_le(hit.entity.raw());
+    buf.put_f64_le(hit.score);
+    put_histogram(buf, &hit.explicit);
+    put_histogram(buf, &hit.inferred);
 }
 
 fn put_histogram(buf: &mut BytesMut, h: &StarHistogram) {
@@ -1207,6 +1268,22 @@ impl<'a> Reader<'a> {
             interaction,
             token: Token { message, signature },
             release_at,
+        })
+    }
+
+    fn query(&mut self) -> Result<SearchQuery, WireError> {
+        Ok(SearchQuery { zipcode: self.u32()?, category: self.category()? })
+    }
+
+    /// A hit's world-determined fields, support left at zero.
+    fn ranked(&mut self) -> Result<SearchHit, WireError> {
+        Ok(SearchHit {
+            entity: EntityId::new(self.u64()?),
+            score: self.f64()?,
+            explicit: self.histogram()?,
+            inferred: self.histogram()?,
+            histories: 0,
+            repeat_fraction: 0.0,
         })
     }
 

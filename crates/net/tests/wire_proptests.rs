@@ -11,7 +11,7 @@ use orsp_net::wire::{
 use orsp_net::{Request, Response, SearchHit, WireError};
 use orsp_obs::{EventSnapshot, HistogramSnapshot, StatsSnapshot, TraceContext};
 use orsp_search::SearchQuery;
-use orsp_server::{AggregateParts, EntityAggregate, RejectReason};
+use orsp_server::{AggregateParts, EntityAggregate, RejectReason, SupportParts};
 use orsp_types::{
     Category, DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration,
     StarHistogram, Timestamp,
@@ -105,6 +105,9 @@ proptest! {
             Request::Search {
                 query: SearchQuery { zipcode, category: category_from(cat) },
             },
+            Request::SearchParts {
+                query: SearchQuery { zipcode, category: category_from(cat) },
+            },
             Request::Stats,
         ];
         for request in requests {
@@ -167,6 +170,10 @@ proptest! {
             dwell_n: interactions,
             effort_points: efforts.clone(),
         };
+        // A `SearchParts` hit carries no published support: integers ride
+        // beside it instead.
+        let ranked = SearchHit { histories: 0, repeat_fraction: 0.0, ..hit.clone() };
+        let support = SupportParts { histories, repeats: histories / 2 };
         let responses = [
             Response::Pong,
             Response::TokenIssued { signature: BlindSignature(BigUint::from_bytes_be(&sig)) },
@@ -181,12 +188,60 @@ proptest! {
             Response::AggregatePartsBatch { parts: vec![Some(parts), None] },
             Response::SearchResults { hits: vec![] },
             Response::SearchResults { hits: vec![hit.clone(), hit] },
+            Response::SearchParts { hits: vec![], support: vec![] },
+            Response::SearchParts {
+                hits: vec![ranked.clone(), ranked],
+                support: vec![support, SupportParts::default()],
+            },
             Response::Busy,
             Response::Error { detail: reason },
         ];
         for response in responses {
             let encoded = response.encode();
             prop_assert_eq!(Response::decode(&encoded).unwrap(), response);
+        }
+    }
+
+    #[test]
+    fn search_parts_truncations_and_hostile_counts_are_typed_errors(
+        n in 0usize..6,
+        entity in 0u64..u64::MAX,
+        histories in 0u64..u64::MAX,
+        declared in 0u16..=u16::MAX,
+        zipcode in 0u32..100_000,
+        cat in 0usize..1000,
+    ) {
+        let hit = SearchHit {
+            entity: EntityId::new(entity),
+            score: 3.5,
+            explicit: StarHistogram::from_counts([1, 2, 3, 4, 5, 6]),
+            inferred: StarHistogram::default(),
+            histories: 0,
+            repeat_fraction: 0.0,
+        };
+        let response = Response::SearchParts {
+            hits: vec![hit; n],
+            support: vec![SupportParts { histories, repeats: histories / 3 }; n],
+        };
+        let encoded = response.encode();
+        for cut in 0..encoded.len() {
+            prop_assert!(Response::decode(&encoded[..cut]).is_err(), "cut {}", cut);
+        }
+        let request =
+            Request::SearchParts { query: SearchQuery { zipcode, category: category_from(cat) } };
+        let encoded = request.encode();
+        for cut in 0..encoded.len() {
+            prop_assert!(Request::decode(&encoded[..cut]).is_err(), "cut {}", cut);
+        }
+        // A count the payload cannot back is refused before any hit is
+        // read or any vector sized from it.
+        let mut payload = response.encode_payload();
+        payload[1..3].copy_from_slice(&declared.to_le_bytes());
+        if declared as usize != n {
+            match Response::decode_payload(&payload) {
+                Err(WireError::Malformed(_)) | Err(WireError::Truncated { .. }) => {}
+                other => prop_assert!(false, "declared {} over {} hits gave {:?}", declared, n, other),
+            }
         }
     }
 
@@ -410,4 +465,37 @@ proptest! {
             prop_assert!(decode_frame_traced(&framed[..cut]).is_err(), "cut {}", cut);
         }
     }
+}
+
+/// `SearchParts` borrowed the hit encoder; the public `SearchResults`
+/// bytes must not have moved. Expected bytes are spelled out field by
+/// field, independent of the codec's helpers.
+#[test]
+fn search_results_bytes_are_pinned() {
+    let hit = |entity: u64, histories: u64, repeat_fraction: f64| SearchHit {
+        entity: EntityId::new(entity),
+        score: 4.25,
+        explicit: StarHistogram::from_counts([0, 1, 2, 3, 4, 5]),
+        inferred: StarHistogram::from_counts([9, 8, 7, 6, 5, 4]),
+        histories,
+        repeat_fraction,
+    };
+    let hits = vec![hit(0x0102_0304_0506_0708, 412, 0.375), hit(2, 0, 0.0), hit(3, 5, 1.0)];
+    let mut want = vec![0x87, 3, 0];
+    for h in &hits {
+        want.extend(h.entity.raw().to_le_bytes());
+        want.extend(h.score.to_bits().to_le_bytes());
+        for count in h.explicit.counts().into_iter().chain(h.inferred.counts()) {
+            want.extend(count.to_le_bytes());
+        }
+        want.extend(h.histories.to_le_bytes());
+        want.extend(h.repeat_fraction.to_bits().to_le_bytes());
+    }
+    assert_eq!(&want[3..11], &[8, 7, 6, 5, 4, 3, 2, 1], "entity id, little endian");
+    let response = Response::SearchResults { hits };
+    assert_eq!(response.encode_payload(), want);
+    // Three hits frame to the 401 bytes the benchmark's replay reports
+    // as `net.frame_bytes_search_resp`.
+    assert_eq!(response.encode().len(), 401);
+    assert_eq!(Response::decode(&response.encode()).unwrap(), response);
 }

@@ -5,6 +5,7 @@
 //! takes the registry lock once, after which the hot path is a handful of
 //! relaxed atomic operations. Nothing here allocates after registration.
 
+use crate::snapshot::HistogramSnapshot;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -112,6 +113,34 @@ fn bucket_upper(idx: usize) -> u64 {
     }
 }
 
+/// The smallest value a bucket index holds.
+#[inline]
+fn bucket_lower(idx: usize) -> u64 {
+    if idx == 0 {
+        0
+    } else {
+        1u64 << (idx - 1)
+    }
+}
+
+/// The `q`-quantile of one read of the buckets, as a bucket upper bound
+/// clamped to `max`. 0 when empty.
+fn quantile_of(counts: &[u64; HISTOGRAM_BUCKETS], max: u64, q: f64) -> u64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let target = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (idx, c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= target {
+            return bucket_upper(idx).min(max);
+        }
+    }
+    max
+}
+
 /// A fixed-bucket latency histogram (microseconds by convention).
 ///
 /// Recording is lock-free: one bucket increment plus count/sum/max
@@ -156,21 +185,36 @@ impl Histogram {
     /// The `q`-quantile (`0.0 ..= 1.0`) as a bucket upper bound, clamped
     /// to the observed max. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> =
-            self.core.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
+        let (counts, max) = self.read();
+        quantile_of(&counts, max, q)
+    }
+
+    /// Summarize from **one** read of the buckets, so a snapshot taken
+    /// while writers run is internally consistent: `count` is the sum of
+    /// the bucket counts the percentiles were derived from, and all three
+    /// percentiles clamp to the same `max` (`p50 <= p90 <= p99 <= max`).
+    /// `sum` is read separately and may run a few observations ahead.
+    pub fn snapshot(&self, name: String) -> HistogramSnapshot {
+        let (counts, max) = self.read();
+        HistogramSnapshot {
+            name,
+            count: counts.iter().sum(),
+            sum: self.sum(),
+            max,
+            p50: quantile_of(&counts, max, 0.50),
+            p90: quantile_of(&counts, max, 0.90),
+            p99: quantile_of(&counts, max, 0.99),
         }
-        let target = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (idx, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_upper(idx).min(self.max());
-            }
-        }
-        self.max()
+    }
+
+    /// One pass over the buckets plus the max to clamp against. `record`
+    /// bumps its bucket before it raises `max`, so the max read here can
+    /// lag a bucket already counted; it is raised to the lower bound of
+    /// the highest non-empty bucket, which every value in it reached.
+    fn read(&self) -> ([u64; HISTOGRAM_BUCKETS], u64) {
+        let counts = self.buckets();
+        let highest = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
+        (counts, self.max().max(bucket_lower(highest)))
     }
 
     /// Raw bucket counts (index = `floor(log2(v)) + 1`).
@@ -227,6 +271,20 @@ mod tests {
         // p99 lands in [64, 128) → reports 100 (clamped to max).
         assert_eq!(h.quantile(0.99), 100);
         assert_eq!(h.quantile(1.0), 100);
+    }
+
+    #[test]
+    fn snapshot_stays_ordered_when_max_lags_a_counted_bucket() {
+        // A writer caught between its bucket increment and its max update:
+        // the bucket [512, 1024) is counted, `max` still says 40.
+        let h = Histogram::new();
+        h.record(40);
+        h.core.buckets[bucket_of(700)].fetch_add(1, Ordering::Relaxed);
+        let s = h.snapshot("lat_us".into());
+        assert_eq!(s.count, 2, "count comes from the same bucket read");
+        assert_eq!(s.max, 512, "raised to the highest counted bucket's lower bound");
+        assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max, "{s:?}");
+        assert_eq!(s.p99, 512);
     }
 
     #[test]

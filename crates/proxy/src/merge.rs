@@ -3,17 +3,18 @@
 //! Every function here is deterministic and transport-free: the proxy's
 //! correctness claim — N backends answer bit-identically to one node —
 //! reduces to these merges plus the exactness of
-//! [`AggregateParts`](orsp_server::AggregateParts) (integer accumulators,
-//! commutative/associative `merge`, floats derived once at `finalize`).
+//! [`AggregateParts`](orsp_server::AggregateParts) and
+//! [`SupportParts`](orsp_server::SupportParts) (integer accumulators,
+//! commutative/associative `merge`, floats derived once at the end).
 //!
 //! The rules are strict by design. Backends built from the same published
 //! world state *must* agree on everything except the per-backend partial
-//! aggregates (`histories` / `repeat_fraction` in a hit); any other
-//! disagreement means a misconfigured or corrupt cluster, and the merge
-//! refuses with a typed [`MergeError`] instead of guessing.
+//! support behind a hit; any other disagreement means a misconfigured or
+//! corrupt cluster, and the merge refuses with a typed [`MergeError`]
+//! instead of guessing.
 
 use orsp_net::SearchHit;
-use orsp_server::{AggregateParts, EntityAggregate};
+use orsp_server::{AggregateParts, EntityAggregate, SupportParts};
 use orsp_types::EntityId;
 use std::collections::HashSet;
 use std::fmt;
@@ -38,6 +39,15 @@ pub enum MergeError {
         /// Which field disagreed.
         what: &'static str,
     },
+    /// One backend's `SearchParts` answer does not carry exactly one
+    /// support entry per hit, so there is no telling which hit a count
+    /// belongs to.
+    SupportMismatch {
+        /// Hits in the answer.
+        hits: usize,
+        /// Support entries in the answer.
+        support: usize,
+    },
     /// The gather produced no lists to merge (zero backends).
     NoBackends,
 }
@@ -53,6 +63,9 @@ impl fmt::Display for MergeError {
             }
             MergeError::Divergent { what } => {
                 write!(f, "backends disagree on {what}")
+            }
+            MergeError::SupportMismatch { hits, support } => {
+                write!(f, "a backend answered {hits} hits with {support} support entries")
             }
             MergeError::NoBackends => write!(f, "no backend responses to merge"),
         }
@@ -98,10 +111,10 @@ pub fn floored_aggregate(
 /// inferred star histograms — and hand back one copy to patch.
 ///
 /// `histories` and `repeat_fraction` are deliberately *excluded* from the
-/// comparison: they come from each backend's partial aggregates (floored
-/// locally) and legitimately differ; the proxy overwrites them from the
-/// merged parts. Everything else derives from published world state that
-/// all backends share, so inequality is a cluster fault, not load skew.
+/// comparison: they derive from each backend's partial data and
+/// legitimately differ; the proxy overwrites them from the merged
+/// support. Everything else derives from published world state that all
+/// backends share, so inequality is a cluster fault, not load skew.
 pub fn search_consensus(lists: &[Vec<SearchHit>]) -> Result<Vec<SearchHit>, MergeError> {
     let template = lists.first().ok_or(MergeError::NoBackends)?;
     let mut seen = HashSet::new();
@@ -134,6 +147,42 @@ pub fn search_consensus(lists: &[Vec<SearchHit>]) -> Result<Vec<SearchHit>, Merg
         }
     }
     Ok(template.clone())
+}
+
+/// Merge the `SearchParts` legs of one search: the hit list every backend
+/// agrees on ([`search_consensus`]) and, per hit, the support counts
+/// summed across legs — two integer adds per hit per leg, unfloored.
+///
+/// Consensus still runs although one round now carries everything: the
+/// support sum is only meaningful if position `i` names the same entity
+/// on every leg, and that is exactly what consensus establishes.
+pub fn merge_search_parts(
+    legs: Vec<(Vec<SearchHit>, Vec<SupportParts>)>,
+) -> Result<(Vec<SearchHit>, Vec<SupportParts>), MergeError> {
+    if let Some((hits, support)) = legs.iter().find(|(hits, support)| hits.len() != support.len())
+    {
+        return Err(MergeError::SupportMismatch { hits: hits.len(), support: support.len() });
+    }
+    let (lists, supports): (Vec<_>, Vec<_>) = legs.into_iter().unzip();
+    let hits = search_consensus(&lists)?;
+    let mut merged = vec![SupportParts::default(); hits.len()];
+    for support in &supports {
+        for (sum, part) in merged.iter_mut().zip(support) {
+            sum.merge(*part);
+        }
+    }
+    Ok((hits, merged))
+}
+
+/// Fill each hit's published support from the merged counts, with the
+/// k-anonymity floor applied to the *sum* — an entity that clears the
+/// floor only in total is supported, one that stays below it reads
+/// `(0, 0.0)`, exactly as on one node.
+pub fn fill_support(hits: &mut [SearchHit], support: &[SupportParts], min_support: usize) {
+    debug_assert_eq!(hits.len(), support.len(), "one merged support entry per hit");
+    for (hit, support) in hits.iter_mut().zip(support) {
+        (hit.histories, hit.repeat_fraction) = support.published(min_support);
+    }
 }
 
 /// Fold per-backend stats snapshots into the proxy's own, namespacing
@@ -296,6 +345,96 @@ mod tests {
             search_consensus(&[base, restarred]).unwrap_err(),
             MergeError::Divergent { what: "explicit histograms" }
         );
+    }
+
+    fn support(histories: u64, repeats: u64) -> SupportParts {
+        SupportParts { histories, repeats }
+    }
+
+    /// Merge the legs and publish at `floor`: `(histories, repeat_fraction)` per hit.
+    fn searched(
+        legs: Vec<(Vec<SearchHit>, Vec<SupportParts>)>,
+        floor: usize,
+    ) -> Result<Vec<(u64, f64)>, MergeError> {
+        let (mut hits, merged) = merge_search_parts(legs)?;
+        fill_support(&mut hits, &merged, floor);
+        Ok(hits.iter().map(|h| (h.histories, h.repeat_fraction)).collect())
+    }
+
+    #[test]
+    fn search_support_floors_the_sum_not_each_leg() {
+        // The benchmark's entities all hold hundreds of histories per
+        // backend, so only these cases ever see the floor fire.
+        let hits = || vec![hit(7, 4.0), hit(8, 3.0), hit(9, 2.0)];
+        let legs = vec![
+            // 7: 3 + 2 clears 5 only in total. 8: 2 + 2 stays below.
+            // 9: absent on two of the three backends.
+            (hits(), vec![support(3, 1), support(2, 2), support(0, 0)]),
+            (hits(), vec![support(2, 2), support(2, 1), support(0, 0)]),
+            (hits(), vec![support(0, 0), support(0, 0), support(6, 3)]),
+        ];
+        assert_eq!(searched(legs, 5), Ok(vec![(5, 0.6), (0, 0.0), (6, 0.5)]));
+    }
+
+    #[test]
+    fn search_merge_overwrites_whatever_support_a_leg_left_in_its_hits() {
+        let mut stale = vec![hit(7, 4.0)];
+        stale[0].histories = 99;
+        stale[0].repeat_fraction = 0.9;
+        assert_eq!(searched(vec![(stale, vec![support(2, 1)])], 5), Ok(vec![(0, 0.0)]));
+    }
+
+    #[test]
+    fn search_legs_that_cannot_be_lined_up_are_a_typed_error() {
+        let base = || vec![hit(1, 4.0), hit(2, 3.0)];
+        let full = || vec![support(9, 1), support(9, 1)];
+        assert_eq!(merge_search_parts(vec![]).unwrap_err(), MergeError::NoBackends);
+        assert_eq!(
+            merge_search_parts(vec![(base(), full()), (base(), vec![support(9, 1)])]).unwrap_err(),
+            MergeError::SupportMismatch { hits: 2, support: 1 }
+        );
+        let mut reordered = base();
+        reordered.swap(0, 1);
+        assert_eq!(
+            merge_search_parts(vec![(base(), full()), (reordered, full())]).unwrap_err(),
+            MergeError::Divergent { what: "hit order" }
+        );
+        let mut short = base();
+        short.pop();
+        assert_eq!(
+            merge_search_parts(vec![(base(), full()), (short, vec![support(9, 1)])]).unwrap_err(),
+            MergeError::Divergent { what: "hit count" }
+        );
+    }
+
+    proptest::proptest! {
+        /// However an entity's histories are partitioned over backends,
+        /// the search path's integer sum publishes the very bits the
+        /// `FetchAggregate` path derives from the merged parts.
+        #[test]
+        fn search_support_equals_the_fetched_aggregate_over_any_partition(
+            histories in proptest::collection::vec((1u64..6, 0usize..3), 0..40),
+            floor in 0usize..12,
+        ) {
+            let entity = EntityId::new(7);
+            let mut backends = vec![AggregateParts::empty(entity); 3];
+            for &(interactions, backend) in &histories {
+                let parts = &mut backends[backend];
+                parts.histories += 1;
+                parts.interactions += interactions;
+                parts.repeats += u64::from(interactions >= 2);
+                parts.effort_points.push((interactions, 100.0));
+            }
+            let legs =
+                backends.iter().map(|p| (vec![hit(7, 4.0)], vec![p.support()])).collect();
+            let (got_histories, got_fraction) = searched(legs, floor).expect("merge")[0];
+            let union = merge_parts(entity, backends.into_iter().map(Some)).expect("merge");
+            let fetched = floored_aggregate(union, floor);
+            let (want_histories, want_fraction) =
+                fetched.map_or((0, 0.0), |agg| (agg.histories as u64, agg.repeat_fraction));
+            proptest::prop_assert_eq!(got_histories, want_histories);
+            proptest::prop_assert_eq!(got_fraction.to_bits(), want_fraction.to_bits());
+        }
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! * **Reads** fan out to the *current primary* of every hash range and
 //!   merge via [`crate::merge`]; `FetchAggregate` and `Search` answers
 //!   are bit-identical to a single node holding the union of the data
-//!   (asserted end to end by `tests/proxy_end_to_end.rs`). Search
-//!   refills its support fields with one batched `AggregatePartsBatch`
-//!   fan-out covering every hit. The cluster-internal `AggregateParts`,
-//!   `Replicate`, and `CatchUp` RPCs are refused at the front door
-//!   unless [`ProxyConfig::cluster_internal`] is set.
+//!   (asserted end to end by `tests/proxy_end_to_end.rs`). Each costs
+//!   one fan-out round: a search scatters `SearchParts`, whose legs
+//!   carry the ranked hits plus each hit's integer support, and never
+//!   moves an effort point. The cluster-internal `AggregateParts`,
+//!   `SearchParts`, `Replicate`, and `CatchUp` RPCs are refused at the
+//!   front door unless [`ProxyConfig::cluster_internal`] is set.
 //! * **Failover** (when [`ProxyConfig::replication_factor`] > 1): each
 //!   range's route starts at its born owner and moves when that backend
 //!   goes hard-down — the proxy promotes the next live member of the
@@ -485,21 +486,29 @@ impl ProxyService {
     }
 
     /// Fan one request out to an explicit set of backends concurrently.
+    /// The first leg runs on the calling thread, which would otherwise
+    /// only park in `join`: N targets cost N−1 spawns.
     fn scatter_to(
         &self,
         targets: &[usize],
         request: &Request,
     ) -> Vec<Result<Response, ProxyError>> {
-        if let [only] = targets {
-            return vec![self.call_backend(*only, request)];
+        let Some((&first, rest)) = targets.split_first() else {
+            return Vec::new();
+        };
+        if rest.is_empty() {
+            return vec![self.call_backend(first, request)];
         }
         let parent = trace::current();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = targets
+            let handles: Vec<_> = rest
                 .iter()
                 .map(|&i| scope.spawn(move || self.call_backend_from(i, request, parent)))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("backend fan-out thread")).collect()
+            let mut results = Vec::with_capacity(targets.len());
+            results.push(self.call_backend_from(first, request, parent));
+            results.extend(handles.into_iter().map(|h| h.join().expect("backend fan-out thread")));
+            results
         })
     }
 
@@ -630,45 +639,39 @@ impl ProxyService {
         })
     }
 
-    fn do_search(&self, query: orsp_search::SearchQuery) -> Result<Response, ProxyError> {
-        let span = self.obs.span_into(&self.metrics.fanout_search_us);
-        let gathered = self.scatter_reads(&Request::Search { query });
-        let mut lists = Vec::with_capacity(gathered.len());
+    /// Scatter `SearchParts` and merge: the hit list every backend agrees
+    /// on plus, per hit, the floor-unfiltered support summed across
+    /// backends. One fan-out round, whatever the hit count.
+    fn merged_search_parts(
+        &self,
+        query: orsp_search::SearchQuery,
+    ) -> Result<(Vec<orsp_net::SearchHit>, Vec<orsp_server::SupportParts>), ProxyError> {
+        let _span = self.obs.span_into(&self.metrics.fanout_search_us);
+        let gathered = self.scatter_reads(&Request::SearchParts { query });
+        let mut legs = Vec::with_capacity(gathered.len());
         for result in gathered {
             match result? {
-                Response::SearchResults { hits } => lists.push(hits),
+                Response::SearchParts { hits, support } => legs.push((hits, support)),
                 other => {
                     return Err(ProxyError::Unavailable {
                         backend: 0,
-                        source: NetError::Unexpected(format!("search got {other:?}")),
+                        source: NetError::Unexpected(format!("search parts got {other:?}")),
                     })
                 }
             }
         }
-        let merge_span = trace::child("proxy_merge");
-        let mut hits = merge::search_consensus(&lists)?;
-        // Scores, order, and histograms are world-determined and already
-        // agreed on; only the anonymous-history support fields come from
-        // partitioned data. Refill them from the merged partials — one
-        // batched fan-out covering every hit, not one scatter per hit —
-        // floor applied to each union (a below-floor entity reads as
+        let _merge_span = trace::child("proxy_merge");
+        Ok(merge::merge_search_parts(legs)?)
+    }
+
+    fn do_search(&self, query: orsp_search::SearchQuery) -> Result<Response, ProxyError> {
+        // Scores, order, and histograms are world-determined and agreed
+        // on; only the anonymous-history support comes from partitioned
+        // data, and it arrives as integers on the same legs. The floor
+        // applies to each summed total (a below-floor entity reads as
         // unsupported, exactly as on one node).
-        let entities: Vec<EntityId> = hits.iter().map(|hit| hit.entity).collect();
-        let merged = self.merged_parts_batch(&entities)?;
-        for (hit, parts) in hits.iter_mut().zip(merged) {
-            match merge::floored_aggregate(parts, self.config.min_aggregate_support) {
-                Some(agg) => {
-                    hit.histories = agg.histories as u64;
-                    hit.repeat_fraction = agg.repeat_fraction;
-                }
-                None => {
-                    hit.histories = 0;
-                    hit.repeat_fraction = 0.0;
-                }
-            }
-        }
-        merge_span.end();
-        span.end();
+        let (mut hits, support) = self.merged_search_parts(query)?;
+        merge::fill_support(&mut hits, &support, self.config.min_aggregate_support);
         Ok(Response::SearchResults { hits })
     }
 
@@ -811,6 +814,13 @@ impl ProxyService {
                 })
             }
             Request::Search { query } => self.do_search(query),
+            Request::SearchParts { query } => {
+                if !self.config.cluster_internal {
+                    return Ok(self.refuse_internal("SearchParts"));
+                }
+                let (hits, support) = self.merged_search_parts(query)?;
+                Ok(Response::SearchParts { hits, support })
+            }
             Request::Stats => Ok(self.do_stats()),
             Request::Traces => Ok(self.do_traces()),
             // The replication RPCs are gated exactly like AggregateParts:
@@ -876,6 +886,7 @@ impl ProxyService {
             Request::AggregatePartsBatch { .. } => "proxy/aggregate_parts_batch",
             Request::Replicate { .. } => "proxy/replicate",
             Request::CatchUp { .. } => "proxy/catch_up",
+            Request::SearchParts { .. } => "proxy/search_parts",
         };
         let root = self.obs.tracer().root_or_remote(ctx, name);
         let response = match self.dispatch(request) {
@@ -911,7 +922,7 @@ impl FrameService for ProxyService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orsp_server::AggregateParts;
+    use orsp_server::{AggregateParts, SupportParts};
     use orsp_types::{Rating, StarHistogram};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1077,6 +1088,7 @@ mod tests {
         for request in [
             Request::AggregateParts { entity: EntityId::new(7) },
             Request::AggregatePartsBatch { entities: vec![EntityId::new(7)] },
+            Request::SearchParts { query: dentists() },
         ] {
             match p.handle(request) {
                 Response::Error { detail } => {
@@ -1089,7 +1101,7 @@ mod tests {
             assert_eq!(f.calls.load(Ordering::Relaxed), 0, "refusal must not fan out");
         }
         let snap = p.obs().snapshot();
-        assert_eq!(snap.counter("proxy_internal_refused_total"), Some(2));
+        assert_eq!(snap.counter("proxy_internal_refused_total"), Some(3));
         assert_eq!(snap.counter("proxy_inconsistent_total"), Some(0));
     }
 
@@ -1304,20 +1316,34 @@ mod tests {
         assert_eq!(p.obs().snapshot().counter("proxy_internal_refused_total"), Some(2));
     }
 
+    /// A backend answering `SearchParts` with fixed hits and support.
+    fn search_backend(hits: Vec<orsp_net::SearchHit>, support: Vec<(u64, u64)>) -> Arc<Fake> {
+        Fake::ok(move |r| match r {
+            Request::SearchParts { .. } => Response::SearchParts {
+                hits: hits.clone(),
+                support: support
+                    .iter()
+                    .map(|&(histories, repeats)| SupportParts { histories, repeats })
+                    .collect(),
+            },
+            _ => Response::Pong,
+        })
+    }
+
+    fn dentists() -> orsp_search::SearchQuery {
+        orsp_search::SearchQuery {
+            zipcode: 94107,
+            category: orsp_types::Category::Doctor(orsp_types::Specialty::Dentist),
+        }
+    }
+
     #[test]
     fn divergent_search_results_are_a_typed_error_not_a_guess() {
-        let a = Fake::ok(|r| match r {
-            Request::Search { .. } => Response::SearchResults { hits: vec![hit(1, 4.0, 0)] },
-            _ => Response::Pong,
-        });
-        let b = Fake::ok(|r| match r {
-            Request::Search { .. } => Response::SearchResults { hits: vec![hit(1, 3.9, 0)] },
-            _ => Response::Pong,
-        });
-        let (p, _) = proxy(vec![a, b]);
-        let query =
-            orsp_search::SearchQuery { zipcode: 94107, category: orsp_types::Category::Doctor(orsp_types::Specialty::Dentist) };
-        match p.handle(Request::Search { query }) {
+        let (p, _) = proxy(vec![
+            search_backend(vec![hit(1, 4.0, 0)], vec![(9, 1)]),
+            search_backend(vec![hit(1, 3.9, 0)], vec![(9, 1)]),
+        ]);
+        match p.handle(Request::Search { query: dentists() }) {
             Response::Error { detail } => assert!(detail.contains("scores"), "{detail}"),
             other => panic!("expected typed error, got {other:?}"),
         }
@@ -1326,16 +1352,11 @@ mod tests {
 
     #[test]
     fn duplicate_entities_in_a_backend_hit_list_are_rejected() {
-        let dup = Fake::ok(|r| match r {
-            Request::Search { .. } => {
-                Response::SearchResults { hits: vec![hit(1, 4.0, 0), hit(1, 4.0, 0)] }
-            }
-            _ => Response::Pong,
-        });
-        let (p, _) = proxy(vec![dup]);
-        let query =
-            orsp_search::SearchQuery { zipcode: 94107, category: orsp_types::Category::Doctor(orsp_types::Specialty::Dentist) };
-        match p.handle(Request::Search { query }) {
+        let (p, _) = proxy(vec![search_backend(
+            vec![hit(1, 4.0, 0), hit(1, 4.0, 0)],
+            vec![(9, 1), (9, 1)],
+        )]);
+        match p.handle(Request::Search { query: dentists() }) {
             Response::Error { detail } => assert!(detail.contains("twice"), "{detail}"),
             other => panic!("expected typed error, got {other:?}"),
         }
@@ -1343,78 +1364,89 @@ mod tests {
 
     #[test]
     fn search_refills_support_fields_from_the_merged_union() {
-        // Both backends agree on the hit (scores are world-determined)
-        // but each holds only part of the anonymous histories — local
-        // floors left their support fields at 0. The proxy must refill
-        // from the merged parts: 3 + 2 = 5 clears the floor.
-        let backend = |n: u64| {
-            Fake::ok(move |r| match r {
-                Request::Search { .. } => Response::SearchResults { hits: vec![hit(7, 4.0, 0)] },
-                Request::AggregatePartsBatch { entities } => Response::AggregatePartsBatch {
-                    parts: entities.iter().map(|_| Some(parts(7, n))).collect(),
-                },
-                _ => Response::Pong,
-            })
-        };
-        let (p, _) = proxy(vec![backend(3), backend(2)]);
-        let query =
-            orsp_search::SearchQuery { zipcode: 94107, category: orsp_types::Category::Doctor(orsp_types::Specialty::Dentist) };
-        match p.handle(Request::Search { query }) {
+        // Both backends agree on the hits (scores are world-determined)
+        // but each holds only part of the anonymous histories. Entity 7:
+        // 3 + 2 = 5 clears the floor only in total. Entity 8: 2 + 2
+        // stays below it and must read as unsupported.
+        let hits = || vec![hit(7, 4.0, 0), hit(8, 3.0, 0)];
+        let (p, _) = proxy(vec![
+            search_backend(hits(), vec![(3, 2), (2, 2)]),
+            search_backend(hits(), vec![(2, 1), (2, 0)]),
+        ]);
+        match p.handle(Request::Search { query: dentists() }) {
             Response::SearchResults { hits } => {
-                assert_eq!(hits.len(), 1);
-                assert_eq!(hits[0].histories, 5, "support refilled from the union");
-                assert_eq!(hits[0].repeat_fraction, 1.0);
+                assert_eq!(hits.len(), 2);
+                assert_eq!(hits[0].histories, 5, "support summed across backends");
+                assert_eq!(hits[0].repeat_fraction, 3.0 / 5.0);
+                assert_eq!((hits[1].histories, hits[1].repeat_fraction), (0, 0.0));
             }
             other => panic!("expected hits, got {other:?}"),
         }
     }
 
     #[test]
-    fn search_support_refill_is_one_batched_fanout_not_one_scatter_per_hit() {
-        // Three hits must cost each backend exactly two calls: the
-        // search scatter plus one AggregatePartsBatch — not 1 + 3.
+    fn a_search_costs_each_backend_exactly_one_call() {
+        // Hits and their support ride the same leg: three hits, one
+        // round, and no follow-up RPC of any kind.
         let backend = || {
-            Fake::ok(|r| match r {
-                Request::Search { .. } => Response::SearchResults {
-                    hits: vec![hit(1, 4.0, 0), hit(2, 3.0, 0), hit(3, 2.0, 0)],
-                },
-                Request::AggregatePartsBatch { entities } => Response::AggregatePartsBatch {
-                    parts: entities.iter().map(|e| Some(parts(e.raw(), 6))).collect(),
-                },
-                _ => Response::Pong,
-            })
+            search_backend(
+                vec![hit(1, 4.0, 0), hit(2, 3.0, 0), hit(3, 2.0, 0)],
+                vec![(6, 3); 3],
+            )
         };
-        let (p, fakes) = proxy(vec![backend(), backend()]);
-        let query =
-            orsp_search::SearchQuery { zipcode: 94107, category: orsp_types::Category::Doctor(orsp_types::Specialty::Dentist) };
-        match p.handle(Request::Search { query }) {
+        let (p, fakes) = proxy(vec![backend(), backend(), backend()]);
+        match p.handle(Request::Search { query: dentists() }) {
             Response::SearchResults { hits } => {
                 assert_eq!(hits.len(), 3);
-                assert!(hits.iter().all(|h| h.histories == 12), "6 + 6 merged per hit");
+                assert!(hits.iter().all(|h| h.histories == 18), "6 + 6 + 6 per hit");
             }
             other => panic!("expected hits, got {other:?}"),
         }
         for f in &fakes {
-            assert_eq!(
-                f.calls.load(Ordering::Relaxed),
-                2,
-                "one search + one batched refill per backend"
-            );
+            assert_eq!(f.calls.load(Ordering::Relaxed), 1, "one SearchParts leg per backend");
         }
     }
 
     #[test]
+    fn search_parts_on_an_internal_tier_returns_consensus_hits_and_the_unfloored_sum() {
+        let hits = || vec![hit(7, 4.0, 0)];
+        let (p, _) = proxy_with(
+            vec![search_backend(hits(), vec![(2, 1)]), search_backend(hits(), vec![(1, 1)])],
+            internal(),
+        );
+        assert_eq!(
+            p.handle(Request::SearchParts { query: dentists() }),
+            Response::SearchParts {
+                hits: hits(),
+                support: vec![SupportParts { histories: 3, repeats: 2 }],
+            },
+            "below-floor sum still exported to the tier above"
+        );
+    }
+
+    #[test]
+    fn a_leg_with_mismatched_hit_and_support_counts_is_a_typed_error() {
+        let (p, _) = proxy(vec![
+            search_backend(vec![hit(7, 4.0, 0)], vec![(3, 1)]),
+            search_backend(vec![hit(7, 4.0, 0)], vec![]),
+        ]);
+        match p.handle(Request::Search { query: dentists() }) {
+            Response::Error { detail } => {
+                assert!(detail.contains("1 hits with 0 support"), "{detail}")
+            }
+            other => panic!("expected typed error, got {other:?}"),
+        }
+        assert_eq!(p.obs().snapshot().counter("proxy_inconsistent_total"), Some(1));
+    }
+
+    #[test]
     fn empty_search_results_from_all_backends_stay_empty() {
-        let empty = || {
-            Fake::ok(|r| match r {
-                Request::Search { .. } => Response::SearchResults { hits: vec![] },
-                _ => Response::Pong,
-            })
-        };
+        let empty = || search_backend(vec![], vec![]);
         let (p, _) = proxy(vec![empty(), empty(), empty()]);
-        let query =
-            orsp_search::SearchQuery { zipcode: 94107, category: orsp_types::Category::Doctor(orsp_types::Specialty::Dentist) };
-        assert_eq!(p.handle(Request::Search { query }), Response::SearchResults { hits: vec![] });
+        assert_eq!(
+            p.handle(Request::Search { query: dentists() }),
+            Response::SearchResults { hits: vec![] }
+        );
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! inferences, and vice versa. This realizes the paper's headline benefit:
 //! entities with almost no reviews become rankable.
 
-use orsp_server::EntityAggregate;
 use orsp_types::{EntityId, Rating, StarHistogram};
 use serde::{Deserialize, Serialize};
 
@@ -53,10 +52,11 @@ impl InferredSummary {
         self.histogram.mean()
     }
 
-    /// Build the interaction-support half from a server aggregate.
-    pub fn with_aggregate(mut self, agg: &EntityAggregate) -> InferredSummary {
-        self.histories = agg.histories;
-        self.repeat_fraction = agg.repeat_fraction;
+    /// Attach the interaction-support half: the published history count
+    /// and repeat fraction of the entity's aggregate.
+    pub fn with_support(mut self, histories: usize, repeat_fraction: f64) -> InferredSummary {
+        self.histories = histories;
+        self.repeat_fraction = repeat_fraction;
         self
     }
 }

@@ -75,6 +75,38 @@ pub struct AggregateParts {
     pub effort_points: Vec<(u64, f64)>,
 }
 
+/// The integer support behind an entity's inferences — all a search hit
+/// shows of an aggregate. Two counts that merge by addition, so a hit's
+/// support can be summed across backends without shipping, concatenating
+/// or sorting a single effort point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SupportParts {
+    /// Number of anonymous histories.
+    pub histories: u64,
+    /// Histories with 2+ interactions.
+    pub repeats: u64,
+}
+
+impl SupportParts {
+    /// Merge another partial count for the same entity.
+    pub fn merge(&mut self, other: SupportParts) {
+        self.histories += other.histories;
+        self.repeats += other.repeats;
+    }
+
+    /// The published pair `(histories, repeat_fraction)`: `(0, 0.0)` when
+    /// empty or below the `min_support` k-anonymity floor. The only place
+    /// `repeat_fraction` is computed — [`AggregateParts::finalize`] calls
+    /// it too — so a search hit and a fetched aggregate agree to the bit.
+    pub fn published(self, min_support: usize) -> (u64, f64) {
+        if self.histories == 0 || (self.histories as usize) < min_support {
+            (0, 0.0)
+        } else {
+            (self.histories, self.repeats as f64 / self.histories as f64)
+        }
+    }
+}
+
 impl AggregateParts {
     /// Empty parts for one entity.
     pub fn empty(entity: EntityId) -> Self {
@@ -129,6 +161,11 @@ impl AggregateParts {
         self.effort_points.extend(other.effort_points.iter().copied());
     }
 
+    /// The integer support counts, without touching an effort point.
+    pub fn support(&self) -> SupportParts {
+        SupportParts { histories: self.histories, repeats: self.repeats }
+    }
+
     /// Derive the published aggregate: floats computed once from the
     /// exact integer accumulators, effort points canonically sorted.
     pub fn finalize(&self) -> EntityAggregate {
@@ -137,11 +174,7 @@ impl AggregateParts {
         } else {
             (self.dwell_secs as f64 / 60.0) / self.dwell_n as f64
         };
-        let repeat_fraction = if self.histories == 0 {
-            0.0
-        } else {
-            self.repeats as f64 / self.histories as f64
-        };
+        let (_, repeat_fraction) = self.support().published(0);
         let mut effort_points: Vec<(usize, f64)> =
             self.effort_points.iter().map(|&(n, d)| (n as usize, d)).collect();
         effort_points.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
@@ -377,6 +410,30 @@ mod tests {
                 whole.repeat_fraction.to_bits()
             );
         }
+    }
+
+    #[test]
+    fn support_is_the_integer_half_of_finalize() {
+        let mut store = HistoryStore::new();
+        for i in 0..7u8 {
+            add_history(&mut store, i, 5, 1 + (i as usize % 3), 10.0);
+        }
+        let histories: Vec<_> = store
+            .histories_for_entity(EntityId::new(5))
+            .map(|(rid, s)| (*rid, s.clone()))
+            .collect();
+        let parts = AggregatePublisher::parts_from_histories(EntityId::new(5), histories);
+        let whole = parts.finalize();
+        let (histories, repeat_fraction) = parts.support().published(MIN_AGGREGATE_SUPPORT);
+        assert_eq!(histories as usize, whole.histories);
+        assert_eq!(repeat_fraction.to_bits(), whole.repeat_fraction.to_bits());
+        // Below the floor the pair reads as unsupported, like an absent entity.
+        assert_eq!(parts.support().published(8), (0, 0.0));
+        assert_eq!(SupportParts::default().published(0), (0, 0.0));
+        // Merging is two integer adds.
+        let mut sum = SupportParts { histories: 3, repeats: 1 };
+        sum.merge(SupportParts { histories: 2, repeats: 2 });
+        assert_eq!(sum, SupportParts { histories: 5, repeats: 3 });
     }
 
     #[test]

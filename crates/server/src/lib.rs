@@ -36,7 +36,9 @@ pub mod sharded_ingest;
 pub mod store;
 pub mod wal;
 
-pub use aggregates::{AggregateParts, AggregatePublisher, EntityAggregate, MIN_AGGREGATE_SUPPORT};
+pub use aggregates::{
+    AggregateParts, AggregatePublisher, EntityAggregate, SupportParts, MIN_AGGREGATE_SUPPORT,
+};
 pub use attest_gate::{AttestationGate, GateOutcome};
 pub use fraud::{FraudDetector, FraudVerdict};
 pub use ingest::{IngestService, IngestStats, RejectReason};

@@ -72,7 +72,7 @@ fn main() {
                 ..Default::default()
             };
             let inferred = match outcome.aggregates.get(&listing.id) {
-                Some(agg) => inferred.with_aggregate(agg),
+                Some(agg) => inferred.with_support(agg.histories, agg.repeat_fraction),
                 None => inferred,
             };
             (listing.id, explicit, inferred)

@@ -13,6 +13,15 @@ cargo test -q --workspace
 echo "== obs test suites (registry unit tests, N-thread hammer) =="
 cargo test -q --release -p orsp-obs
 cargo test -q --release -p orsp-obs --test concurrency
+# The snapshot-under-writers race only shows on >= 2 cores and then only
+# in some runs: one pass proves nothing, 200 consecutive ones do.
+i=0
+while [ "$i" -lt 200 ]; do
+    cargo test -q --release -p orsp-obs --test concurrency \
+        snapshots_of_monotonic_metrics_never_go_backwards >/dev/null 2>&1 \
+        || { echo "concurrency: run $i failed"; exit 1; }
+    i=$((i + 1))
+done
 
 echo "== net test suites (codec proptests, frame reassembly, TCP integration, end-to-end digest) =="
 cargo test -q --release -p orsp-net --test wire_proptests
@@ -42,6 +51,15 @@ cargo test -q --release -p orsp-core --test storage_recovery
 echo "== proxy test suites (merge rules, routing/failure semantics, 3-backend digest equality over TCP) =="
 cargo test -q --release -p orsp-proxy
 cargo test -q --release -p orsp-proxy --test proxy_end_to_end
+
+echo "== benchmark smoke: every read answer equals the reference, no op fails (real proxy + 3x replicad; one in-process node) =="
+for workload in read_mix mixed_fresh; do
+    last=$(bash benchmark/run.sh --quick --workload "$workload" | tail -n 1)
+    case "$last" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *) echo "benchmark smoke failed on $workload: $last"; exit 1 ;;
+    esac
+done
 
 echo "== trace causality (proxy + 2 backends over TCP: one connected span tree, proxy root to wal_fsync) =="
 cargo test -q --release -p orsp-proxy --test trace_end_to_end
