@@ -1,24 +1,20 @@
 //! Idle fleet — the connection-scaling experiment the reactor exists for.
 //!
 //! The repository's device population is mostly idle: thousands of
-//! sensors hold a connection open and upload sparsely. A
-//! thread-per-connection server pins a worker (or a queue slot) per
-//! connection, so its ceiling is `workers + queue_depth` regardless of
-//! how idle the fleet is. The event loop's ceiling is connection
-//! *slots*, which cost a slab entry each, not a thread.
+//! sensors hold a connection open and upload sparsely. The reactor's
+//! ceiling is connection *slots*, which cost a slab entry each, not a
+//! thread — so a fixed pool of `workers = 4` must hold the whole fleet.
 //!
-//! Two phases, each run on both transports with the same `workers = 4`:
+//! Two phases:
 //!
 //! 1. **Idle fleet**: N connections (default 5 000) opened across a few
 //!    client threads, each issuing one ping per sparse round with idle
 //!    gaps between rounds. Records how many connections survived every
-//!    round, Busy sheds, stalls (request timeouts), and ping p99.
-//!    The event loop must hold the whole fleet with zero sheds; the
-//!    threaded server at the same config must shed or stall — that
-//!    contrast is the point of the refactor.
-//! 2. **Closed loop**: a few always-busy clients, to show the refactor
-//!    did not tax the saturated path — event-loop throughput must stay
-//!    within 10% of the threaded (pre-refactor) number.
+//!    round, Busy sheds, stalls (request timeouts), and ping p99. The
+//!    server must hold the whole fleet with zero sheds and a slab
+//!    high-water mark of N.
+//! 2. **Closed loop**: a few always-busy clients on the same server
+//!    config, recording what the saturated path sustains.
 //!
 //! Writes `results/BENCH_idle_fleet.json` (gated in `scripts/verify.sh`).
 //!
@@ -30,9 +26,7 @@
 use orsp_bench::{arg_u64, f, header, seed_from_args};
 use orsp_core::{service_for_world, PipelineConfig};
 use orsp_crypto::{BlindingSession, RsaPublicKey};
-use orsp_net::{
-    ClientConfig, NetClient, NetError, NetServer, ServerConfig, ServerStats, TransportMode,
-};
+use orsp_net::{ClientConfig, NetClient, NetError, NetServer, ServerConfig, ServerStats};
 use orsp_search::SearchQuery;
 use orsp_types::rng::rng_for_indexed;
 use orsp_types::{Category, DeviceId, Timestamp};
@@ -81,7 +75,7 @@ fn main() {
     let seconds = arg_u64("seconds", 3);
     header(
         "IDLE-FLEET",
-        "connection scaling: event-loop slab vs thread-per-connection",
+        "connection scaling: thousands of idle connections on a fixed worker pool",
     );
 
     let world = World::generate(WorldConfig {
@@ -95,115 +89,44 @@ fn main() {
         "\n-- idle fleet: {conns} connections, {threads} client threads, {rounds} sparse \
          rounds, workers={WORKERS} --"
     );
-    println!("\n[event loop]");
-    let event = run_fleet(
-        &world,
-        &config,
-        TransportMode::EventLoop,
-        conns,
-        threads,
-        rounds,
-    );
-    report_fleet(&event);
-    println!("\n[threaded]");
-    let threaded = run_fleet(
-        &world,
-        &config,
-        TransportMode::Threaded,
-        conns,
-        threads,
-        rounds,
-    );
-    report_fleet(&threaded);
+    let fleet = run_fleet(&world, &config, conns, threads, rounds);
+    report_fleet(&fleet);
 
-    // Alternating best-of-3: on a small shared box a single trial mostly
-    // measures scheduler luck (the blind-signature RPC is milliseconds of
-    // CPU, so one preemption moves a 2s number by double digits).
-    // Interference only ever subtracts, so the best trial per transport
-    // is the least-disturbed measurement of each.
-    println!("\n-- closed loop: {WORKERS} clients, 3 x {seconds}s per transport, best trial --");
-    let mut closed_event = ClosedResult {
-        requests: 0,
-        errors: 0,
-        secs: 1.0,
-    };
-    let mut closed_threaded = ClosedResult {
+    // Best of 3: on a small shared box a single trial mostly measures
+    // scheduler luck (the blind-signature RPC is milliseconds of CPU, so
+    // one preemption moves a 2s number by double digits). Interference
+    // only ever subtracts, so the best trial is the least-disturbed one.
+    println!("\n-- closed loop: {WORKERS} clients, 3 x {seconds}s, best trial --");
+    let mut closed = ClosedResult {
         requests: 0,
         errors: 0,
         secs: 1.0,
     };
     for trial in 0..3u64 {
-        let e = run_closed(
-            &world,
-            &config,
-            TransportMode::EventLoop,
-            seconds,
-            seed + trial,
-        );
-        let t = run_closed(
-            &world,
-            &config,
-            TransportMode::Threaded,
-            seconds,
-            seed + trial,
-        );
+        let c = run_closed(&world, &config, seconds, seed + trial);
         println!(
-            "  trial {}: event {} req/s, threaded {} req/s",
+            "  trial {}: {} req/s ({} errors)",
             trial + 1,
-            f(e.rps()),
-            f(t.rps())
+            f(c.rps()),
+            c.errors
         );
-        if e.errors == 0 && e.rps() > closed_event.rps() {
-            closed_event = e;
-        }
-        if t.errors == 0 && t.rps() > closed_threaded.rps() {
-            closed_threaded = t;
+        if c.errors == 0 && c.rps() > closed.rps() {
+            closed = c;
         }
     }
-    println!(
-        "  event loop: {} req/s ({} errors)",
-        f(closed_event.rps()),
-        closed_event.errors
-    );
-    println!(
-        "  threaded:   {} req/s ({} errors)",
-        f(closed_threaded.rps()),
-        closed_threaded.errors
-    );
+    println!("  best: {} req/s", f(closed.rps()));
 
-    let event_holds = event.held as usize == conns
-        && event.busy == 0
-        && event.stats.shed == 0
-        && event.stats.slab_high_water >= conns as i64;
-    let threaded_fails = threaded.busy > 0 || threaded.stalled > 0;
-    let fleet_gate = event_holds && threaded_fails;
-    let tput_gate = closed_event.rps() >= 0.9 * closed_threaded.rps()
-        && closed_event.errors == 0
-        && closed_threaded.errors == 0;
+    let fleet_gate = fleet.held as usize == conns
+        && fleet.busy == 0
+        && fleet.stats.shed == 0
+        && fleet.stats.slab_high_water >= conns as i64
+        && closed.requests > 0;
     println!(
-        "\nidle-fleet gate: event holds all {conns} with 0 sheds = {event_holds}, \
-         threaded sheds/stalls = {threaded_fails} -> {}",
+        "\nidle-fleet gate: all {conns} held with 0 sheds, closed loop error-free -> {}",
         if fleet_gate { "PASS" } else { "FAIL" }
     );
-    println!(
-        "throughput gate: event {} vs threaded {} req/s (>= 90%: {})",
-        f(closed_event.rps()),
-        f(closed_threaded.rps()),
-        if tput_gate { "PASS" } else { "FAIL" }
-    );
 
-    write_json(
-        seed,
-        conns,
-        threads,
-        rounds,
-        &event,
-        &threaded,
-        &closed_event,
-        &closed_threaded,
-        fleet_gate,
-        tput_gate,
-    );
+    write_json(seed, conns, threads, rounds, &fleet, &closed, fleet_gate);
 }
 
 fn report_fleet(r: &FleetResult) {
@@ -235,7 +158,6 @@ fn report_fleet(r: &FleetResult) {
 fn run_fleet(
     world: &World,
     config: &PipelineConfig,
-    transport: TransportMode,
     conns: usize,
     threads: usize,
     rounds: u64,
@@ -247,9 +169,7 @@ fn run_fleet(
         // inter-round gaps must not trip the reactor's timer wheel.
         read_timeout: Duration::from_secs(30),
         write_timeout: Duration::from_secs(5),
-        transport,
-        // Enough slots for the whole fleet (the threaded transport has
-        // no slab and ignores this; its ceiling stays workers + queue).
+        // Enough slots for the whole fleet.
         max_connections: conns + QUEUE_DEPTH,
         ..ServerConfig::default()
     };
@@ -320,8 +240,7 @@ struct FleetPart {
 /// walk the fleet once per round with an idle gap between rounds.
 fn fleet_thread(addr: SocketAddr, count: usize, rounds: u64, barrier: &Barrier) -> FleetPart {
     // No retries, and a short read deadline so a stalled connection
-    // (accepted but never served — the threaded queue's fate) costs one
-    // bounded wait, not a hang.
+    // (accepted but never served) costs one bounded wait, not a hang.
     let client_config = ClientConfig {
         max_retries: 0,
         connect_timeout: Duration::from_secs(5),
@@ -394,11 +313,10 @@ fn fleet_thread(addr: SocketAddr, count: usize, rounds: u64, barrier: &Barrier) 
 /// A short saturated phase: every client fires its next request the
 /// moment the previous response lands, over the same realistic RPC mix
 /// `net_throughput` measures (search, aggregate fetch, ping, blind-token
-/// issue) — the reference number the 10% gate is defined against.
+/// issue).
 fn run_closed(
     world: &World,
     config: &PipelineConfig,
-    transport: TransportMode,
     seconds: u64,
     seed: u64,
 ) -> ClosedResult {
@@ -407,7 +325,6 @@ fn run_closed(
         queue_depth: QUEUE_DEPTH,
         read_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
-        transport,
         ..ServerConfig::default()
     };
     let service = Arc::new(service_for_world(world, config));
@@ -510,38 +427,15 @@ fn closed_worker(
 }
 
 /// Hand-rolled JSON (the workspace has no serde_json): flat and stable.
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     seed: u64,
     conns: usize,
     threads: usize,
     rounds: u64,
-    event: &FleetResult,
-    threaded: &FleetResult,
-    closed_event: &ClosedResult,
-    closed_threaded: &ClosedResult,
+    fleet: &FleetResult,
+    closed: &ClosedResult,
     fleet_gate: bool,
-    tput_gate: bool,
 ) {
-    let fleet = |r: &FleetResult| {
-        format!(
-            "{{\"connected\": {}, \"held\": {}, \"busy\": {}, \"stalled\": {}, \
-             \"other_errors\": {}, \"p99_us\": {}, \"server_accepted\": {}, \
-             \"server_shed\": {}, \"slab_high_water\": {}, \"deadline_closed\": {}, \
-             \"secs\": {:.1}}}",
-            r.connected,
-            r.held,
-            r.busy,
-            r.stalled,
-            r.other_errors,
-            r.p99_us,
-            r.stats.accepted,
-            r.stats.shed,
-            r.stats.slab_high_water,
-            r.stats.deadline_closed,
-            r.secs
-        )
-    };
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"idle_fleet\",\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
@@ -549,18 +443,25 @@ fn write_json(
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"rounds\": {rounds},\n"));
     out.push_str(&format!("  \"workers\": {WORKERS},\n"));
-    out.push_str(&format!("  \"event_fleet\": {},\n", fleet(event)));
-    out.push_str(&format!("  \"threaded_fleet\": {},\n", fleet(threaded)));
     out.push_str(&format!(
-        "  \"closed_loop_event_rps\": {:.1},\n",
-        closed_event.rps()
+        "  \"fleet\": {{\"connected\": {}, \"held\": {}, \"busy\": {}, \"stalled\": {}, \
+         \"other_errors\": {}, \"p99_us\": {}, \"server_accepted\": {}, \
+         \"server_shed\": {}, \"slab_high_water\": {}, \"deadline_closed\": {}, \
+         \"secs\": {:.1}}},\n",
+        fleet.connected,
+        fleet.held,
+        fleet.busy,
+        fleet.stalled,
+        fleet.other_errors,
+        fleet.p99_us,
+        fleet.stats.accepted,
+        fleet.stats.shed,
+        fleet.stats.slab_high_water,
+        fleet.stats.deadline_closed,
+        fleet.secs
     ));
-    out.push_str(&format!(
-        "  \"closed_loop_threaded_rps\": {:.1},\n",
-        closed_threaded.rps()
-    ));
-    out.push_str(&format!("  \"idle_fleet_gate_ok\": {fleet_gate},\n"));
-    out.push_str(&format!("  \"throughput_within_10pct\": {tput_gate}\n"));
+    out.push_str(&format!("  \"closed_loop_rps\": {:.1},\n", closed.rps()));
+    out.push_str(&format!("  \"idle_fleet_gate_ok\": {fleet_gate}\n"));
     out.push_str("}\n");
 
     let path = "results/BENCH_idle_fleet.json";

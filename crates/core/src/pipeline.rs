@@ -24,8 +24,8 @@ use orsp_inference::{
 use orsp_inference::predictor::PredictorConfig;
 use orsp_sensors::{render_user_trace, EnergyModel, SamplingPolicy};
 use orsp_server::{
-    deterministic_ingest_logged, AggregatePublisher, CategoryProfile, EntityAggregate,
-    FraudDetector, IngestService, ProfileBuilder, WalSink,
+    deterministic_ingest, AggregatePublisher, CategoryProfile, EntityAggregate, FraudDetector,
+    IngestService, ProfileBuilder, WalSink,
 };
 use orsp_types::rng::{rng_for, rng_for_indexed};
 use orsp_types::{
@@ -224,11 +224,16 @@ impl RspPipeline {
     }
 
     /// [`run`](Self::run) with an optional durability sink: every accepted
-    /// upload is logged through `sink` as it is admitted. Durability is
-    /// write-only with respect to the pipeline — the outcome (and its
-    /// digest) is bit-identical with or without a sink, at any thread
-    /// count, which `tests/pipeline_determinism.rs` asserts.
-    pub fn run_logged(&self, world: &World, sink: Option<&dyn WalSink>) -> PipelineOutcome {
+    /// upload's spend and record are logged through `sink` as it is
+    /// admitted. Durability is write-only with respect to the pipeline —
+    /// the outcome (and its digest) is bit-identical with or without a
+    /// sink, at any thread count, which `tests/pipeline_determinism.rs`
+    /// asserts.
+    pub fn run_logged(
+        &self,
+        world: &World,
+        sink: Option<Arc<dyn WalSink>>,
+    ) -> PipelineOutcome {
         let obs = orsp_obs::global();
         let _run_span = obs.span("pipeline_run_us");
         let cfg = &self.config;
@@ -248,10 +253,11 @@ impl RspPipeline {
         // so timing-independent); RSA signing runs outside its lock.
         let shared_mint = Mutex::new(mint);
         let front = self.front_half(world, &mapper, &mint_public, &|| &shared_mint);
-        let mut mint = shared_mint.into_inner().unwrap_or_else(|e| e.into_inner());
+        let mint = shared_mint.into_inner().unwrap_or_else(|e| e.into_inner());
 
-        // ---- Ingest stage: sharded, parallel, order-preserving. ------
-        let ingest = deterministic_ingest_logged(&front.deliveries, &mut mint, threads, sink);
+        // ---- Ingest stage: parallel verify, then the served admission
+        // core in delivery order. ---------------------------------------
+        let ingest = deterministic_ingest(&front.deliveries, &mint_public, threads, sink);
         self.back_half(world, &mapper, front, ingest, mint.issued_total())
     }
 

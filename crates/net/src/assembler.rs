@@ -14,14 +14,12 @@
 
 use crate::error::WireError;
 use crate::wire::{
-    check_crc, parse_prefix, parse_trace_ctx, parse_v1_rest, parse_v2_rest, HEADER_LEN,
-    HEADER_LEN_V2, PREFIX_LEN, TRACE_CTX_LEN, V1,
+    check_crc, parse_prefix, parse_trace_ctx, parse_v2_rest, HEADER_LEN_V2, PREFIX_LEN,
+    TRACE_CTX_LEN,
 };
 use orsp_obs::TraceContext;
 
-/// v1 header remainder (after the shared prefix).
-const V1_REST: usize = HEADER_LEN - PREFIX_LEN;
-/// v2 header remainder (after the shared prefix).
+/// Header remainder (after the magic + version prefix).
 const V2_REST: usize = HEADER_LEN_V2 - PREFIX_LEN;
 
 /// One fully reassembled message.
@@ -36,8 +34,8 @@ pub struct AssembledFrame {
 enum State {
     /// Collecting the 5-byte magic+version prefix.
     Prefix { have: usize, buf: [u8; PREFIX_LEN] },
-    /// Collecting the version's fixed header remainder.
-    HeaderRest { version: u8, have: usize, buf: [u8; V2_REST] },
+    /// Collecting the fixed header remainder.
+    HeaderRest { have: usize, buf: [u8; V2_REST] },
     /// Collecting the optional trace-context block.
     TraceCtx { len: usize, crc: u32, have: usize, buf: [u8; TRACE_CTX_LEN] },
     /// Collecting the payload (allocated only after the length passed
@@ -79,9 +77,7 @@ impl FrameAssembler {
     pub fn need(&self) -> usize {
         match &self.state {
             State::Prefix { have, .. } => PREFIX_LEN - have,
-            State::HeaderRest { version, have, .. } => {
-                (if *version == V1 { V1_REST } else { V2_REST }) - have
-            }
+            State::HeaderRest { have, .. } => V2_REST - have,
             State::TraceCtx { have, .. } => TRACE_CTX_LEN - have,
             State::Payload { buf, len, .. } => len - buf.len(),
             State::Poisoned => 1,
@@ -112,33 +108,22 @@ impl FrameAssembler {
                     if *have < PREFIX_LEN {
                         return Ok((at, None));
                     }
-                    let version = match parse_prefix(buf) {
-                        Ok(v) => v,
-                        Err(e) => return self.poison(e),
-                    };
-                    self.state = State::HeaderRest { version, have: 0, buf: [0; V2_REST] };
+                    if let Err(e) = parse_prefix(buf) {
+                        return self.poison(e);
+                    }
+                    self.state = State::HeaderRest { have: 0, buf: [0; V2_REST] };
                 }
-                State::HeaderRest { version, have, buf } => {
-                    let rest = if *version == V1 { V1_REST } else { V2_REST };
-                    let take = (rest - *have).min(input.len() - at);
+                State::HeaderRest { have, buf } => {
+                    let take = (V2_REST - *have).min(input.len() - at);
                     buf[*have..*have + take].copy_from_slice(&input[at..at + take]);
                     *have += take;
                     at += take;
-                    if *have < rest {
+                    if *have < V2_REST {
                         return Ok((at, None));
                     }
-                    let (traced, len, crc) = if *version == V1 {
-                        let mut v1 = [0u8; V1_REST];
-                        v1.copy_from_slice(&buf[..V1_REST]);
-                        match parse_v1_rest(&v1) {
-                            Ok((len, crc)) => (false, len, crc),
-                            Err(e) => return self.poison(e),
-                        }
-                    } else {
-                        match parse_v2_rest(buf) {
-                            Ok(parsed) => parsed,
-                            Err(e) => return self.poison(e),
-                        }
+                    let (traced, len, crc) = match parse_v2_rest(buf) {
+                        Ok(parsed) => parsed,
+                        Err(e) => return self.poison(e),
                     };
                     // `len` is now proven ≤ MAX_PAYLOAD: the payload
                     // buffer below is the first allocation this frame
@@ -201,7 +186,7 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{frame, frame_traced, frame_v1, MAX_PAYLOAD};
+    use crate::wire::{frame, frame_traced, MAX_PAYLOAD};
 
     fn feed_all(asm: &mut FrameAssembler, mut bytes: &[u8]) -> Vec<AssembledFrame> {
         let mut out = Vec::new();
@@ -223,8 +208,7 @@ mod tests {
     #[test]
     fn byte_at_a_time_equals_one_shot() {
         let ctx = TraceContext { trace_id: 99, span_id: 3, sampled: true };
-        let frames =
-            [frame(b"hello"), frame_v1(b"old"), frame_traced(b"traced", Some(&ctx)), frame(b"")];
+        let frames = [frame(b"hello"), frame_traced(b"traced", Some(&ctx)), frame(b"")];
         let stream: Vec<u8> = frames.concat();
         let mut asm = FrameAssembler::new();
         let mut got = Vec::new();
@@ -236,14 +220,13 @@ mod tests {
             }
         }
         // The trailing empty-payload frame completes at its final header
-        // byte, so all four are out already.
-        assert_eq!(got.len(), 4);
+        // byte, so all three are out already.
+        assert_eq!(got.len(), 3);
         assert_eq!(got[0].payload, b"hello");
-        assert_eq!(got[1].payload, b"old");
-        assert_eq!(got[1].ctx, None);
-        assert_eq!(got[2].payload, b"traced");
-        assert_eq!(got[2].ctx, Some(ctx));
-        assert_eq!(got[3].payload, b"");
+        assert_eq!(got[0].ctx, None);
+        assert_eq!(got[1].payload, b"traced");
+        assert_eq!(got[1].ctx, Some(ctx));
+        assert_eq!(got[2].payload, b"");
         assert!(asm.at_boundary());
     }
 

@@ -8,9 +8,10 @@
 //!   retrieval RPC exists, by design), aggregate fetch, and search.
 //! * [`router`] — [`RspService`]: one `handle(Request) -> Response`
 //!   facade over the server substrates (mint, ingest, aggregates, search).
-//! * [`server`] — a synchronous thread-pool TCP server over `std::net`
-//!   (no async runtime, per DESIGN §5) with per-connection deadlines, a
-//!   bounded accept queue, explicit `Busy` load-shedding, and graceful
+//! * [`server`] — [`NetServer`]: an epoll reactor over non-blocking
+//!   `std::net` sockets feeding a fixed worker pool (no async runtime,
+//!   per DESIGN §6; Linux-only) with per-connection deadlines, a bounded
+//!   connection slab, explicit `Busy` load-shedding, and graceful
 //!   drain-on-shutdown.
 //! * [`client`] — a blocking client with retry/backoff on `Busy`,
 //!   timeouts, and dropped connections.
@@ -28,15 +29,16 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("orsp-net is Linux-only: its one server transport is the epoll reactor");
+
 pub mod assembler;
 pub mod client;
 pub mod error;
-#[cfg(target_os = "linux")]
 pub(crate) mod reactor;
 pub mod router;
 pub mod server;
 pub mod stream;
-#[cfg(target_os = "linux")]
 pub mod sys;
 pub mod transport;
 pub mod wire;
@@ -45,6 +47,6 @@ pub use assembler::{AssembledFrame, FrameAssembler};
 pub use client::{CallTrace, ClientConfig, NetClient, NetPool, RetryStats, TcpTransport};
 pub use error::{NetError, WireError};
 pub use router::{ReplicaHook, ReplicateOutcome, RspService, ServiceConfig};
-pub use server::{FrameService, NetServer, ServerConfig, ServerStats, TransportMode};
+pub use server::{FrameService, NetServer, ServerConfig, ServerStats};
 pub use transport::{InMemoryTransport, RemoteIssuer, Transport};
 pub use wire::{CatchRecord, Request, Response, SearchHit};

@@ -15,20 +15,16 @@
 //! short write, re-arms read interest, and the connection goes back to
 //! costing nothing.
 //!
-//! Contracts preserved from the threaded server (`tests/tcp_roundtrip.rs`
-//! passes against both):
+//! Contracts (`tests/tcp_roundtrip.rs` pins them):
 //!
-//! * **Shed** — the bounded accept queue's explicit `Busy` becomes a
-//!   max-connection-slots + max-inflight shed with the same wire
-//!   behavior: a full slab (or inflight bound) earns the client an
+//! * **Shed** — a full slab (or inflight bound) earns the client an
 //!   encoded `Busy` frame and a close, never a silent drop.
 //! * **Deadlines** — per-connection read/write deadlines live on a
 //!   hashed timer wheel; a stalled peer is closed within one tick of its
 //!   deadline and counted in `net_deadline_closed_total`.
 //! * **One request in flight per connection** — the assembler stops at
 //!   each frame boundary and the reactor stops reading while a request
-//!   executes, so pipelined bytes sit in the kernel buffer exactly as
-//!   they would behind a blocking worker.
+//!   executes, so pipelined bytes wait in the kernel buffer.
 //! * **Drain** — shutdown closes idle connections immediately, lets
 //!   queued/executing requests finish and their responses flush, then
 //!   joins every thread.
@@ -463,8 +459,7 @@ impl Reactor {
 
     fn admit(&mut self, stream: TcpStream, peer: SocketAddr) {
         let Some(token) = self.free.pop() else {
-            // Slab full: the explicit load shed, same wire behavior as
-            // the threaded server's full accept queue.
+            // Slab full: the explicit load shed.
             self.shed(stream, peer);
             return;
         };
@@ -638,8 +633,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    // Reset/teardown: the deadline did its job in the
-                    // threaded server; here the error itself closes.
+                    // Reset/teardown: the error itself closes.
                     self.close(token);
                     break;
                 }
@@ -716,8 +710,7 @@ impl Reactor {
             }
             Err(e) => {
                 // A sound frame with an unusable payload: per-request
-                // error, the connection survives (matching the threaded
-                // server).
+                // error, the connection survives.
                 self.metrics.protocol_error((&e).into());
                 self.obs.event("protocol_error", e.to_string());
                 self.respond(token, Response::Error { detail: e.to_string() }, false);
@@ -822,7 +815,7 @@ impl Reactor {
             return; // re-armed or state-changed since; stale entry
         }
         if matches!(conn.state, ConnState::Executing) {
-            return; // execution has no deadline (parity with threaded)
+            return; // execution has no deadline
         }
         self.metrics.deadline_closed.inc();
         self.obs.event("deadline_closed", "connection deadline expired".to_string());

@@ -1,10 +1,11 @@
 //! Frame I/O over blocking byte streams (`std::io::Read`/`Write`).
 //!
-//! Shared by the TCP client and the threaded server transport so both
-//! sides enforce the same header validation, CRC check, and payload cap.
-//! The actual staging lives in [`crate::assembler::FrameAssembler`] —
-//! the same state machine the reactor drives with non-blocking reads —
-//! here driven with exact-size blocking reads ([`FrameAssembler::need`]
+//! What the TCP client reads responses with (and the reactor writes its
+//! shed frame with). The staging lives in
+//! [`crate::assembler::FrameAssembler`] — the same state machine the
+//! reactor drives with non-blocking reads, so both ends enforce the same
+//! header validation, CRC check, and payload cap — here driven with
+//! exact-size blocking reads ([`FrameAssembler::need`]
 //! bytes at a time), so this reader never consumes past the end of a
 //! frame. Deadlines are the socket's read/write timeouts — a peer that
 //! stalls mid-frame surfaces as [`NetError::Timeout`], never as a hang.
@@ -76,7 +77,7 @@ fn reset_kind(e: &std::io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::error::WireError;
-    use crate::wire::{frame, frame_traced, frame_v1, HEADER_LEN_V2, TRACE_CTX_LEN};
+    use crate::wire::{frame, frame_traced, HEADER_LEN_V2, TRACE_CTX_LEN};
 
     #[test]
     fn round_trip_over_cursor() {
@@ -94,13 +95,13 @@ mod tests {
         let ctx = TraceContext { trace_id: 42, span_id: 7, sampled: true };
         let mut buf = Vec::new();
         write_message(&mut buf, &frame_traced(b"abc", Some(&ctx))).unwrap();
-        write_message(&mut buf, &frame_v1(b"old")).unwrap();
+        write_message(&mut buf, &frame(b"plain")).unwrap();
         let mut r = &buf[..];
         assert_eq!(read_message(&mut r).unwrap(), Some((b"abc".to_vec(), Some(ctx))));
         assert_eq!(
             read_message(&mut r).unwrap(),
-            Some((b"old".to_vec(), None)),
-            "a v1 peer interleaves cleanly"
+            Some((b"plain".to_vec(), None)),
+            "an unstamped frame interleaves cleanly"
         );
     }
 

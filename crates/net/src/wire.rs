@@ -3,7 +3,8 @@
 //! One frame carries one message:
 //!
 //! ```text
-//! magic "ORSP" (4) | version (1) | payload len (4, LE) | crc32 (4, LE) | payload
+//! magic "ORSP" (4) | version (1) | flags (1) | payload len (4, LE) | crc32 (4, LE)
+//!   | trace context (25, iff flags & 1) | payload
 //! ```
 //!
 //! The CRC covers the payload (same polynomial as the server WAL). The
@@ -36,21 +37,16 @@ use orsp_types::{
 
 /// Frame magic: "ORSP".
 pub const MAGIC: [u8; 4] = *b"ORSP";
-/// The original frame version: fixed 13-byte header, no flags.
-pub const V1: u8 = 1;
-/// Protocol version this endpoint speaks: v2 adds a flags byte and an
-/// optional trace-context block. Inbound v1 frames are still accepted.
+/// The one protocol version this endpoint speaks and accepts.
 pub const VERSION: u8 = 2;
-/// v1 header bytes: magic, version, length, CRC.
-pub const HEADER_LEN: usize = 13;
-/// v2 header bytes: magic, version, flags, length, CRC.
+/// Header bytes: magic, version, flags, length, CRC.
 pub const HEADER_LEN_V2: usize = 14;
-/// Magic + version — the prefix shared by every frame version.
+/// Magic + version — validated before the rest of the header is read.
 pub const PREFIX_LEN: usize = 5;
 /// The optional trace-context block: trace id (16) + span id (8) +
 /// sampled flag (1).
 pub const TRACE_CTX_LEN: usize = 25;
-/// v2 flags bit: a trace-context block follows the header.
+/// Flags bit: a trace-context block follows the header.
 pub const FLAG_TRACE: u8 = 0x01;
 /// Hard cap on payload size. Anything larger is rejected before any
 /// allocation happens — a hostile length prefix cannot balloon memory.
@@ -58,7 +54,7 @@ pub const MAX_PAYLOAD: usize = 1 << 20;
 
 // ---------------------------------------------------------------- frames
 
-/// Wrap a payload in a v2 frame (no trace context).
+/// Wrap a payload in a frame (no trace context).
 ///
 /// Payloads built by this crate are far below [`MAX_PAYLOAD`]; this is
 /// debug-asserted rather than returned as an error because an oversized
@@ -67,7 +63,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     frame_traced(payload, None)
 }
 
-/// Wrap a payload in a v2 frame, stamping a trace context between the
+/// Wrap a payload in a frame, stamping a trace context between the
 /// header and the payload when one is given. The CRC covers the payload
 /// only — the context is routing metadata, corruption there cannot
 /// corrupt a request.
@@ -89,45 +85,22 @@ pub fn frame_traced(payload: &[u8], ctx: Option<&TraceContext>) -> Vec<u8> {
     buf.freeze().to_vec()
 }
 
-/// Wrap a payload in a v1 frame — what a pre-trace peer sends. Kept so
-/// compatibility tests (and any old client) exercise the v1 decode path.
-pub fn frame_v1(payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
-    buf.put_slice(&MAGIC);
-    buf.put_u8(V1);
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_u32_le(crc32(payload));
-    buf.put_slice(payload);
-    buf.freeze().to_vec()
-}
-
-/// Validate the 5-byte magic + version prefix; returns the version (1
-/// or 2). Streaming readers use this to learn how much header remains.
-pub fn parse_prefix(prefix: &[u8; PREFIX_LEN]) -> Result<u8, WireError> {
+/// Validate the 5-byte magic + version prefix. Any version but
+/// [`VERSION`] — the retired version 1 included — is refused here, before
+/// a single header byte past the prefix is interpreted.
+pub fn parse_prefix(prefix: &[u8; PREFIX_LEN]) -> Result<(), WireError> {
     let mut magic = [0u8; 4];
     magic.copy_from_slice(&prefix[0..4]);
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = prefix[4];
-    if version != V1 && version != VERSION {
-        return Err(WireError::BadVersion(version));
+    if prefix[4] != VERSION {
+        return Err(WireError::BadVersion(prefix[4]));
     }
-    Ok(version)
+    Ok(())
 }
 
-/// Parse the rest of a v1 header (after the prefix): `(len, crc)`.
-pub fn parse_v1_rest(rest: &[u8; HEADER_LEN - PREFIX_LEN]) -> Result<(usize, u32), WireError> {
-    let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversized { len });
-    }
-    let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-    Ok((len, crc))
-}
-
-/// Parse the rest of a v2 header (after the prefix):
+/// Parse the rest of the header (after the prefix):
 /// `(trace_context_follows, len, crc)`. Unknown flag bits are a typed
 /// error — a v3 sender must not be half-understood.
 pub fn parse_v2_rest(
@@ -172,8 +145,7 @@ pub fn check_crc(payload: &[u8], stored: u32) -> Result<(), WireError> {
 
 /// Decode one frame from a complete buffer: returns the payload slice,
 /// the trace context if the sender stamped one, and the total bytes
-/// consumed. Accepts both v1 and v2 frames; typed errors for every
-/// malformation.
+/// consumed. Typed errors for every malformation.
 pub fn decode_frame_traced(
     buf: &[u8],
 ) -> Result<(&[u8], Option<TraceContext>, usize), WireError> {
@@ -182,25 +154,14 @@ pub fn decode_frame_traced(
     }
     let mut prefix = [0u8; PREFIX_LEN];
     prefix.copy_from_slice(&buf[..PREFIX_LEN]);
-    let version = parse_prefix(&prefix)?;
-    let (header_len, traced, len, crc) = if version == V1 {
-        if buf.len() < HEADER_LEN {
-            return Err(WireError::Truncated { have: buf.len(), need: HEADER_LEN });
-        }
-        let mut rest = [0u8; HEADER_LEN - PREFIX_LEN];
-        rest.copy_from_slice(&buf[PREFIX_LEN..HEADER_LEN]);
-        let (len, crc) = parse_v1_rest(&rest)?;
-        (HEADER_LEN, false, len, crc)
-    } else {
-        if buf.len() < HEADER_LEN_V2 {
-            return Err(WireError::Truncated { have: buf.len(), need: HEADER_LEN_V2 });
-        }
-        let mut rest = [0u8; HEADER_LEN_V2 - PREFIX_LEN];
-        rest.copy_from_slice(&buf[PREFIX_LEN..HEADER_LEN_V2]);
-        let (traced, len, crc) = parse_v2_rest(&rest)?;
-        (HEADER_LEN_V2, traced, len, crc)
-    };
-    let mut at = header_len;
+    parse_prefix(&prefix)?;
+    if buf.len() < HEADER_LEN_V2 {
+        return Err(WireError::Truncated { have: buf.len(), need: HEADER_LEN_V2 });
+    }
+    let mut rest = [0u8; HEADER_LEN_V2 - PREFIX_LEN];
+    rest.copy_from_slice(&buf[PREFIX_LEN..HEADER_LEN_V2]);
+    let (traced, len, crc) = parse_v2_rest(&rest)?;
+    let mut at = HEADER_LEN_V2;
     let ctx = if traced {
         if buf.len() < at + TRACE_CTX_LEN {
             return Err(WireError::Truncated { have: buf.len(), need: at + TRACE_CTX_LEN });
@@ -371,8 +332,9 @@ pub enum Response {
         /// Sorted counters, gauges, and histogram summaries.
         snapshot: StatsSnapshot,
     },
-    /// Explicit load shed: the accept queue is full. Never silent — a
-    /// shed connection always receives this frame before close.
+    /// Explicit load shed: every connection slot (or the inflight bound)
+    /// is taken. Never silent — a shed connection always receives this
+    /// frame before close.
     Busy,
     /// The server could not process the request (decode failure or
     /// internal error), reported rather than dropped.
@@ -1469,19 +1431,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_frame_still_decodes() {
-        let framed = frame_v1(b"payload");
-        assert_eq!(framed.len(), HEADER_LEN + b"payload".len());
-        let (payload, ctx, consumed) = decode_frame_traced(&framed).unwrap();
-        assert_eq!(payload, b"payload");
-        assert_eq!(ctx, None);
-        assert_eq!(consumed, framed.len());
-    }
-
-    #[test]
     fn truncated_header_is_typed() {
-        for framed in [frame(b"hello"), frame_v1(b"hello"), frame_traced(b"hello", Some(&ctx()))]
-        {
+        for framed in [frame(b"hello"), frame_traced(b"hello", Some(&ctx()))] {
             let payload_start = framed.len() - b"hello".len();
             for cut in 0..payload_start {
                 assert!(matches!(
@@ -1525,13 +1476,9 @@ mod tests {
 
     #[test]
     fn oversized_length_is_rejected_before_allocation() {
-        // v2: length sits after magic(4) + version(1) + flags(1).
+        // The length sits after magic(4) + version(1) + flags(1).
         let mut framed = frame(b"x");
         framed[6..10].copy_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(matches!(decode_frame(&framed), Err(WireError::Oversized { .. })));
-        // v1: length sits right after magic(4) + version(1).
-        let mut framed = frame_v1(b"x");
-        framed[5..9].copy_from_slice(&(u32::MAX).to_le_bytes());
         assert!(matches!(decode_frame(&framed), Err(WireError::Oversized { .. })));
     }
 

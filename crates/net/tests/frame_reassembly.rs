@@ -11,17 +11,16 @@
 //! point where no payload allocation has happened.
 
 use orsp_net::wire::{
-    decode_frame_traced, frame, frame_traced, frame_v1, HEADER_LEN_V2, MAX_PAYLOAD,
+    decode_frame_traced, frame, frame_traced, HEADER_LEN_V2, MAGIC, MAX_PAYLOAD, PREFIX_LEN,
 };
 use orsp_net::{AssembledFrame, FrameAssembler, WireError};
 use orsp_obs::TraceContext;
 use proptest::prelude::*;
 
-/// Encode one frame: `kind` selects v1 / v2-untraced / v2-traced.
+/// Encode one frame: `kind` selects untraced / traced.
 fn encode_kind(kind: u8, payload: &[u8], trace_id: u64, span_id: u64, sampled: bool) -> Vec<u8> {
-    match kind % 3 {
-        0 => frame_v1(payload),
-        1 => frame(payload),
+    match kind % 2 {
+        0 => frame(payload),
         _ => frame_traced(
             payload,
             Some(&TraceContext { trace_id: trace_id.into(), span_id, sampled }),
@@ -160,6 +159,37 @@ proptest! {
         ));
         // And the stream is poisoned for good.
         prop_assert!(asm.feed(b"anything").is_err());
+    }
+
+    /// The retired frame version 1 (13-byte header, no flags byte) is
+    /// refused by version the moment the prefix completes, wherever the
+    /// stream is split and whatever its header goes on to claim: the
+    /// assembler never asks for that header (`need()` is poisoned, not
+    /// hungry), so no declared length is ever read, let alone allocated
+    /// for. The one-shot decoder gives the same verdict.
+    #[test]
+    fn version_1_frames_are_refused_at_the_prefix(
+        declared in any::<u32>(),
+        crc in any::<u32>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        cut in 0usize..PREFIX_LEN,
+    ) {
+        let mut stream = MAGIC.to_vec();
+        stream.push(1);
+        stream.extend_from_slice(&declared.to_le_bytes());
+        stream.extend_from_slice(&crc.to_le_bytes());
+        stream.extend_from_slice(&payload);
+
+        let mut asm = FrameAssembler::new();
+        prop_assert_eq!(asm.feed(&stream[..cut]).expect("incomplete prefix is fine"), (cut, None));
+        let err = asm.feed(&stream[cut..]).expect_err("version 1");
+        prop_assert!(matches!(err, WireError::BadVersion(1)), "got {:?}", err);
+        prop_assert!(asm.feed(b"anything").is_err(), "poisoned for good");
+        for have in PREFIX_LEN..=stream.len() {
+            prop_assert!(matches!(
+                decode_frame_traced(&stream[..have]), Err(WireError::BadVersion(1))
+            ));
+        }
     }
 
     /// Corrupting any single byte of a one-frame stream: the assembler

@@ -513,9 +513,8 @@ fn tcp_hammer_sheds_nothing_below_saturation() {
         .collect();
 
     // "Below saturation" = the offered load fits: one worker per
-    // concurrent connection, and enough queue for the initial connect
-    // burst (all six clients connect before the workers have drained
-    // the accept queue — without headroom the burst itself would shed).
+    // concurrent connection, and slab headroom beyond that so the
+    // initial connect burst cannot itself shed.
     let config = ServerConfig {
         workers: UPLOADERS + 2,
         queue_depth: UPLOADERS + 2,

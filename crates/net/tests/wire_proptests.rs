@@ -5,8 +5,8 @@
 use orsp_client::UploadRequest;
 use orsp_crypto::{BigUint, BlindSignature, BlindedMessage, Token};
 use orsp_net::wire::{
-    decode_frame, decode_frame_traced, frame, frame_traced, frame_v1, HEADER_LEN,
-    HEADER_LEN_V2, MAX_PAYLOAD, TRACE_CTX_LEN,
+    decode_frame, decode_frame_traced, frame, frame_traced, HEADER_LEN_V2, MAX_PAYLOAD,
+    TRACE_CTX_LEN,
 };
 use orsp_net::{Request, Response, SearchHit, WireError};
 use orsp_obs::{EventSnapshot, HistogramSnapshot, StatsSnapshot, TraceContext};
@@ -407,32 +407,11 @@ proptest! {
     }
 
     #[test]
-    fn v1_frames_from_old_peers_decode_on_a_v2_decoder(
-        payload in proptest::collection::vec(0u8..=255, 0..128),
-    ) {
-        // An un-upgraded peer frames without a flags byte or trace
-        // context. The v2 decoder must accept it byte-for-byte and
-        // report "no context" — and every truncation of it must stay a
-        // typed error.
-        let framed = frame_v1(&payload);
-        prop_assert_eq!(framed.len(), HEADER_LEN + payload.len());
-        let (decoded, ctx, consumed) = decode_frame_traced(&framed).unwrap();
-        prop_assert_eq!(decoded, &payload[..]);
-        prop_assert_eq!(ctx, None);
-        prop_assert_eq!(consumed, framed.len());
-        for cut in 0..framed.len() {
-            prop_assert!(decode_frame_traced(&framed[..cut]).is_err(), "cut {}", cut);
-        }
-    }
-
-    #[test]
     fn untraced_v2_frames_look_contextless_to_the_reader(
         payload in proptest::collection::vec(0u8..=255, 0..128),
     ) {
-        // The other direction of the skew: a v2 sender that has nothing
-        // to propagate (tracing off, unsampled request) must be
-        // indistinguishable-in-content from a v1 peer — same payload
-        // out, no context.
+        // A sender that has nothing to propagate (tracing off, unsampled
+        // request): same payload out, no context.
         let framed = frame(&payload);
         let (decoded, ctx, _) = decode_frame_traced(&framed).unwrap();
         prop_assert_eq!(decoded, &payload[..]);

@@ -72,9 +72,9 @@ fn main() {
         .position(|a| a == "--pool")
         .map(|i| args.get(i + 1).expect("--pool takes a count").parse().expect("--pool count"))
         .unwrap_or(4);
-    // Connection slab size for the event-loop transport: the proxy is
-    // the tier that fronts the device fleet, so this is where a raised
-    // ceiling matters most. 0 keeps the threaded shed point.
+    // Connection slab size: the proxy is the tier that fronts the device
+    // fleet, so this is where a raised ceiling matters most. 0 means
+    // workers + queue depth.
     let max_connections: usize = args
         .iter()
         .position(|a| a == "--max-connections")

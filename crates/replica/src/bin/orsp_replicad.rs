@@ -94,8 +94,7 @@ fn main() {
         "--group-commit-window-us",
         StorageOptions::default().group_commit_window_us,
     );
-    // Connection slab size for the event-loop transport; 0 keeps the
-    // threaded shed point (workers + queue depth).
+    // Connection slab size; 0 means workers + queue depth.
     let max_connections: usize = parsed(&args, "--max-connections", 0);
     let seed: u64 = parsed(&args, "--seed", 13);
     let users_per_zipcode: usize = parsed(&args, "--users-per-zipcode", 40);

@@ -5,9 +5,10 @@
 //! store. The service counts every rejection by reason so the experiments
 //! can report exactly what the defences caught.
 //!
-//! [`concurrent_ingest`] runs the same admission logic on a worker thread
-//! fed by a crossbeam channel — the shape a production ingest tier would
-//! take, exercised by the throughput benches.
+//! [`IngestService`] is the store + counters container the analytics
+//! tier works on, and its [`IngestService::ingest`] is the sequential
+//! reference the tests compare the served admission core
+//! ([`crate::ShardedIngest`]) against.
 
 use crate::store::HistoryStore;
 use orsp_client::UploadRequest;
@@ -78,14 +79,16 @@ impl IngestService {
     }
 
     /// Assemble a service from an already-populated store and its
-    /// counters — how [`crate::deterministic_ingest`] hands back the
-    /// result of a multi-threaded admission run.
+    /// counters — how [`crate::deterministic_ingest`] and the served
+    /// drain path hand back what [`crate::ShardedIngest`] admitted.
     pub fn from_parts(store: HistoryStore, stats: IngestStats) -> Self {
         IngestService { store, stats }
     }
 
-    /// Process one upload at time `now`. The mint is consulted for token
-    /// redemption (it owns the spend ledger).
+    /// Process one upload at time `now` — the sequential reference for
+    /// the admission rule (tests only; traffic goes through
+    /// [`crate::ShardedIngest::ingest_verified`]). The mint is consulted
+    /// for token redemption (it owns this path's spend ledger).
     pub fn ingest(
         &mut self,
         upload: &UploadRequest,
@@ -119,16 +122,6 @@ impl IngestService {
         }
     }
 
-    /// Ingest a batch (a mix flush) in order.
-    pub fn ingest_batch(
-        &mut self,
-        uploads: &[UploadRequest],
-        mint: &mut TokenMint,
-        now: Timestamp,
-    ) -> usize {
-        uploads.iter().filter(|u| self.ingest(u, mint, now).is_ok()).count()
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> IngestStats {
         self.stats
@@ -149,33 +142,6 @@ impl IngestService {
     pub fn store_mut(&mut self) -> &mut HistoryStore {
         &mut self.store
     }
-}
-
-/// Run admission on a worker thread: uploads stream in over a crossbeam
-/// channel, the populated service comes back when the channel closes.
-///
-/// One worker owns the store and mint outright — no locks on the hot path,
-/// the channel is the synchronization point (the "share memory by
-/// communicating" shape the async guides recommend for state owned by one
-/// task).
-pub fn concurrent_ingest(
-    uploads: Vec<UploadRequest>,
-    mut mint: TokenMint,
-    now: Timestamp,
-) -> (IngestService, TokenMint) {
-    let (tx, rx) = crossbeam::channel::bounded::<UploadRequest>(1024);
-    let worker = std::thread::spawn(move || {
-        let mut service = IngestService::new();
-        for upload in rx.iter() {
-            let _ = service.ingest(&upload, &mut mint, now);
-        }
-        (service, mint)
-    });
-    for u in uploads {
-        tx.send(u).expect("worker alive");
-    }
-    drop(tx);
-    worker.join().expect("ingest worker panicked")
 }
 
 #[cfg(test)]
@@ -274,32 +240,5 @@ mod tests {
         assert_eq!(err, Err(RejectReason::BadRecord));
         assert_eq!(svc.stats().bad_record, 1);
         assert_eq!(svc.stats().rejected(), 1);
-    }
-
-    #[test]
-    fn batch_ingest_counts_accepted() {
-        let (mut mint, mut wallet, mut rng) = setup();
-        let mut svc = IngestService::new();
-        let batch: Vec<UploadRequest> = (0..5)
-            .map(|i| {
-                let t = fresh_token(&mut wallet, &mut mint, &mut rng);
-                upload(t, i as u8, i, i as i64 * 10)
-            })
-            .collect();
-        assert_eq!(svc.ingest_batch(&batch, &mut mint, Timestamp::EPOCH), 5);
-    }
-
-    #[test]
-    fn concurrent_ingest_matches_serial() {
-        let (mut mint, mut wallet, mut rng) = setup();
-        let uploads: Vec<UploadRequest> = (0..40)
-            .map(|i| {
-                let t = fresh_token(&mut wallet, &mut mint, &mut rng);
-                upload(t, i as u8, i % 7, i as i64 * 50)
-            })
-            .collect();
-        let (svc, _mint) = concurrent_ingest(uploads, mint, Timestamp::EPOCH);
-        assert_eq!(svc.stats().accepted, 40);
-        assert_eq!(svc.store().total_interactions(), 40);
     }
 }

@@ -8,9 +8,12 @@
 //!   retrieve-by-record-id in the client-facing API** — "the RSP's service
 //!   only need support requests to update histories but not to retrieve
 //!   them" — which is what makes a leaked `Ru` useless to a thief.
-//! * [`ingest`] — admission control: blind-token redemption (rate
-//!   limiting + double-spend), record validation, entity-binding checks;
-//!   plus a concurrent ingest pipeline (crossbeam) for throughput benches.
+//! * [`sharded_ingest`] — admission control, once: verify token → spend
+//!   → validate record → append → log. [`ShardedIngest`] is the only
+//!   engine; the daemons call it per RPC and the in-process pipeline
+//!   drives it through [`deterministic_ingest`]. [`ingest`] holds the
+//!   store + counters container and the sequential reference the tests
+//!   compare it against.
 //! * [`profile`] — the *typical user* model of §4.3: quantile profiles of
 //!   inter-interaction gaps, durations, and interaction counts, built by
 //!   merging all stored histories per category.
@@ -43,14 +46,11 @@ pub use attest_gate::{AttestationGate, GateOutcome};
 pub use fraud::{FraudDetector, FraudVerdict};
 pub use ingest::{IngestService, IngestStats, RejectReason};
 pub use profile::{CategoryProfile, HistoryStats, ProfileBuilder, Quantiles};
-pub use sharded::{
-    deterministic_ingest, deterministic_ingest_logged, parallel_ingest, shard_index,
-    ParallelStats, ShardedStore,
-};
+pub use sharded::{deterministic_ingest, shard_index};
 pub use sharded_ingest::{GroupCommitConfig, IngestOutcome, ShardedIngest};
 pub use store::{HistoryStore, StoredHistory};
 pub use wal::{
-    crc32, encode_batch_item, encode_record, encode_token_spend, rebuild_store, replay,
-    wal_header, Replay, WalBatchItem, WalEntry, WalFault, WalSink, WalWriter,
-    WAL_HEADER_LEN, WAL_RECORD_LEN, WAL_TOKEN_RECORD_LEN,
+    crc32, encode_batch_item, encode_record, encode_token_spend, replay, wal_header, Replay,
+    WalBatchItem, WalEntry, WalFault, WalSink, WAL_HEADER_LEN, WAL_RECORD_LEN,
+    WAL_TOKEN_RECORD_LEN,
 };

@@ -1,22 +1,21 @@
-//! A sharded, concurrent history store.
+//! The shard map, and the batch driver over the one admission core.
 //!
-//! The single-threaded [`crate::HistoryStore`] is fine for simulation;
-//! a production ingest tier shards the keyspace and verifies token
-//! signatures in parallel. The expensive step — RSA signature
-//! verification — is pure and embarrassingly parallel; only the
-//! double-spend ledger and the store appends need coordination, which the
-//! shards provide with one lock each (record ids are uniformly
-//! distributed, so contention is negligible).
+//! [`shard_index`] is the single routing function every layer shares:
+//! ingest ledger and store shards, on-disk segments, and the proxy's
+//! hash ranges all partition by it. [`deterministic_ingest`] is how the
+//! in-process pipeline admits a whole delivery list: it spreads the one
+//! expensive, pure step — RSA token verification — across workers, then
+//! walks the deliveries in order through [`ShardedIngest`], the same
+//! admission core the daemons serve traffic with.
 
-use crate::ingest::{IngestService, IngestStats};
-use crate::store::{HistoryStore, StoredHistory};
-use crate::wal::{WalEntry, WalSink};
+use crate::ingest::IngestService;
+use crate::sharded_ingest::{IngestOutcome, ShardedIngest};
+use crate::wal::WalSink;
 use orsp_client::UploadRequest;
 use orsp_crypto::blind::verify_unblinded;
-use orsp_crypto::{RsaPublicKey, SpendOutcome, TokenMint};
-use orsp_types::{RecordId, Timestamp};
-use parking_lot::Mutex;
-use std::collections::HashSet;
+use orsp_crypto::RsaPublicKey;
+use orsp_types::Timestamp;
+use std::sync::Arc;
 
 /// Map a 32-byte key to one of `n` shards using its first 8 bytes as a
 /// little-endian word. Keys here are hash outputs (record ids, token
@@ -28,308 +27,89 @@ pub fn shard_index(bytes: &[u8; 32], n: usize) -> usize {
     (u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]) as usize) % n.max(1)
 }
 
-/// A history store split into independently locked shards.
-pub struct ShardedStore {
-    shards: Vec<Mutex<HistoryStore>>,
-}
-
-impl ShardedStore {
-    /// A store with `n` shards (at least 1).
-    pub fn new(n: usize) -> Self {
-        let n = n.max(1);
-        ShardedStore { shards: (0..n).map(|_| Mutex::new(HistoryStore::new())).collect() }
-    }
-
-    /// Which shard owns a record id (uniform, since ids are hash outputs).
-    fn shard_of(&self, record_id: &RecordId) -> usize {
-        shard_index(record_id.as_bytes(), self.shards.len())
-    }
-
-    /// Append one interaction (locks only the owning shard).
-    pub fn append(
-        &self,
-        record_id: RecordId,
-        entity: orsp_types::EntityId,
-        interaction: orsp_types::Interaction,
-    ) -> orsp_types::Result<()> {
-        self.shards[self.shard_of(&record_id)].lock().append(record_id, entity, interaction)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total histories across shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// True iff no histories stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total interactions across shards.
-    pub fn total_interactions(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().total_interactions()).sum()
-    }
-
-    /// Collapse into a single store for the analytics tier (profiles,
-    /// fraud, aggregates run offline over a merged snapshot).
-    pub fn into_merged(self) -> HistoryStore {
-        let mut merged = HistoryStore::new();
-        for shard in self.shards {
-            let shard = shard.into_inner();
-            for (rid, stored) in shard.iter() {
-                let StoredHistory { entity, history } = stored;
-                for r in history.iter() {
-                    let _ = merged.append(*rid, *entity, *r);
-                }
-            }
-        }
-        merged
-    }
-}
-
-/// Outcome of a parallel ingest run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParallelStats {
-    /// Uploads accepted.
-    pub accepted: u64,
-    /// Signature failures.
-    pub bad_token: u64,
-    /// Double-spends caught by the shared ledger.
-    pub double_spend: u64,
-    /// Store rejections (malformed / out of order / entity mismatch).
-    pub store_rejected: u64,
-}
-
-/// Verify and ingest a batch of uploads across `threads` workers.
-///
-/// Phase 1 (parallel): RSA token verification — pure CPU.
-/// Phase 2 (parallel): ledger insert (sharded set) + store append
-/// (sharded map). The crossbeam scope guarantees all workers finish
-/// before we return.
-pub fn parallel_ingest(
-    uploads: &[UploadRequest],
-    mint_key: &RsaPublicKey,
-    store: &ShardedStore,
-    threads: usize,
-) -> ParallelStats {
-    let threads = threads.max(1);
-    // Sharded spend ledger, same sharding discipline as the store.
-    let ledger_shards: Vec<Mutex<HashSet<[u8; 32]>>> =
-        (0..store.shard_count()).map(|_| Mutex::new(HashSet::new())).collect();
-
-    let accepted = std::sync::atomic::AtomicU64::new(0);
-    let bad_token = std::sync::atomic::AtomicU64::new(0);
-    let double_spend = std::sync::atomic::AtomicU64::new(0);
-    let store_rejected = std::sync::atomic::AtomicU64::new(0);
-    use std::sync::atomic::Ordering::Relaxed;
-
-    let chunk = uploads.len().div_ceil(threads).max(1);
-    crossbeam::scope(|scope| {
-        for slice in uploads.chunks(chunk) {
-            let (ledger_shards, accepted, bad_token, double_spend, store_rejected) =
-                (&ledger_shards, &accepted, &bad_token, &double_spend, &store_rejected);
-            scope.spawn(move |_| {
-                for upload in slice {
-                    if !verify_unblinded(mint_key, &upload.token.message, &upload.token.signature)
-                    {
-                        bad_token.fetch_add(1, Relaxed);
-                        continue;
-                    }
-                    let key = upload.token.ledger_key();
-                    let shard = shard_index(&key, ledger_shards.len());
-                    if !ledger_shards[shard].lock().insert(key) {
-                        double_spend.fetch_add(1, Relaxed);
-                        continue;
-                    }
-                    match store.append(upload.record_id, upload.entity, upload.interaction) {
-                        Ok(()) => {
-                            accepted.fetch_add(1, Relaxed);
-                        }
-                        Err(_) => {
-                            store_rejected.fetch_add(1, Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .expect("ingest worker panicked");
-
-    ParallelStats {
-        accepted: accepted.into_inner(),
-        bad_token: bad_token.into_inner(),
-        double_spend: double_spend.into_inner(),
-        store_rejected: store_rejected.into_inner(),
-    }
-}
-
 /// Multi-core ingest with bit-for-bit deterministic results: admit the
 /// deliveries exactly as a sequential [`IngestService::ingest`] loop
-/// would, but spread the CPU-heavy work across `threads` workers.
+/// would, with the CPU-heavy step spread across `threads` workers.
 ///
-/// Three phases:
+/// 1. **Verify** (parallel): RSA signature checks against `mint_key` —
+///    pure functions of the public key, order-free.
+/// 2. **Admit** (sequential): every delivery, in order, through one
+///    single-shard [`ShardedIngest`] via `ingest_verified`. First
+///    presentation of a token wins and each history sees its uploads in
+///    delivery order, so the returned service is identical for any
+///    thread count.
 ///
-/// 1. **Verify** (parallel): RSA signature checks — pure functions of the
-///    public key, order-free.
-/// 2. **Redeem** (sequential): walk the deliveries in order, feeding each
-///    pre-computed verdict to the mint's ledger. The spend ledger is the
-///    one truly order-dependent piece of state (first presentation wins),
-///    so it runs single-threaded over a decided order.
-/// 3. **Append** (parallel): store appends partitioned by record shard —
-///    every record id maps to exactly one worker, so each history sees
-///    its uploads in delivery order and no two workers touch one shard.
-///
-/// Every counter is either computed in phase 2 or is an order-independent
-/// sum, so the returned service is identical for any thread count.
-pub fn deterministic_ingest(
-    deliveries: &[(Timestamp, UploadRequest)],
-    mint: &mut TokenMint,
-    threads: usize,
-) -> IngestService {
-    deterministic_ingest_logged(deliveries, mint, threads, None)
-}
-
-/// [`deterministic_ingest`] with a durability hook: every phase-3 append
-/// the store accepts is also handed to `sink` (when present) from the
-/// worker that owns the record's shard. A record id always maps to one
-/// worker, so each record's entries reach the sink in delivery order —
-/// the invariant crash recovery replays against. Sink failures never
-/// change the in-memory outcome (the run's digests stay identical with
-/// or without a sink); they are counted in
+/// With a `sink`, every accepted upload's spend and record are logged
+/// through the same `log_upload_batch` path the daemons use. Sink
+/// failures never change the in-memory outcome (the run's digests stay
+/// identical with or without a sink); each one is counted in
 /// `storage_append_errors_total`, and a crashed sink simply stops
 /// persisting — exactly the state a real crash leaves behind.
-pub fn deterministic_ingest_logged(
+pub fn deterministic_ingest(
     deliveries: &[(Timestamp, UploadRequest)],
-    mint: &mut TokenMint,
+    mint_key: &RsaPublicKey,
     threads: usize,
-    sink: Option<&dyn WalSink>,
+    sink: Option<Arc<dyn WalSink>>,
 ) -> IngestService {
     let obs = orsp_obs::global();
-    let threads = threads.max(1);
-    let mut stats = IngestStats::default();
 
-    // Phase 1: parallel signature verification.
     let verify_span = obs.span("ingest_verify_us");
-    let key = mint.public_key().clone();
     let mut valid = vec![false; deliveries.len()];
-    let chunk = deliveries.len().div_ceil(threads).max(1);
-    crossbeam::scope(|scope| {
+    let chunk = deliveries.len().div_ceil(threads.max(1)).max(1);
+    std::thread::scope(|scope| {
         for (slice, out) in deliveries.chunks(chunk).zip(valid.chunks_mut(chunk)) {
-            let key = &key;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for ((_, u), v) in slice.iter().zip(out.iter_mut()) {
-                    *v = verify_unblinded(key, &u.token.message, &u.token.signature);
+                    *v = verify_unblinded(mint_key, &u.token.message, &u.token.signature);
                 }
             });
         }
-    })
-    .expect("verify worker panicked");
+    });
     verify_span.end();
 
-    // Phase 2: sequential ledger pass in delivery order.
-    let ledger_span = obs.span("ingest_ledger_us");
-    let mut admitted: Vec<usize> = Vec::with_capacity(deliveries.len());
-    for (i, (at, upload)) in deliveries.iter().enumerate() {
-        match mint.redeem_preverified(&upload.token, *at, valid[i]) {
-            SpendOutcome::Invalid => stats.bad_token += 1,
-            SpendOutcome::DoubleSpend => stats.double_spend += 1,
-            SpendOutcome::Accepted => admitted.push(i),
-        }
+    let admit_span = obs.span("ingest_admit_us");
+    let ingest = ShardedIngest::new(1);
+    if let Some(sink) = sink {
+        ingest.set_wal(sink);
     }
-    ledger_span.end();
-
-    // Phase 3: parallel appends, one worker per residue class of shards.
-    let append_span = obs.span("ingest_append_us");
-    let workers = threads.min(admitted.len().max(1));
-    let shards = workers * 8;
-    let store = ShardedStore::new(shards);
-    let mut accepted = 0u64;
-    let mut bad_record = 0u64;
-    let mut entity_mismatch = 0u64;
     let mut sink_errors = 0u64;
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (store, admitted) = (&store, &admitted);
-                scope.spawn(move |_| {
-                    let (mut acc, mut bad, mut mism, mut serr) = (0u64, 0u64, 0u64, 0u64);
-                    for &i in admitted {
-                        let upload = &deliveries[i].1;
-                        if shard_index(upload.record_id.as_bytes(), shards) % workers != w {
-                            continue;
-                        }
-                        match store.append(upload.record_id, upload.entity, upload.interaction)
-                        {
-                            Ok(()) => {
-                                acc += 1;
-                                if let Some(sink) = sink {
-                                    let entry = WalEntry {
-                                        record_id: upload.record_id,
-                                        entity: upload.entity,
-                                        interaction: upload.interaction,
-                                    };
-                                    if sink.log_append(&entry).is_err() {
-                                        serr += 1;
-                                    }
-                                }
-                            }
-                            Err(orsp_types::OrspError::UploadRejected(_)) => mism += 1,
-                            Err(_) => bad += 1,
-                        }
-                    }
-                    (acc, bad, mism, serr)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (acc, bad, mism, serr) = h.join().expect("append worker panicked");
-            accepted += acc;
-            bad_record += bad;
-            entity_mismatch += mism;
-            sink_errors += serr;
+    for ((_, upload), &valid) in deliveries.iter().zip(&valid) {
+        if let IngestOutcome::AcceptedNotDurable(_) = ingest.ingest_verified(upload, valid) {
+            sink_errors += 1;
         }
-    })
-    .expect("append worker panicked");
-    stats.accepted = accepted;
-    stats.bad_record = bad_record;
-    stats.entity_mismatch = entity_mismatch;
-    if sink_errors > 0 {
-        obs.counter("storage_append_errors_total").add(sink_errors);
     }
-    append_span.end();
+    let (store, stats) = ingest.into_merged();
+    admit_span.end();
 
-    // Bulk-mirror the batch outcome into the global registry. Recording
-    // sums after the phases keeps the hot loops untouched and the counts
-    // independent of thread interleaving.
+    // Mirror the batch outcome into the global registry as sums, after
+    // the loop, so the hot path stays untouched.
+    obs.counter("storage_append_errors_total").add(sink_errors);
     obs.counter("ingest_accepted_total").add(stats.accepted);
     obs.counter("ingest_rejected_total").add(stats.rejected());
 
-    IngestService::from_parts(store.into_merged(), stats)
+    IngestService::from_parts(store, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StoredHistory;
     use orsp_crypto::{TokenMint, TokenWallet};
     use orsp_types::{
-        DeviceId, EntityId, Interaction, InteractionKind, SimDuration, Timestamp,
+        DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::{HashMap, HashSet};
 
-    fn uploads(n: usize, seed: u64) -> (Vec<UploadRequest>, RsaPublicKey) {
+    fn uploads(n: usize, seed: u64) -> (Vec<(Timestamp, UploadRequest)>, RsaPublicKey) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut mint = TokenMint::new(&mut rng, 256, u32::MAX, SimDuration::DAY);
         let mut wallet = TokenWallet::new(DeviceId::new(1), mint.public_key().clone());
         let ups = (0..n)
             .map(|i| {
                 wallet.request_token(&mut rng, &mut mint, Timestamp::EPOCH).unwrap();
-                UploadRequest {
+                let upload = UploadRequest {
                     record_id: RecordId::from_bytes({
                         let mut b = [0u8; 32];
                         b[0] = (i % 251) as u8;
@@ -345,75 +125,65 @@ mod tests {
                     ),
                     token: wallet.take_token().unwrap(),
                     release_at: Timestamp::EPOCH,
-                }
+                };
+                (Timestamp::EPOCH, upload)
             })
             .collect();
         (ups, mint.public_key().clone())
     }
 
     #[test]
-    fn parallel_ingest_accepts_valid_uploads() {
-        let (ups, key) = uploads(60, 1);
-        let store = ShardedStore::new(8);
-        let stats = parallel_ingest(&ups, &key, &store, 4);
-        assert_eq!(stats.accepted, 60);
-        assert_eq!(stats.bad_token, 0);
-        assert_eq!(stats.double_spend, 0);
-        assert_eq!(store.total_interactions(), 60);
-    }
-
-    #[test]
     fn double_spends_caught_across_threads() {
         let (mut ups, key) = uploads(20, 2);
-        // Duplicate every upload: the replay must be caught exactly once
-        // each, regardless of which thread sees it first.
-        let dupes: Vec<UploadRequest> = ups.clone();
+        // Duplicate every upload: each replay must be caught exactly
+        // once, whichever worker verified it.
+        let dupes = ups.clone();
         ups.extend(dupes);
-        let store = ShardedStore::new(8);
-        let stats = parallel_ingest(&ups, &key, &store, 4);
-        assert_eq!(stats.accepted + stats.store_rejected, 20);
-        assert_eq!(stats.double_spend, 20);
+        let svc = deterministic_ingest(&ups, &key, 4, None);
+        assert_eq!(svc.stats().accepted, 20);
+        assert_eq!(svc.stats().double_spend, 20);
+        assert_eq!(svc.store().total_interactions(), 20);
     }
 
     #[test]
     fn forged_tokens_rejected_in_parallel() {
         let (mut ups, key) = uploads(10, 3);
-        for u in &mut ups {
+        for (_, u) in &mut ups {
             u.token.signature = orsp_crypto::BigUint::from_u64(99);
         }
-        let store = ShardedStore::new(4);
-        let stats = parallel_ingest(&ups, &key, &store, 4);
-        assert_eq!(stats.accepted, 0);
-        assert_eq!(stats.bad_token, 10);
-        assert!(store.is_empty());
+        let svc = deterministic_ingest(&ups, &key, 4, None);
+        assert_eq!(svc.stats().accepted, 0);
+        assert_eq!(svc.stats().bad_token, 10);
+        assert!(svc.store().is_empty());
     }
 
     #[test]
     fn merged_store_matches_serial_result() {
         let (ups, key) = uploads(50, 4);
-        let sharded = ShardedStore::new(8);
-        parallel_ingest(&ups, &key, &sharded, 4);
-        let merged = sharded.into_merged();
+        let svc = deterministic_ingest(&ups, &key, 4, None);
 
-        let mut serial = HistoryStore::new();
-        for u in &ups {
+        let mut serial = crate::HistoryStore::new();
+        for (_, u) in &ups {
             let _ = serial.append(u.record_id, u.entity, u.interaction);
         }
-        assert_eq!(merged.len(), serial.len());
-        assert_eq!(merged.total_interactions(), serial.total_interactions());
+        assert_eq!(svc.store().len(), serial.len());
+        assert_eq!(svc.store().total_interactions(), serial.total_interactions());
     }
 
     #[test]
     fn single_shard_single_thread_degenerates_gracefully() {
         let (ups, key) = uploads(10, 5);
-        let store = ShardedStore::new(1);
-        let stats = parallel_ingest(&ups, &key, &store, 1);
-        assert_eq!(stats.accepted, 10);
-        assert_eq!(store.shard_count(), 1);
+        // 0 threads is clamped to 1, and an empty batch is fine too.
+        for threads in [0, 1] {
+            assert_eq!(deterministic_ingest(&ups, &key, threads, None).stats().accepted, 10);
+        }
+        assert_eq!(deterministic_ingest(&[], &key, 4, None).stats().rejected(), 0);
     }
 
-    /// A mixed batch for the deterministic-ingest tests: valid uploads,
-    /// forged tokens, and replays, with the mint returned for redemption.
+    /// A mixed batch for the deterministic-ingest tests, with the mint
+    /// returned for the sequential oracle: valid uploads, forged tokens,
+    /// replays under the same and under a *different* record id, an
+    /// entity re-binding and an out-of-order record.
     fn mixed_deliveries(seed: u64) -> (Vec<(Timestamp, UploadRequest)>, TokenMint) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut mint = TokenMint::new(&mut rng, 256, u32::MAX, SimDuration::DAY);
@@ -440,9 +210,24 @@ mod tests {
             if i % 11 == 10 {
                 u.token.signature = orsp_crypto::BigUint::from_u64(7); // forged
             }
+            if i == 30 {
+                u.entity = EntityId::new(99); // record 7 is bound to entity 0
+            }
+            if i == 40 {
+                u.interaction.start = Timestamp::EPOCH; // record 17 is already past this
+            }
             let t = Timestamp::from_seconds(i as i64);
             if i % 13 == 12 {
                 out.push((t, u.clone())); // replay: second copy double-spends
+            }
+            if i % 17 == 16 {
+                // Replay under another record id: the ledger is per
+                // token, so the second copy double-spends all the same.
+                let mut moved = u.clone();
+                moved.record_id = RecordId::from_bytes([200 + (i / 17) as u8; 32]);
+                out.push((t, u));
+                out.push((t, moved));
+                continue;
             }
             out.push((t, u));
         }
@@ -453,58 +238,57 @@ mod tests {
     /// plain sequential `IngestService::ingest` loop, at any thread count.
     #[test]
     fn deterministic_ingest_matches_sequential() {
-        let (deliveries, mut seq_mint) = mixed_deliveries(11);
-        let (_, par_mint) = mixed_deliveries(11);
+        let (deliveries, mut mint) = mixed_deliveries(11);
+        let key = mint.public_key().clone();
 
         let mut reference = IngestService::new();
         for (at, u) in &deliveries {
-            let _ = reference.ingest(u, &mut seq_mint, *at);
+            let _ = reference.ingest(u, &mut mint, *at);
         }
+        let want = reference.stats();
+        assert!(
+            want.accepted > 0
+                && want.bad_token > 0
+                && want.double_spend > 0
+                && want.bad_record > 0
+                && want.entity_mismatch > 0,
+            "the batch exercises every counter: {want:?}"
+        );
+        let want_store: HashMap<&RecordId, &StoredHistory> = reference.store().iter().collect();
 
         for threads in [1, 2, 4, 8] {
-            let (_, mut mint) = mixed_deliveries(11);
-            let svc = deterministic_ingest(&deliveries, &mut mint, threads);
-            assert_eq!(svc.stats(), reference.stats(), "stats diverge at {threads} threads");
-            assert_eq!(svc.store().len(), reference.store().len());
-            assert_eq!(svc.store().total_interactions(), reference.store().total_interactions());
-            // Record-level equality, not just counts.
-            for (rid, stored) in reference.store().iter() {
-                let got = svc
-                    .store()
-                    .iter()
-                    .find(|(r, _)| *r == rid)
-                    .map(|(_, s)| s)
-                    .expect("record present");
-                assert_eq!(got.entity, stored.entity);
-                assert_eq!(got.history.len(), stored.history.len());
-            }
-            assert_eq!(mint.spent_total(), seq_mint.spent_total(), "ledger diverges");
+            let svc = deterministic_ingest(&deliveries, &key, threads, None);
+            assert_eq!(svc.stats(), want, "stats diverge at {threads} threads");
+            let got: HashMap<&RecordId, &StoredHistory> = svc.store().iter().collect();
+            assert_eq!(got, want_store, "store diverges at {threads} threads");
         }
-        let _ = par_mint.issued_total();
     }
 
     #[test]
     fn deterministic_ingest_spends_tokens_once() {
-        let (deliveries, _) = mixed_deliveries(12);
-        let (_, mut mint) = mixed_deliveries(12);
-        let svc = deterministic_ingest(&deliveries, &mut mint, 4);
-        // Every valid token hit the ledger exactly once; replays were
-        // rejected, forgeries never touched it.
-        let valid = deliveries
+        let (deliveries, mint) = mixed_deliveries(12);
+        let stats = deterministic_ingest(&deliveries, mint.public_key(), 4, None).stats();
+        // Every distinct valid token was consumed exactly once, whether
+        // or not the store then took its record; every further
+        // presentation of it double-spent; forgeries never reached the
+        // ledger.
+        let valid: Vec<[u8; 32]> = deliveries
             .iter()
             .filter(|(_, u)| {
                 verify_unblinded(mint.public_key(), &u.token.message, &u.token.signature)
             })
             .map(|(_, u)| u.token.ledger_key())
-            .collect::<HashSet<_>>();
-        assert_eq!(mint.spent_total(), valid.len());
-        assert!(svc.stats().double_spend > 0, "test batch contains replays");
-        assert!(svc.stats().bad_token > 0, "test batch contains forgeries");
+            .collect();
+        let distinct = valid.iter().collect::<HashSet<_>>().len() as u64;
+        assert_eq!(stats.accepted + stats.bad_record + stats.entity_mismatch, distinct);
+        assert_eq!(stats.double_spend, valid.len() as u64 - distinct);
+        assert_eq!(stats.bad_token, (deliveries.len() - valid.len()) as u64);
+        assert!(stats.double_spend > 0 && stats.bad_token > 0, "batch has replays and forgeries");
     }
 
     proptest::proptest! {
         /// The shard map must stay in bounds and be a stable pure
-        /// function — the parallel partitioning depends on both.
+        /// function — every layer's partitioning depends on both.
         #[test]
         fn shard_index_in_bounds_and_stable(
             bytes in proptest::collection::vec(0u8..=255, 32..33),

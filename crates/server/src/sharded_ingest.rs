@@ -1,10 +1,11 @@
-//! The service-facing ingest domain: admission control sharded for
-//! concurrent RPC traffic.
+//! The admission core: verify token → spend → validate record → append
+//! → log, partitioned so a multi-worker server can run it without a
+//! global lock.
 //!
-//! [`crate::IngestService`] is the single-threaded admission engine the
-//! in-process pipeline uses; this module is the same admission logic
-//! re-partitioned so a multi-worker server can run it without a global
-//! lock. Three independently synchronized pieces:
+//! Every upload in the system is admitted here — served RPCs one at a
+//! time, the in-process pipeline through [`crate::deterministic_ingest`]
+//! — and [`crate::IngestService::ingest`] is the sequential reference the
+//! tests hold it to. Three independently synchronized pieces:
 //!
 //! * **Spend ledger**, sharded by `shard_index(token.ledger_key())` — the
 //!   double-spend check must be global per *token*, and the ledger key is

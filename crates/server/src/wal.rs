@@ -11,7 +11,7 @@
 //! file    := header record*
 //! header  := magic:u32 "OWAL" | version:u8   (current version: 2)
 //! record  := len:u32 | crc32:u32 | payload[len]
-//! payload := tag:u8 | body                   (v2; v1 had no tag byte)
+//! payload := tag:u8 | body
 //! body    := history | token-spend           (selected by tag)
 //! history := record_id[32] | entity:u64 | kind:u8 | start:i64
 //!          | duration:i64 | distance:f64 | group:u16      (tag 0)
@@ -23,24 +23,19 @@
 //! reported as a typed [`WalFault`] carrying the record index and byte
 //! offset — recovery code decides whether a fault is a tolerable crash
 //! artifact (torn tail of the active segment) or real corruption.
-//!
-//! Version 1 segments (history records only, no tag byte) still replay:
-//! a data directory written before the spend ledger became durable
-//! recovers its histories and an empty spent-token set.
+//! Only the current version replays; anything else is refused at the
+//! header.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use orsp_types::{
     EntityId, Interaction, InteractionKind, OrspError, RecordId, SimDuration, Timestamp,
 };
 
 const MAGIC: u32 = 0x4F57_414C; // "OWAL"
 const VERSION: u8 = 2;
-const V1: u8 = 1;
-/// v1 payload: a bare history body, no tag byte.
-const V1_PAYLOAD_LEN: usize = 32 + 8 + 1 + 8 + 8 + 8 + 2;
-/// v2 history payload: tag byte + history body.
-const HISTORY_PAYLOAD_LEN: usize = 1 + V1_PAYLOAD_LEN;
-/// v2 token-spend payload: tag byte + 32-byte ledger key.
+/// History payload: tag byte + history body.
+const HISTORY_PAYLOAD_LEN: usize = 1 + 32 + 8 + 1 + 8 + 8 + 8 + 2;
+/// Token-spend payload: tag byte + 32-byte ledger key.
 const TOKEN_PAYLOAD_LEN: usize = 1 + 32;
 const TAG_HISTORY: u8 = 0;
 const TAG_TOKEN_SPEND: u8 = 1;
@@ -174,8 +169,7 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Encode one history record exactly as [`WalWriter::append`] lays it
-/// out: `len | crc | tag | body`.
+/// Encode one history record: `len | crc | tag | body`.
 pub fn encode_record(entry: &WalEntry) -> Vec<u8> {
     let mut payload = BytesMut::with_capacity(HISTORY_PAYLOAD_LEN);
     payload.put_u8(TAG_HISTORY);
@@ -206,54 +200,6 @@ pub fn encode_batch_item(item: &WalBatchItem) -> Vec<u8> {
     };
     out.extend_from_slice(&encode_record(&item.entry));
     out
-}
-
-/// Append-only WAL writer over an in-memory buffer.
-pub struct WalWriter {
-    buf: BytesMut,
-    entries: u64,
-}
-
-impl Default for WalWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WalWriter {
-    /// A fresh WAL with its header written.
-    pub fn new() -> Self {
-        let mut buf = BytesMut::with_capacity(4096);
-        buf.put_slice(&wal_header());
-        WalWriter { buf, entries: 0 }
-    }
-
-    /// Append one history entry.
-    pub fn append(&mut self, entry: &WalEntry) {
-        self.buf.put_slice(&encode_record(entry));
-        self.entries += 1;
-    }
-
-    /// Append one token-spend record.
-    pub fn append_token_spend(&mut self, key: &[u8; 32]) {
-        self.buf.put_slice(&encode_token_spend(key));
-        self.entries += 1;
-    }
-
-    /// Entries appended so far.
-    pub fn len(&self) -> u64 {
-        self.entries
-    }
-
-    /// True iff no entries appended.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Finish and take the encoded log.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
-    }
 }
 
 /// Why replay stopped before the end of the buffer. Every variant names
@@ -293,7 +239,7 @@ pub enum WalFault {
         /// Byte offset where the bad record starts.
         offset: u64,
     },
-    /// A v2 record's tag byte disagrees with its length, or names an
+    /// A record's tag byte disagrees with its length, or names an
     /// unknown record type.
     BadTag {
         /// Index of the bad record.
@@ -369,8 +315,7 @@ impl std::fmt::Display for WalFault {
 pub struct Replay {
     /// Entries recovered, in append order.
     pub entries: Vec<WalEntry>,
-    /// Spent-token ledger keys recovered, in append order. Always empty
-    /// for version-1 logs, which predate durable spends.
+    /// Spent-token ledger keys recovered, in append order.
     pub spent_tokens: Vec<[u8; 32]>,
     /// Why replay stopped early, if it did. `None` means the buffer
     /// ended exactly on a record boundary (a clean log).
@@ -408,7 +353,7 @@ pub fn replay(data: &[u8]) -> orsp_types::Result<Replay> {
         return Err(OrspError::InvalidConfig(format!("bad WAL magic {magic:#010x}")));
     }
     let version = data.get_u8();
-    if version != VERSION && version != V1 {
+    if version != VERSION {
         return Err(OrspError::InvalidConfig(format!("unsupported WAL version {version}")));
     }
 
@@ -424,12 +369,7 @@ pub fn replay(data: &[u8]) -> orsp_types::Result<Replay> {
         }
         let len = data.get_u32_le() as usize;
         let crc = data.get_u32_le();
-        let len_ok = if version == V1 {
-            len == V1_PAYLOAD_LEN
-        } else {
-            len == HISTORY_PAYLOAD_LEN || len == TOKEN_PAYLOAD_LEN
-        };
-        if !len_ok {
+        if len != HISTORY_PAYLOAD_LEN && len != TOKEN_PAYLOAD_LEN {
             fault = Some(WalFault::BadLength { index, offset, len: len as u32 });
             break;
         }
@@ -443,11 +383,9 @@ pub fn replay(data: &[u8]) -> orsp_types::Result<Replay> {
             break;
         }
         let mut p = payload;
-        // v1 payloads are bare history bodies; v2 leads with a tag byte
-        // whose value must agree with the framed length.
-        let tag = if version == V1 { TAG_HISTORY } else { p.get_u8() };
+        // The leading tag byte must agree with the framed length.
+        let tag = p.get_u8();
         let expected = match tag {
-            TAG_HISTORY if version == V1 => V1_PAYLOAD_LEN,
             TAG_HISTORY => HISTORY_PAYLOAD_LEN,
             TAG_TOKEN_SPEND => TOKEN_PAYLOAD_LEN,
             _ => {
@@ -498,17 +436,6 @@ pub fn replay(data: &[u8]) -> orsp_types::Result<Replay> {
     Ok(Replay { entries, spent_tokens, fault })
 }
 
-/// Rebuild a [`crate::HistoryStore`] from a replayed WAL.
-pub fn rebuild_store(replayed: &Replay) -> crate::HistoryStore {
-    let mut store = crate::HistoryStore::new();
-    for e in &replayed.entries {
-        // Replay is idempotent over what the store accepted before; any
-        // entry it rejects now was rejected then too.
-        let _ = store.append(e.record_id, e.entity, e.interaction);
-    }
-    store
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,6 +468,14 @@ mod tests {
         }
     }
 
+    /// A log buffer as the storage engine lays one out: the header, then
+    /// each record's encoding in order.
+    fn log_of(records: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8> {
+        let mut bytes = wal_header().to_vec();
+        bytes.extend(records.into_iter().flatten());
+        bytes
+    }
+
     #[test]
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0x0000_0000);
@@ -564,12 +499,8 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let mut w = WalWriter::new();
-        for i in 0..10 {
-            w.append(&entry(i, i as i64 * 1_000));
-        }
-        assert_eq!(w.len(), 10);
-        let bytes = w.finish();
+        let entries: Vec<WalEntry> = (0..10).map(|i| entry(i, i as i64 * 1_000)).collect();
+        let bytes = log_of(entries.iter().map(encode_record));
         assert_eq!(bytes.len(), WAL_HEADER_LEN + 10 * WAL_RECORD_LEN);
         let r = replay(&bytes).unwrap();
         assert!(r.is_clean());
@@ -579,9 +510,7 @@ mod tests {
 
     #[test]
     fn empty_log_replays_empty() {
-        let w = WalWriter::new();
-        assert!(w.is_empty());
-        let r = replay(&w.finish()).unwrap();
+        let r = replay(&wal_header()).unwrap();
         assert!(r.entries.is_empty());
         assert!(r.is_clean());
     }
@@ -594,17 +523,14 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let mut bytes = WalWriter::new().finish().to_vec();
+        let mut bytes = wal_header().to_vec();
         bytes[4] = 99;
         assert!(matches!(replay(&bytes), Err(OrspError::InvalidConfig(_))));
     }
 
     #[test]
     fn corruption_reported_with_index_and_offset() {
-        let mut w = WalWriter::new();
-        w.append(&entry(1, 0));
-        w.append(&entry(2, 1_000));
-        let mut bytes = w.finish().to_vec();
+        let mut bytes = log_of([entry(1, 0), entry(2, 1_000)].iter().map(encode_record));
         // Flip a bit in the *second* record's payload.
         let second_start = WAL_HEADER_LEN + WAL_RECORD_LEN;
         bytes[second_start + 20] ^= 0x40;
@@ -619,9 +545,7 @@ mod tests {
 
     #[test]
     fn bad_length_reported() {
-        let mut w = WalWriter::new();
-        w.append(&entry(1, 0));
-        let mut bytes = w.finish().to_vec();
+        let mut bytes = log_of([entry(1, 0)].iter().map(encode_record));
         bytes[WAL_HEADER_LEN] = 0xEE; // clobber the length field
         let r = replay(&bytes).unwrap();
         assert!(r.entries.is_empty());
@@ -630,9 +554,7 @@ mod tests {
 
     #[test]
     fn bad_kind_reported() {
-        let mut w = WalWriter::new();
-        w.append(&entry(1, 0));
-        let mut bytes = w.finish().to_vec();
+        let mut bytes = log_of([entry(1, 0)].iter().map(encode_record));
         // Kind byte lives after len(4) + crc(4) + tag(1) + id(32) +
         // entity(8); refresh the CRC so only the kind check can fire.
         let kind_at = WAL_HEADER_LEN + 8 + 1 + 32 + 8;
@@ -650,10 +572,7 @@ mod tests {
 
     #[test]
     fn torn_tail_recovers_prefix() {
-        let mut w = WalWriter::new();
-        w.append(&entry(1, 0));
-        w.append(&entry(2, 1_000));
-        let bytes = w.finish();
+        let bytes = log_of([entry(1, 0), entry(2, 1_000)].iter().map(encode_record));
         // Crash mid-way through the second record.
         let torn = &bytes[..bytes.len() - 10];
         let r = replay(torn).unwrap();
@@ -666,13 +585,12 @@ mod tests {
 
     #[test]
     fn token_spends_round_trip_interleaved_with_histories() {
-        let mut w = WalWriter::new();
-        w.append_token_spend(&[7u8; 32]);
-        w.append(&entry(1, 0));
-        w.append_token_spend(&[9u8; 32]);
-        w.append(&entry(2, 1_000));
-        assert_eq!(w.len(), 4);
-        let bytes = w.finish();
+        let bytes = log_of([
+            encode_token_spend(&[7u8; 32]),
+            encode_record(&entry(1, 0)),
+            encode_token_spend(&[9u8; 32]),
+            encode_record(&entry(2, 1_000)),
+        ]);
         assert_eq!(
             bytes.len(),
             WAL_HEADER_LEN + 2 * WAL_RECORD_LEN + 2 * WAL_TOKEN_RECORD_LEN
@@ -694,28 +612,18 @@ mod tests {
     }
 
     #[test]
-    fn version_1_logs_still_replay_without_tokens() {
-        // Hand-build a v1 buffer: old header byte, bare history payloads
-        // with no tag.
-        let e = entry(5, 2_000);
-        let mut payload = Vec::with_capacity(V1_PAYLOAD_LEN);
-        payload.extend_from_slice(e.record_id.as_bytes());
-        payload.extend_from_slice(&e.entity.raw().to_le_bytes());
-        payload.push(0); // Visit
-        payload.extend_from_slice(&e.interaction.start.as_seconds().to_le_bytes());
-        payload.extend_from_slice(&e.interaction.duration.as_seconds().to_le_bytes());
-        payload.extend_from_slice(&e.interaction.distance_travelled_m.to_le_bytes());
-        payload.extend_from_slice(&e.interaction.group_size.to_le_bytes());
-        assert_eq!(payload.len(), V1_PAYLOAD_LEN);
-        let mut bytes = wal_header().to_vec();
-        bytes[4] = V1;
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let r = replay(&bytes).unwrap();
-        assert!(r.is_clean());
-        assert_eq!(r.entries, vec![e]);
-        assert!(r.spent_tokens.is_empty());
+    fn version_1_logs_are_refused_at_the_header() {
+        // A tagless version-1 segment (the format before spends became
+        // durable): nothing writes one any more, so replay refuses it by
+        // version instead of guessing at its records.
+        let mut bytes = log_of([entry(5, 2_000)].iter().map(encode_record));
+        bytes[4] = 1;
+        match replay(&bytes) {
+            Err(OrspError::InvalidConfig(why)) => {
+                assert_eq!(why, "unsupported WAL version 1")
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
     }
 
     #[test]
@@ -725,9 +633,7 @@ mod tests {
         let mut payload = vec![TAG_HISTORY];
         payload.extend_from_slice(&[0u8; 32]);
         assert_eq!(payload.len(), TOKEN_PAYLOAD_LEN);
-        let mut bytes = wal_header().to_vec();
-        bytes.extend_from_slice(&frame(&payload));
-        let r = replay(&bytes).unwrap();
+        let r = replay(&log_of([frame(&payload)])).unwrap();
         assert!(r.entries.is_empty());
         assert_eq!(
             r.fault,
@@ -736,25 +642,8 @@ mod tests {
         // An unknown tag with a plausible length fails the same way.
         let mut payload = vec![9u8];
         payload.extend_from_slice(&[0u8; 32]);
-        let mut bytes = wal_header().to_vec();
-        bytes.extend_from_slice(&frame(&payload));
-        let r = replay(&bytes).unwrap();
+        let r = replay(&log_of([frame(&payload)])).unwrap();
         assert!(matches!(r.fault, Some(WalFault::BadTag { .. })));
-    }
-
-    #[test]
-    fn rebuild_matches_original_store() {
-        let mut store = crate::HistoryStore::new();
-        let mut w = WalWriter::new();
-        for i in 0..20u8 {
-            let e = entry(i % 5, i as i64 * 10_000);
-            if store.append(e.record_id, e.entity, e.interaction).is_ok() {
-                w.append(&e);
-            }
-        }
-        let rebuilt = rebuild_store(&replay(&w.finish()).unwrap());
-        assert_eq!(rebuilt.len(), store.len());
-        assert_eq!(rebuilt.total_interactions(), store.total_interactions());
     }
 
     proptest! {
@@ -770,15 +659,9 @@ mod tests {
             ids in proptest::collection::vec(0u8..=255, 1..40),
             starts in proptest::collection::vec(0i64..1_000_000_000, 1..40),
         ) {
-            let mut w = WalWriter::new();
-            let n = ids.len().min(starts.len());
-            let mut originals = Vec::new();
-            for i in 0..n {
-                let e = entry(ids[i], starts[i]);
-                w.append(&e);
-                originals.push(e);
-            }
-            let r = replay(&w.finish()).unwrap();
+            let originals: Vec<WalEntry> =
+                ids.iter().zip(&starts).map(|(&id, &start)| entry(id, start)).collect();
+            let r = replay(&log_of(originals.iter().map(encode_record))).unwrap();
             prop_assert_eq!(r.entries, originals);
             prop_assert!(r.is_clean());
         }
@@ -792,14 +675,9 @@ mod tests {
         fn crash_cut_at_every_byte_recovers_prefix(
             ids in proptest::collection::vec(0u8..=255, 1..12),
         ) {
-            let mut w = WalWriter::new();
-            let mut originals = Vec::new();
-            for (i, &id) in ids.iter().enumerate() {
-                let e = entry(id, i as i64 * 500);
-                w.append(&e);
-                originals.push(e);
-            }
-            let bytes = w.finish();
+            let originals: Vec<WalEntry> =
+                ids.iter().enumerate().map(|(i, &id)| entry(id, i as i64 * 500)).collect();
+            let bytes = log_of(originals.iter().map(encode_record));
             for cut in 0..=bytes.len() {
                 let r = replay(&bytes[..cut]);
                 if cut < WAL_HEADER_LEN {

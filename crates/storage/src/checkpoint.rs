@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! magic   "OCKP"  u32
-//! version u8      (2; 1 still decodes)
+//! version u8      (3; nothing else decodes)
 //! len     u32     payload length
 //! crc     u32     crc32(payload)
 //! payload:
@@ -19,18 +19,16 @@
 //!     n          u32       interaction count
 //!     per interaction: kind u8 | start i64 | duration i64 |
 //!                      distance f64 | group u16
-//!   n_tokens     u64       (version ≥ 2 only)
+//!   n_tokens     u64
 //!   per token (sorted by key bytes):
 //!     ledger_key [u8; 32]
-//!   epoch        u64       (version ≥ 3 only)
+//!   epoch        u64
 //! ```
 //!
 //! Records and tokens are sorted so the same state always encodes to
 //! the same bytes, regardless of hash-map iteration order — checkpoints
 //! are comparable across runs and thread counts, like everything else
-//! in this repo. Version-1 checkpoints (written before the spend ledger
-//! became durable) decode with an empty token set; version-2 ones
-//! (written before replication) decode with epoch 0.
+//! in this repo.
 //!
 //! The **epoch** is the replication fence for the range this directory
 //! holds: monotonically increasing, bumped when a proxy promotes a
@@ -47,8 +45,6 @@ use std::collections::HashSet;
 
 const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50; // "OCKP"
 const CHECKPOINT_VERSION: u8 = 3;
-const CHECKPOINT_V2: u8 = 2;
-const CHECKPOINT_V1: u8 = 1;
 
 fn kind_to_u8(kind: InteractionKind) -> u8 {
     // Same mapping as the WAL record codec (declaration order).
@@ -170,8 +166,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// Decode a checkpoint buffer back into its store, counters,
-/// spent-token ledger (empty for version-1 checkpoints), and
-/// replication epoch (0 for pre-version-3 checkpoints).
+/// spent-token ledger, and replication epoch.
 pub fn decode_checkpoint(
     name: &str,
     data: &[u8],
@@ -184,7 +179,7 @@ pub fn decode_checkpoint(
         return Err(corrupt("bad magic".into()));
     }
     let version = data[4];
-    if version != CHECKPOINT_VERSION && version != CHECKPOINT_V2 && version != CHECKPOINT_V1 {
+    if version != CHECKPOINT_VERSION {
         return Err(corrupt(format!("unsupported version {version}")));
     }
     let len = u32::from_le_bytes(data[5..9].try_into().unwrap()) as usize;
@@ -232,13 +227,11 @@ pub fn decode_checkpoint(
         }
     }
     let mut spent_tokens = HashSet::new();
-    if version >= CHECKPOINT_V2 {
-        let n_tokens = c.u64()?;
-        for _ in 0..n_tokens {
-            spent_tokens.insert(<[u8; 32]>::try_from(c.take(32)?).unwrap());
-        }
+    let n_tokens = c.u64()?;
+    for _ in 0..n_tokens {
+        spent_tokens.insert(<[u8; 32]>::try_from(c.take(32)?).unwrap());
     }
-    let epoch = if version >= CHECKPOINT_VERSION { c.u64()? } else { 0 };
+    let epoch = c.u64()?;
     if c.at != payload.len() {
         return Err(corrupt(format!("{} trailing bytes after records", payload.len() - c.at)));
     }
@@ -301,45 +294,28 @@ mod tests {
         );
     }
 
-    /// Re-frame a current-version buffer as an older version: strip
-    /// `strip` payload bytes off the end and roll the version byte back.
-    fn reframed(current: &[u8], version: u8, strip: usize) -> Vec<u8> {
-        let payload = &current[13..current.len() - strip];
-        let mut out = Vec::with_capacity(13 + payload.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC.to_le_bytes());
-        out.push(version);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    }
-
     #[test]
-    fn version_1_checkpoints_decode_with_an_empty_token_set() {
-        // A v1 checkpoint is the current one minus the epoch and token
-        // sections, with the version byte rolled back — exactly what
-        // pre-ledger builds wrote (n_tokens=0 is 8 bytes, epoch 8 more).
+    fn older_versions_are_refused_by_version() {
+        // Versions 1 (no token section) and 2 (no epoch) have no writer
+        // left. Each is refused at its version byte, ahead of the length
+        // and CRC checks — so the refusal holds even for a buffer that is
+        // otherwise a sound checkpoint of that version.
         let (store, stats, _) = populated();
         let current = encode_checkpoint(&store, &stats, &HashSet::new());
-        let v1 = reframed(&current, CHECKPOINT_V1, 16);
-        let (s, st, tokens, epoch) = decode_checkpoint("old", &v1).unwrap();
-        assert_eq!(s.len(), store.len());
-        assert_eq!(st, stats);
-        assert!(tokens.is_empty());
-        assert_eq!(epoch, 0);
-    }
-
-    #[test]
-    fn version_2_checkpoints_decode_with_epoch_zero() {
-        // A v2 checkpoint carries tokens but no epoch field.
-        let (store, stats, tokens) = populated();
-        let current = encode_checkpoint(&store, &stats, &tokens);
-        let v2 = reframed(&current, CHECKPOINT_V2, 8);
-        let (s, st, decoded_tokens, epoch) = decode_checkpoint("old", &v2).unwrap();
-        assert_eq!(s.len(), store.len());
-        assert_eq!(st, stats);
-        assert_eq!(decoded_tokens, tokens);
-        assert_eq!(epoch, 0);
+        for (version, strip) in [(1u8, 16), (2u8, 8)] {
+            let payload = &current[13..current.len() - strip];
+            let mut old = CHECKPOINT_MAGIC.to_le_bytes().to_vec();
+            old.push(version);
+            old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            old.extend_from_slice(&crc32(payload).to_le_bytes());
+            old.extend_from_slice(payload);
+            match decode_checkpoint("old", &old) {
+                Err(StorageError::Corrupt { detail, .. }) => {
+                    assert_eq!(detail, format!("unsupported version {version}"))
+                }
+                other => panic!("version {version}: expected a typed refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -124,9 +124,9 @@ pub struct RecoveryReport {
     /// tokens spent across a crash (no post-crash replay window).
     pub spent_tokens: std::collections::HashSet<[u8; 32]>,
     /// Replication epoch recovered from the checkpoint (0 when no
-    /// checkpoint exists or it predates version 3). The fence survives
-    /// a restart: a deposed primary reopens already knowing it was
-    /// deposed as of its last durable bump.
+    /// checkpoint exists). The fence survives a restart: a deposed
+    /// primary reopens already knowing it was deposed as of its last
+    /// durable bump.
     pub epoch: u64,
 }
 

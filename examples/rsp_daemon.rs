@@ -111,9 +111,8 @@ fn main() {
         .position(|a| a == "--listen")
         .map(|i| args.get(i + 1).expect("--listen takes an address").clone());
     let listen = fixed_listen.clone().unwrap_or_else(|| "127.0.0.1:0".to_string());
-    // Connection slab size for the event-loop transport. 0 (the default)
-    // keeps the threaded server's shed point (workers + queue depth); a
-    // device-fleet deployment raises it to hold idle connections open.
+    // Connection slab size. 0 (the default) means workers + queue depth;
+    // a device-fleet deployment raises it to hold idle connections open.
     let max_connections: usize = args
         .iter()
         .position(|a| a == "--max-connections")
