@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The seed repo's measured fsync=always append rate (one fsync per
-/// record), from BENCH_storage_throughput.json at PR 4.
+/// record), as recorded at PR 4.
 const SEED_ALWAYS_RPS: f64 = 4_656.0;
 const GATE_MULTIPLIER: f64 = 20.0;
 

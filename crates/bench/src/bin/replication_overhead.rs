@@ -14,8 +14,8 @@
 //!
 //! The peer link is in-process (no TCP): the measured overhead is the
 //! replication protocol's — the second engine's append + fsync on the
-//! ack path — not the network stack's, which `proxy_scaling` already
-//! characterizes. The gate, recorded in
+//! ack path — not the network stack's, which the benchmark's
+//! `net.peer_hop_us` characterizes. The gate, recorded in
 //! `results/BENCH_replication_overhead.json`: sync RF=2 must cost less
 //! than 2x single-copy throughput. On a single-core container the two
 //! fsyncs cannot overlap at all, so the serial floor *is* 2x; that case

@@ -14,13 +14,13 @@
 
 use crate::error::WireError;
 use crate::wire::{
-    check_crc, parse_prefix, parse_trace_ctx, parse_v2_rest, HEADER_LEN_V2, PREFIX_LEN,
+    check_crc, parse_header_rest, parse_prefix, parse_trace_ctx, HEADER_LEN, PREFIX_LEN,
     TRACE_CTX_LEN,
 };
 use orsp_obs::TraceContext;
 
 /// Header remainder (after the magic + version prefix).
-const V2_REST: usize = HEADER_LEN_V2 - PREFIX_LEN;
+const HEADER_REST: usize = HEADER_LEN - PREFIX_LEN;
 
 /// One fully reassembled message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,7 +35,7 @@ enum State {
     /// Collecting the 5-byte magic+version prefix.
     Prefix { have: usize, buf: [u8; PREFIX_LEN] },
     /// Collecting the fixed header remainder.
-    HeaderRest { have: usize, buf: [u8; V2_REST] },
+    HeaderRest { have: usize, buf: [u8; HEADER_REST] },
     /// Collecting the optional trace-context block.
     TraceCtx { len: usize, crc: u32, have: usize, buf: [u8; TRACE_CTX_LEN] },
     /// Collecting the payload (allocated only after the length passed
@@ -77,7 +77,7 @@ impl FrameAssembler {
     pub fn need(&self) -> usize {
         match &self.state {
             State::Prefix { have, .. } => PREFIX_LEN - have,
-            State::HeaderRest { have, .. } => V2_REST - have,
+            State::HeaderRest { have, .. } => HEADER_REST - have,
             State::TraceCtx { have, .. } => TRACE_CTX_LEN - have,
             State::Payload { buf, len, .. } => len - buf.len(),
             State::Poisoned => 1,
@@ -111,17 +111,17 @@ impl FrameAssembler {
                     if let Err(e) = parse_prefix(buf) {
                         return self.poison(e);
                     }
-                    self.state = State::HeaderRest { have: 0, buf: [0; V2_REST] };
+                    self.state = State::HeaderRest { have: 0, buf: [0; HEADER_REST] };
                 }
                 State::HeaderRest { have, buf } => {
-                    let take = (V2_REST - *have).min(input.len() - at);
+                    let take = (HEADER_REST - *have).min(input.len() - at);
                     buf[*have..*have + take].copy_from_slice(&input[at..at + take]);
                     *have += take;
                     at += take;
-                    if *have < V2_REST {
+                    if *have < HEADER_REST {
                         return Ok((at, None));
                     }
-                    let (traced, len, crc) = match parse_v2_rest(buf) {
+                    let (traced, len, crc) = match parse_header_rest(buf) {
                         Ok(parsed) => parsed,
                         Err(e) => return self.poison(e),
                     };
@@ -250,7 +250,7 @@ mod tests {
         let mut asm = FrameAssembler::new();
         // Feed exactly through the header: the error must land there,
         // before any payload byte exists to allocate for.
-        let err = asm.feed(&framed[..HEADER_LEN_V2]).expect_err("oversized");
+        let err = asm.feed(&framed[..HEADER_LEN]).expect_err("oversized");
         assert!(matches!(err, WireError::Oversized { .. }));
         // Poisoned thereafter.
         assert!(asm.feed(b"more").is_err());

@@ -17,6 +17,8 @@
 //!   timeouts, and dropped connections.
 //! * [`transport`] — the [`Transport`] trait with a deterministic
 //!   in-memory implementation (tests) beside the TCP one (daemon, bench).
+//! * [`flags`] — [`Flags`]: the daemons' argv, checked against the flags
+//!   each binary defines.
 //!
 //! Every service carries an `orsp-obs` registry: the router records
 //! per-RPC latency and outcome counters, the server its accept/shed and
@@ -35,6 +37,7 @@ compile_error!("orsp-net is Linux-only: its one server transport is the epoll re
 pub mod assembler;
 pub mod client;
 pub mod error;
+pub mod flags;
 pub(crate) mod reactor;
 pub mod router;
 pub mod server;
@@ -46,6 +49,7 @@ pub mod wire;
 pub use assembler::{AssembledFrame, FrameAssembler};
 pub use client::{CallTrace, ClientConfig, NetClient, NetPool, RetryStats, TcpTransport};
 pub use error::{NetError, WireError};
+pub use flags::{process_trace_seed, FlagSpec, Flags};
 pub use router::{ReplicaHook, ReplicateOutcome, RspService, ServiceConfig};
 pub use server::{FrameService, NetServer, ServerConfig, ServerStats};
 pub use transport::{InMemoryTransport, RemoteIssuer, Transport};

@@ -77,7 +77,7 @@ fn reset_kind(e: &std::io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::error::WireError;
-    use crate::wire::{frame, frame_traced, HEADER_LEN_V2, TRACE_CTX_LEN};
+    use crate::wire::{frame, frame_traced, HEADER_LEN, TRACE_CTX_LEN};
 
     #[test]
     fn round_trip_over_cursor() {
@@ -116,7 +116,7 @@ mod tests {
     fn eof_mid_trace_context_is_an_error() {
         let ctx = TraceContext { trace_id: 42, span_id: 7, sampled: false };
         let framed = frame_traced(b"abcdef", Some(&ctx));
-        let mut r = &framed[..HEADER_LEN_V2 + TRACE_CTX_LEN / 2];
+        let mut r = &framed[..HEADER_LEN + TRACE_CTX_LEN / 2];
         assert!(matches!(read_message(&mut r), Err(NetError::Closed)));
     }
 

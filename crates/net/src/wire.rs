@@ -40,7 +40,7 @@ pub const MAGIC: [u8; 4] = *b"ORSP";
 /// The one protocol version this endpoint speaks and accepts.
 pub const VERSION: u8 = 2;
 /// Header bytes: magic, version, flags, length, CRC.
-pub const HEADER_LEN_V2: usize = 14;
+pub const HEADER_LEN: usize = 14;
 /// Magic + version — validated before the rest of the header is read.
 pub const PREFIX_LEN: usize = 5;
 /// The optional trace-context block: trace id (16) + span id (8) +
@@ -70,7 +70,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 pub fn frame_traced(payload: &[u8], ctx: Option<&TraceContext>) -> Vec<u8> {
     debug_assert!(payload.len() <= MAX_PAYLOAD);
     let extra = if ctx.is_some() { TRACE_CTX_LEN } else { 0 };
-    let mut buf = BytesMut::with_capacity(HEADER_LEN_V2 + extra + payload.len());
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + extra + payload.len());
     buf.put_slice(&MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(if ctx.is_some() { FLAG_TRACE } else { 0 });
@@ -103,8 +103,8 @@ pub fn parse_prefix(prefix: &[u8; PREFIX_LEN]) -> Result<(), WireError> {
 /// Parse the rest of the header (after the prefix):
 /// `(trace_context_follows, len, crc)`. Unknown flag bits are a typed
 /// error — a v3 sender must not be half-understood.
-pub fn parse_v2_rest(
-    rest: &[u8; HEADER_LEN_V2 - PREFIX_LEN],
+pub fn parse_header_rest(
+    rest: &[u8; HEADER_LEN - PREFIX_LEN],
 ) -> Result<(bool, usize, u32), WireError> {
     let flags = rest[0];
     if flags & !FLAG_TRACE != 0 {
@@ -155,13 +155,13 @@ pub fn decode_frame_traced(
     let mut prefix = [0u8; PREFIX_LEN];
     prefix.copy_from_slice(&buf[..PREFIX_LEN]);
     parse_prefix(&prefix)?;
-    if buf.len() < HEADER_LEN_V2 {
-        return Err(WireError::Truncated { have: buf.len(), need: HEADER_LEN_V2 });
+    if buf.len() < HEADER_LEN {
+        return Err(WireError::Truncated { have: buf.len(), need: HEADER_LEN });
     }
-    let mut rest = [0u8; HEADER_LEN_V2 - PREFIX_LEN];
-    rest.copy_from_slice(&buf[PREFIX_LEN..HEADER_LEN_V2]);
-    let (traced, len, crc) = parse_v2_rest(&rest)?;
-    let mut at = HEADER_LEN_V2;
+    let mut rest = [0u8; HEADER_LEN - PREFIX_LEN];
+    rest.copy_from_slice(&buf[PREFIX_LEN..HEADER_LEN]);
+    let (traced, len, crc) = parse_header_rest(&rest)?;
+    let mut at = HEADER_LEN;
     let ctx = if traced {
         if buf.len() < at + TRACE_CTX_LEN {
             return Err(WireError::Truncated { have: buf.len(), need: at + TRACE_CTX_LEN });
@@ -1413,7 +1413,7 @@ mod tests {
     #[test]
     fn frame_round_trip() {
         let framed = frame(b"payload");
-        assert_eq!(framed.len(), HEADER_LEN_V2 + b"payload".len());
+        assert_eq!(framed.len(), HEADER_LEN + b"payload".len());
         let (payload, ctx, consumed) = decode_frame_traced(&framed).unwrap();
         assert_eq!(payload, b"payload");
         assert_eq!(ctx, None);
@@ -1423,7 +1423,7 @@ mod tests {
     #[test]
     fn traced_frame_round_trip() {
         let framed = frame_traced(b"payload", Some(&ctx()));
-        assert_eq!(framed.len(), HEADER_LEN_V2 + TRACE_CTX_LEN + b"payload".len());
+        assert_eq!(framed.len(), HEADER_LEN + TRACE_CTX_LEN + b"payload".len());
         let (payload, got, consumed) = decode_frame_traced(&framed).unwrap();
         assert_eq!(payload, b"payload");
         assert_eq!(got, Some(ctx()));
@@ -1446,7 +1446,7 @@ mod tests {
     #[test]
     fn bad_sampled_flag_is_typed() {
         let mut framed = frame_traced(b"hello", Some(&ctx()));
-        framed[HEADER_LEN_V2 + TRACE_CTX_LEN - 1] = 7;
+        framed[HEADER_LEN + TRACE_CTX_LEN - 1] = 7;
         assert!(matches!(decode_frame(&framed), Err(WireError::Malformed(_))));
     }
 

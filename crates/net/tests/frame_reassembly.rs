@@ -11,7 +11,7 @@
 //! point where no payload allocation has happened.
 
 use orsp_net::wire::{
-    decode_frame_traced, frame, frame_traced, HEADER_LEN_V2, MAGIC, MAX_PAYLOAD, PREFIX_LEN,
+    decode_frame_traced, frame, frame_traced, HEADER_LEN, MAGIC, MAX_PAYLOAD, PREFIX_LEN,
 };
 use orsp_net::{AssembledFrame, FrameAssembler, WireError};
 use orsp_obs::TraceContext;
@@ -142,11 +142,11 @@ proptest! {
     #[test]
     fn hostile_lengths_are_typed_without_allocation(
         declared in (MAX_PAYLOAD as u32 + 1)..=u32::MAX,
-        cut in 0usize..HEADER_LEN_V2,
+        cut in 0usize..HEADER_LEN,
     ) {
         let mut framed = frame(b"x");
         framed[6..10].copy_from_slice(&declared.to_le_bytes());
-        let header = &framed[..HEADER_LEN_V2];
+        let header = &framed[..HEADER_LEN];
         let mut asm = FrameAssembler::new();
         let (consumed, msg) = asm.feed(&header[..cut]).expect("incomplete header is fine");
         prop_assert_eq!(consumed, cut);

@@ -352,7 +352,7 @@ fn protocol_error_kinds_are_counted() {
 
     // 1. Truncation: a valid header promising one payload byte, then FIN.
     let ping = Request::Ping.encode();
-    send(&ping[..orsp_net::wire::HEADER_LEN_V2], false);
+    send(&ping[..orsp_net::wire::HEADER_LEN], false);
 
     // 2. Corrupt CRC: a full Ping frame with the payload byte flipped.
     let mut bad_crc = ping.clone();
@@ -363,7 +363,7 @@ fn protocol_error_kinds_are_counted() {
     // 3. Oversized: the declared length exceeds the 1 MiB payload cap.
     // Header only — the server rejects on the length field and closes
     // without reading a payload, so unsent bytes would become an RST.
-    let mut oversized = ping[..orsp_net::wire::HEADER_LEN_V2].to_vec();
+    let mut oversized = ping[..orsp_net::wire::HEADER_LEN].to_vec();
     oversized[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
     send(&oversized, true);
 

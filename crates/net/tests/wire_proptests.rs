@@ -5,8 +5,7 @@
 use orsp_client::UploadRequest;
 use orsp_crypto::{BigUint, BlindSignature, BlindedMessage, Token};
 use orsp_net::wire::{
-    decode_frame, decode_frame_traced, frame, frame_traced, HEADER_LEN_V2, MAX_PAYLOAD,
-    TRACE_CTX_LEN,
+    decode_frame, decode_frame_traced, frame, frame_traced, HEADER_LEN, MAX_PAYLOAD, TRACE_CTX_LEN,
 };
 use orsp_net::{Request, Response, SearchHit, WireError};
 use orsp_obs::{EventSnapshot, HistogramSnapshot, StatsSnapshot, TraceContext};
@@ -400,7 +399,7 @@ proptest! {
         payload in proptest::collection::vec(0u8..=255, 0..128),
     ) {
         let framed = frame(&payload);
-        prop_assert_eq!(framed.len(), HEADER_LEN_V2 + payload.len());
+        prop_assert_eq!(framed.len(), HEADER_LEN + payload.len());
         let (decoded, consumed) = decode_frame(&framed).unwrap();
         prop_assert_eq!(decoded, &payload[..]);
         prop_assert_eq!(consumed, framed.len());
@@ -432,7 +431,7 @@ proptest! {
             sampled: sampled == 1,
         };
         let framed = frame_traced(&payload, Some(&ctx));
-        prop_assert_eq!(framed.len(), HEADER_LEN_V2 + TRACE_CTX_LEN + payload.len());
+        prop_assert_eq!(framed.len(), HEADER_LEN + TRACE_CTX_LEN + payload.len());
         let (decoded, got, consumed) = decode_frame_traced(&framed).unwrap();
         prop_assert_eq!(decoded, &payload[..]);
         prop_assert_eq!(got, Some(ctx));

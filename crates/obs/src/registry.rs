@@ -13,7 +13,6 @@ use crate::ring::{Event, EventRing};
 use crate::snapshot::{EventSnapshot, StatsSnapshot};
 use crate::trace::Tracer;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default bound on the structured event ring.
@@ -37,10 +36,6 @@ pub struct Registry {
     clock: Arc<dyn Clock>,
     events: EventRing,
     tracer: Tracer,
-    /// Gates span timing and event capture (counter/gauge writes are a
-    /// single relaxed atomic and stay on unconditionally). The overhead
-    /// bench flips this to measure instrumented vs. bare throughput.
-    enabled: AtomicBool,
 }
 
 impl Default for Registry {
@@ -63,24 +58,12 @@ impl Registry {
             tracer: Tracer::with_clock(Arc::clone(&clock)),
             clock,
             events: EventRing::new(DEFAULT_EVENT_CAPACITY),
-            enabled: AtomicBool::new(true),
         }
-    }
-
-    /// Enable or disable span timing, event capture, and tracing.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-        self.tracer.set_enabled(on);
     }
 
     /// The registry's distributed-trace collector (same clock as spans).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Whether spans and events are being captured.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// The registry's clock reading (µs).
@@ -115,23 +98,17 @@ impl Registry {
     }
 
     /// Start a span over a pre-resolved histogram handle (no lock).
-    /// A no-op (no clock reads at all) while the registry is disabled.
     #[inline]
     pub fn span_into(&self, hist: &Histogram) -> Span {
-        if !self.enabled() {
-            return Span { target: None, start: 0 };
-        }
         Span {
             start: self.clock.now_micros(),
-            target: Some((hist.clone(), Arc::clone(&self.clock))),
+            hist: hist.clone(),
+            clock: Arc::clone(&self.clock),
         }
     }
 
-    /// Record a structured event (dropped while disabled).
+    /// Record a structured event.
     pub fn event(&self, kind: &'static str, detail: impl Into<String>) {
-        if !self.enabled() {
-            return;
-        }
         self.events.push(Event {
             at_micros: self.clock.now_micros(),
             kind,
@@ -182,7 +159,8 @@ impl Registry {
 /// Obtain via [`Registry::span`] or [`Registry::span_into`].
 #[must_use = "a span records on drop; binding it to _ ends it immediately"]
 pub struct Span {
-    target: Option<(Histogram, Arc<dyn Clock>)>,
+    hist: Histogram,
+    clock: Arc<dyn Clock>,
     start: u64,
 }
 
@@ -193,9 +171,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((hist, clock)) = self.target.take() {
-            hist.record(clock.now_micros().saturating_sub(self.start));
-        }
+        self.hist.record(self.clock.now_micros().saturating_sub(self.start));
     }
 }
 
@@ -226,22 +202,6 @@ mod tests {
         // Each span: start tick, end tick, 10 µs apart — exactly.
         assert_eq!(h.sum(), 50);
         assert_eq!(h.max(), 10);
-    }
-
-    #[test]
-    fn disabled_registry_skips_spans_and_events() {
-        let r = Registry::with_clock(Arc::new(LogicalClock::new(10)));
-        r.set_enabled(false);
-        r.span("work_us").end();
-        r.event("shed", "ignored");
-        assert_eq!(r.histogram("work_us").count(), 0);
-        assert!(r.recent_events().is_empty());
-        // Counters stay live regardless.
-        r.counter("hits").inc();
-        assert_eq!(r.counter("hits").get(), 1);
-        r.set_enabled(true);
-        r.span("work_us").end();
-        assert_eq!(r.histogram("work_us").count(), 1);
     }
 
     #[test]

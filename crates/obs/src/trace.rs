@@ -26,7 +26,7 @@ use crate::clock::Clock;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Sampling rate denominator: rates are expressed per 10 000 traces.
@@ -121,7 +121,6 @@ struct Shared {
     counter: AtomicU64,
     sample_per_10k: AtomicU32,
     slow_threshold_us: AtomicU64,
-    enabled: AtomicBool,
     shards: Vec<Mutex<VecDeque<InnerSpan>>>,
     completed: Mutex<VecDeque<TraceRecord>>,
     process: Mutex<String>,
@@ -195,7 +194,6 @@ impl Tracer {
                 counter: AtomicU64::new(0),
                 sample_per_10k: AtomicU32::new(DEFAULT_SAMPLE_PER_10K),
                 slow_threshold_us: AtomicU64::new(0),
-                enabled: AtomicBool::new(true),
                 shards: (0..SPAN_SHARDS)
                     .map(|_| Mutex::new(VecDeque::with_capacity(16)))
                     .collect(),
@@ -230,11 +228,6 @@ impl Tracer {
         *self.shared.process.lock().expect("tracer poisoned") = label.to_string();
     }
 
-    /// Gate tracing entirely (mirrors the registry's enabled flag).
-    pub(crate) fn set_enabled(&self, on: bool) {
-        self.shared.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Traces sealed (completed locally) since creation.
     pub fn sealed_total(&self) -> u64 {
         self.shared.sealed_total.load(Ordering::Relaxed)
@@ -258,12 +251,8 @@ impl Tracer {
 
     /// Start a trace root: mints a trace id, makes the head-sampling
     /// decision, and becomes the ambient span for this thread. When
-    /// sampling is off (rate 0, no slow threshold) or the tracer is
-    /// disabled, this is a free no-op.
+    /// sampling is off (rate 0, no slow threshold) this is a free no-op.
     pub fn start_root(&self, name: &'static str) -> SpanGuard {
-        if !self.shared.enabled.load(Ordering::Relaxed) {
-            return SpanGuard { inner: None };
-        }
         let rate = self.shared.sample_per_10k.load(Ordering::Relaxed);
         let slow = self.shared.slow_threshold_us.load(Ordering::Relaxed);
         if rate == 0 && slow == 0 {
@@ -286,9 +275,6 @@ impl Tracer {
     /// wire: parented to the caller's span, sampled iff the caller said
     /// so.
     pub fn start_remote(&self, ctx: TraceContext, name: &'static str) -> SpanGuard {
-        if !self.shared.enabled.load(Ordering::Relaxed) {
-            return SpanGuard { inner: None };
-        }
         if !ctx.sampled {
             // Nothing will record, but downstream calls must keep
             // propagating the (unsampled) context.
@@ -318,7 +304,7 @@ impl Tracer {
     /// fan-out). No-op when `ctx` is `None` or unsampled.
     pub fn child_of(&self, ctx: Option<TraceContext>, name: &'static str) -> SpanGuard {
         match ctx {
-            Some(c) if c.sampled && self.shared.enabled.load(Ordering::Relaxed) => {
+            Some(c) if c.sampled => {
                 SpanGuard::open(self.shared.clone(), c.trace_id, c.span_id, true, name, Kind::Child)
             }
             Some(c) => SpanGuard::passthrough(self.shared.clone(), c),
@@ -852,16 +838,6 @@ mod tests {
         }
         assert_eq!(r.tracer().drain_completed(usize::MAX).len(), COMPLETED_TRACES_CAP);
         assert_eq!(r.tracer().sealed_total() as usize, COMPLETED_TRACES_CAP + 20);
-    }
-
-    #[test]
-    fn disabled_registry_disables_tracing() {
-        let r = registry();
-        r.set_enabled(false);
-        let root = r.tracer().start_root("op");
-        assert!(root.context().is_none());
-        drop(root);
-        assert!(r.tracer().drain_completed(8).is_empty());
     }
 
     #[test]

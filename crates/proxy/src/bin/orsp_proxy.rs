@@ -7,9 +7,9 @@
 //!
 //! Speaks the ORSP wire protocol on both sides: clients connect to
 //! `--listen` exactly as they would to a single daemon; each `--backend`
-//! is a running RSP node (see `examples/rsp_daemon.rs --listen`). Writes
-//! route to the owning backend by `shard_index(record_id)`; reads
-//! scatter-gather with merges bit-identical to a single node.
+//! is a running `orsp-replicad` node. Writes route to the owning backend
+//! by `shard_index(record_id)`; reads scatter-gather with merges
+//! bit-identical to a single node.
 //!
 //! `--pool N` sets the persistent keep-alive connections per backend
 //! (default 4). `--cluster-internal` serves the floor-unfiltered
@@ -20,85 +20,53 @@
 //! `sleep` or close the terminal with ctrl-d), then drains gracefully
 //! and prints its final metric snapshot.
 
-use orsp_net::{ClientConfig, NetPool, NetServer, ServerConfig};
+use orsp_net::{
+    process_trace_seed, ClientConfig, FlagSpec, Flags, NetPool, NetServer, ServerConfig,
+};
 use orsp_proxy::{BackendLink, ProxyConfig, ProxyService};
 use std::io::Read;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Every flag this binary defines; anything else on argv is a usage error.
+const FLAGS: &[FlagSpec] = &[
+    ("--listen", "ADDR"),
+    ("--backend", "ADDR"),
+    ("--pool", "N"),
+    ("--max-connections", "N"),
+    ("--cluster-internal", ""),
+    ("--replication-factor", "N"),
+    ("--trace-sample", "PER10K"),
+    ("--trace-slow-us", "N"),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let listen = args
-        .iter()
-        .position(|a| a == "--listen")
-        .map(|i| args.get(i + 1).expect("--listen takes an address").clone())
-        .unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let backends: Vec<SocketAddr> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.as_str() == "--backend")
-        .map(|(i, _)| {
-            args.get(i + 1)
-                .expect("--backend takes an address")
-                .parse()
-                .expect("--backend address")
+    let flags = Flags::from_env("orsp-proxy", FLAGS);
+    let listen = flags.value("--listen").unwrap_or("127.0.0.1:0");
+    let backends: Vec<SocketAddr> = flags
+        .all("--backend")
+        .map(|a| {
+            a.parse().unwrap_or_else(|_| flags.usage_error(&format!("--backend {a}: bad address")))
         })
         .collect();
     if backends.is_empty() {
-        eprintln!(
-            "usage: orsp-proxy [--listen ADDR] --backend ADDR [--backend ADDR ...] \
-             [--pool N] [--max-connections N] [--cluster-internal] \
-             [--replication-factor N] [--trace-sample PER10K] [--trace-slow-us N]"
-        );
-        std::process::exit(2);
+        flags.usage_error("at least one --backend is required");
     }
-    let cluster_internal = args.iter().any(|a| a == "--cluster-internal");
+    let cluster_internal = flags.has("--cluster-internal");
     // Replication factor of the backend tier (see `orsp-replicad`):
     // above 1, the proxy fails reads and writes over to a range's
     // follower when its primary goes hard-down, promoting it in place.
-    let replication_factor: usize = args
-        .iter()
-        .position(|a| a == "--replication-factor")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--replication-factor takes a count")
-                .parse()
-                .expect("--replication-factor count")
-        })
-        .unwrap_or(1);
-    let pool: usize = args
-        .iter()
-        .position(|a| a == "--pool")
-        .map(|i| args.get(i + 1).expect("--pool takes a count").parse().expect("--pool count"))
-        .unwrap_or(4);
+    let replication_factor: usize = flags.parsed("--replication-factor").unwrap_or(1);
+    let pool: usize = flags.parsed("--pool").unwrap_or(4);
     // Connection slab size: the proxy is the tier that fronts the device
     // fleet, so this is where a raised ceiling matters most. 0 means
     // workers + queue depth.
-    let max_connections: usize = args
-        .iter()
-        .position(|a| a == "--max-connections")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--max-connections takes a count")
-                .parse()
-                .expect("--max-connections count")
-        })
-        .unwrap_or(0);
+    let max_connections: usize = flags.parsed("--max-connections").unwrap_or(0);
     // Head-based trace sampling, in traces per 10 000 roots (default 100
     // = 1%); requests slower than `--trace-slow-us` are sampled anyway.
-    let trace_sample: Option<u32> = args.iter().position(|a| a == "--trace-sample").map(|i| {
-        args.get(i + 1)
-            .expect("--trace-sample takes a per-10k rate")
-            .parse()
-            .expect("--trace-sample rate")
-    });
-    let trace_slow_us: Option<u64> = args.iter().position(|a| a == "--trace-slow-us").map(|i| {
-        args.get(i + 1)
-            .expect("--trace-slow-us takes microseconds")
-            .parse()
-            .expect("--trace-slow-us microseconds")
-    });
+    let trace_sample: Option<u32> = flags.parsed("--trace-sample");
+    let trace_slow_us: Option<u64> = flags.parsed("--trace-slow-us");
 
     // The fan-out inherits the call deadline: a black-holed backend
     // costs a scatter-gather leg at most this budget (dial + retries),
@@ -124,15 +92,7 @@ fn main() {
     if replication_factor > 1 {
         println!("proxy: replication factor {replication_factor} — failover routing enabled");
     }
-    // Distinct per-process id streams: the library default seed is fixed
-    // (tests pin ids), but the proxy and its backends must never mint
-    // colliding trace ids or the trace join would fuse unrelated traces.
-    let trace_seed = (std::process::id() as u64) << 32
-        ^ std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-    service.obs().tracer().set_seed(trace_seed);
+    service.obs().tracer().set_seed(process_trace_seed());
     if let Some(rate) = trace_sample {
         service.obs().tracer().set_sampling(rate);
         println!("proxy: tracing {rate}/10000 requests");
@@ -142,7 +102,7 @@ fn main() {
         println!("proxy: always tracing requests slower than {slow}µs");
     }
     let server = NetServer::bind(
-        listen.as_str(),
+        listen,
         service.clone(),
         ServerConfig { max_connections, ..ServerConfig::default() },
     )

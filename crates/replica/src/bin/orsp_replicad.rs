@@ -1,5 +1,8 @@
-//! A replicated cluster backend: `rsp_daemon`'s serving core plus
-//! per-range replication.
+//! The durable RSP daemon: the serving core (`RspService` over sharded
+//! ingest and the storage engine) plus per-range replication. Alone
+//! (`--cluster-size 1`, the default) it is the single durable node; N of
+//! them behind `orsp-proxy` are a cluster, unreplicated at
+//! `--replication-factor 1`.
 //!
 //! Each node is born owning the hash range equal to its `--node` index
 //! (in `--data-dir`) and follows the ranges the [`Topology`] assigns it
@@ -22,13 +25,15 @@
 //! background queue (the `replication_lag` gauge is its depth).
 //!
 //! Serves until stdin reaches EOF, then drains and checkpoints every
-//! held range from a scan of its own directory. (Unlike the single-node
-//! daemon, checkpoint stats come from log replay, so reject counters —
-//! node-local noise outside the replication contract — reset across
-//! restarts.)
+//! held range from a scan of its own directory. (Checkpoint stats come
+//! from log replay, so reject counters — node-local noise outside the
+//! replication contract — reset across restarts.)
 
 use orsp_core::{service_for_world_sharded, PipelineConfig};
-use orsp_net::{ClientConfig, NetPool, NetServer, ReplicaHook, ServerConfig};
+use orsp_net::{
+    process_trace_seed, ClientConfig, FlagSpec, Flags, NetPool, NetServer, ReplicaHook,
+    ServerConfig,
+};
 use orsp_replica::{
     catch_up_range, probe_range, PeerLink, RangeInit, ReplicaNode, ReplicatingSink,
     ReplicationMode, Role, Topology,
@@ -40,17 +45,24 @@ use orsp_world::{World, WorldConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).unwrap_or_else(|| panic!("{name} takes a value")).clone()
-    })
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    arg(args, name)
-        .map(|v| v.parse().ok().unwrap_or_else(|| panic!("{name}: bad value")))
-        .unwrap_or(default)
-}
+/// Every flag this binary defines; anything else on argv is a usage error.
+const FLAGS: &[FlagSpec] = &[
+    ("--data-dir", "PATH"),
+    ("--listen", "ADDR"),
+    ("--node", "INDEX"),
+    ("--cluster-size", "N"),
+    ("--replication-factor", "N"),
+    ("--replication", "sync|async"),
+    ("--peer", "ADDR|-"),
+    ("--fsync", "always|on-rotate|never"),
+    ("--shards", "N"),
+    ("--group-commit", "N"),
+    ("--group-commit-window-us", "N"),
+    ("--max-connections", "N"),
+    ("--seed", "N"),
+    ("--users-per-zipcode", "N"),
+    ("--horizon-days", "N"),
+];
 
 fn peer_client() -> ClientConfig {
     ClientConfig {
@@ -68,44 +80,41 @@ fn peer_client() -> ClientConfig {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let data_dir = arg(&args, "--data-dir").expect("--data-dir is required");
-    let listen = arg(&args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let node_index: u32 = parsed(&args, "--node", 0);
-    let cluster_size: u32 = parsed(&args, "--cluster-size", 1);
-    let replication_factor: u32 = parsed(&args, "--replication-factor", 2.min(cluster_size));
-    let mode = match arg(&args, "--replication") {
+    let flags = Flags::from_env("orsp-replicad", FLAGS);
+    let data_dir = flags
+        .value("--data-dir")
+        .unwrap_or_else(|| flags.usage_error("--data-dir is required"));
+    let listen = flags.value("--listen").unwrap_or("127.0.0.1:0");
+    let node_index: u32 = flags.parsed("--node").unwrap_or(0);
+    let cluster_size: u32 = flags.parsed("--cluster-size").unwrap_or(1);
+    let replication_factor: u32 =
+        flags.parsed("--replication-factor").unwrap_or(2.min(cluster_size));
+    let mode = match flags.value("--replication") {
         None => ReplicationMode::Sync,
-        Some(v) => ReplicationMode::parse(&v)
-            .unwrap_or_else(|| panic!("--replication must be sync|async, got {v}")),
+        Some(v) => ReplicationMode::parse(v).unwrap_or_else(|| {
+            flags.usage_error(&format!("--replication must be sync|async, got {v}"))
+        }),
     };
-    let fsync = match arg(&args, "--fsync").as_deref() {
+    let fsync = match flags.value("--fsync") {
         None | Some("always") => FsyncPolicy::Always,
         Some("on-rotate") => FsyncPolicy::OnRotate,
         Some("never") => FsyncPolicy::Never,
-        Some(other) => panic!("--fsync must be always|on-rotate|never, got {other}"),
+        Some(other) => flags
+            .usage_error(&format!("--fsync must be always|on-rotate|never, got {other}")),
     };
-    let shards: usize =
-        parsed(&args, "--shards", StorageOptions::default().shard_count as usize);
+    let defaults = StorageOptions::default();
+    let shards: usize = flags.parsed("--shards").unwrap_or(defaults.shard_count as usize);
     let group_commit: usize =
-        parsed(&args, "--group-commit", StorageOptions::default().group_commit_batch_max);
-    let group_commit_window_us: u64 = parsed(
-        &args,
-        "--group-commit-window-us",
-        StorageOptions::default().group_commit_window_us,
-    );
+        flags.parsed("--group-commit").unwrap_or(defaults.group_commit_batch_max);
+    let group_commit_window_us: u64 =
+        flags.parsed("--group-commit-window-us").unwrap_or(defaults.group_commit_window_us);
     // Connection slab size; 0 means workers + queue depth.
-    let max_connections: usize = parsed(&args, "--max-connections", 0);
-    let seed: u64 = parsed(&args, "--seed", 13);
-    let users_per_zipcode: usize = parsed(&args, "--users-per-zipcode", 40);
-    let horizon_days: i64 = parsed(&args, "--horizon-days", 120);
+    let max_connections: usize = flags.parsed("--max-connections").unwrap_or(0);
+    let seed: u64 = flags.parsed("--seed").unwrap_or(13);
+    let users_per_zipcode: usize = flags.parsed("--users-per-zipcode").unwrap_or(40);
+    let horizon_days: i64 = flags.parsed("--horizon-days").unwrap_or(120);
     // Peer addresses in node-index order ("-" or the own slot ignored).
-    let peer_addrs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--peer")
-        .map(|(i, _)| args.get(i + 1).expect("--peer takes an address").clone())
-        .collect();
+    let peer_addrs: Vec<&str> = flags.all("--peer").collect();
 
     let topology = Topology::new(node_index, cluster_size, replication_factor);
     let peers: Vec<Option<Arc<dyn PeerLink>>> = (0..cluster_size)
@@ -113,9 +122,10 @@ fn main() {
             if i == node_index {
                 return None;
             }
-            peer_addrs.get(i as usize).filter(|a| a.as_str() != "-").map(|a| {
-                let addr: std::net::SocketAddr =
-                    a.parse().unwrap_or_else(|_| panic!("--peer {a}: bad address"));
+            peer_addrs.get(i as usize).filter(|a| **a != "-").map(|a| {
+                let addr: std::net::SocketAddr = a
+                    .parse()
+                    .unwrap_or_else(|_| flags.usage_error(&format!("--peer {a}: bad address")));
                 Arc::new(NetPool::new(addr, peer_client(), 2)) as Arc<dyn PeerLink>
             })
         })
@@ -136,14 +146,14 @@ fn main() {
         shard_count: shards as u32,
         group_commit_batch_max: group_commit,
         group_commit_window_us,
-        ..StorageOptions::default()
+        ..defaults
     };
 
     // Born range: recover, then probe the replica set for a newer
     // primary. Finding one means this node was failed over while away;
     // it rejoins as a follower only after proving itself bit-identical.
     let born = node_index;
-    let born_dir: Arc<dyn Dir> = Arc::new(FsDir::open(&data_dir).expect("open data dir"));
+    let born_dir: Arc<dyn Dir> = Arc::new(FsDir::open(data_dir).expect("open data dir"));
     let (mut engine, mut report) =
         StorageEngine::open(Arc::clone(&born_dir), options).expect("recover born range");
     let mut born_role = Role::Primary;
@@ -243,17 +253,10 @@ fn main() {
     // are never double-counted; they become live again on promotion.
     service.publish_aggregates();
 
-    // Distinct per-process trace id streams (same rationale as
-    // rsp_daemon: two daemons must never mint colliding trace ids).
-    let trace_seed = (std::process::id() as u64) << 32
-        ^ std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-    service.obs().tracer().set_seed(trace_seed);
+    service.obs().tracer().set_seed(process_trace_seed());
 
     let server = NetServer::bind(
-        listen.as_str(),
+        listen,
         service.clone(),
         ServerConfig { max_connections, ..ServerConfig::default() },
     )

@@ -23,21 +23,22 @@
 //! and catches up; the final directories are proven `state_digest`
 //! bit-identical offline.
 
+mod common;
+
+use common::{fast_client, small_world, spawn_node, wait_ready};
 use orsp_core::{listings, run_client_side, service_for_world, PipelineConfig, RspPipeline};
 use orsp_net::{
-    ClientConfig, InMemoryTransport, NetPool, NetServer, Request, Response, ServerConfig,
-    TcpTransport, Transport,
+    InMemoryTransport, NetPool, NetServer, Request, Response, ServerConfig, TcpTransport,
+    Transport,
 };
 use orsp_proxy::{BackendLink, ProxyConfig, ProxyService};
 use orsp_search::SearchQuery;
 use orsp_server::IngestStats;
 use orsp_storage::{scan_source, state_digest, FsDir};
-use orsp_types::SimDuration;
-use orsp_world::{World, WorldConfig};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,63 +47,6 @@ const CLUSTER: usize = 3;
 /// that acked-then-killed state exists, early enough that plenty of
 /// range-0 load arrives *after* the kill and exercises write failover.
 const KILL_AFTER_FORWARDS: u64 = 25;
-
-/// Same world as the proxy end-to-end suite — and the same seed every
-/// replicad child derives, so the whole cluster shares one mint.
-fn small_world() -> World {
-    let cfg = WorldConfig {
-        users_per_zipcode: 50,
-        horizon: SimDuration::days(240),
-        ..WorldConfig::tiny(73)
-    };
-    World::generate(cfg).unwrap()
-}
-
-fn fast_client() -> ClientConfig {
-    ClientConfig {
-        connect_timeout: Duration::from_secs(5),
-        read_timeout: Duration::from_secs(5),
-        write_timeout: Duration::from_secs(5),
-        max_retries: 2,
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(8),
-        ..ClientConfig::default()
-    }
-}
-
-fn spawn_node(dir: &Path, node: usize, listen: &str, peers: &[SocketAddr]) -> Child {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_orsp-replicad"));
-    cmd.arg("--data-dir")
-        .arg(dir)
-        .args(["--listen", listen])
-        .args(["--node", &node.to_string()])
-        .args(["--cluster-size", &CLUSTER.to_string()])
-        .args(["--replication-factor", "2"])
-        .args(["--replication", "sync"])
-        .args(["--seed", "73"])
-        .args(["--users-per-zipcode", "50"])
-        .args(["--horizon-days", "240"]);
-    for peer in peers {
-        cmd.args(["--peer", &peer.to_string()]);
-    }
-    cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::inherit());
-    cmd.spawn().expect("spawn orsp-replicad")
-}
-
-/// Block until the node answers a Ping (world generation and recovery
-/// happen before it binds, so allow a generous deadline).
-fn wait_ready(addr: SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(180);
-    loop {
-        if let Ok(transport) = TcpTransport::connect(addr, fast_client()) {
-            if matches!(transport.call(&Request::Ping), Ok(Response::Pong)) {
-                return;
-            }
-        }
-        assert!(Instant::now() < deadline, "node at {addr} never became ready");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
 
 fn digest_of_dir(path: &Path) -> (u32, usize) {
     let scan = scan_source(&FsDir::open(path).unwrap())
@@ -139,7 +83,7 @@ fn sigkill_of_the_primary_mid_load_loses_no_acked_upload() {
     drop(reserved);
 
     let mut children: Vec<Child> = (0..CLUSTER)
-        .map(|i| spawn_node(&dirs[i], i, &addrs[i].to_string(), &addrs))
+        .map(|i| spawn_node(&dirs[i], i, CLUSTER, &addrs[i].to_string(), &addrs))
         .collect();
     for &addr in &addrs {
         wait_ready(addr);
@@ -273,7 +217,7 @@ fn sigkill_of_the_primary_mid_load_loses_no_acked_upload() {
     // The killed node rejoins on the same directory (fresh port — it
     // only dials out). It must find the newer primary for its born
     // range, demote itself, and catch up to a proven-identical state.
-    let mut rejoined = spawn_node(&dirs[0], 0, "127.0.0.1:0", &addrs);
+    let mut rejoined = spawn_node(&dirs[0], 0, CLUSTER, "127.0.0.1:0", &addrs);
     let stdout = rejoined.stdout.take().expect("rejoined stdout piped");
     let (lines_tx, lines_rx) = std::sync::mpsc::channel::<String>();
     let reader = std::thread::spawn(move || {
