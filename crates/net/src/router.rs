@@ -41,8 +41,7 @@ use orsp_obs::{trace, Counter, Histogram, Registry, TraceContext};
 use orsp_search::{InferredSummary, Ranker, ReviewSummary, SearchIndex, SearchQuery};
 use orsp_server::{
     lockorder::{self, rank},
-    AggregateParts, AggregatePublisher, EntityAggregate, GroupCommitConfig, IngestOutcome,
-    IngestService,
+    AggregateParts, EntityAggregate, GroupCommitConfig, IngestOutcome, IngestService,
     IngestStats, RejectReason, ShardedIngest, SupportParts, WalBatchItem, WalSink,
     MIN_AGGREGATE_SUPPORT,
 };
@@ -367,14 +366,7 @@ impl RspService {
     /// old snapshot.
     pub fn publish_aggregates(&self) {
         let _span = trace::child("publish_snapshot");
-        let aggregates: HashMap<EntityId, AggregateParts> = self
-            .ingest
-            .histories_by_entity()
-            .into_iter()
-            .map(|(entity, histories)| {
-                (entity, AggregatePublisher::parts_from_histories(entity, histories))
-            })
-            .collect();
+        let aggregates = self.ingest.aggregate_parts();
         let mut cell = self.read.lock();
         let next = ReadState {
             index: cell.index.clone(),

@@ -1493,6 +1493,34 @@ mod tests {
     }
 
     #[test]
+    fn golden_frames_pin_the_wire_bytes() {
+        // Exact frames, header and CRC included, as the byte-at-a-time
+        // CRC produced them: a faster CRC (or codec) must not move a byte.
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        assert_eq!(hex(&Response::Pong.encode()), "4f5253500200010000003b5cbd4881");
+        let aggregate = Response::Aggregate {
+            aggregate: Some(EntityAggregate {
+                entity: EntityId::new(7),
+                histories: 5,
+                interactions: 9,
+                visits_per_user: vec![0, 3, 2],
+                effort_points: vec![(1, 250.0), (2, 1234.5)],
+                mean_dwell_min: 42.5,
+                repeat_fraction: 0.4,
+            }),
+        };
+        assert_eq!(
+            hex(&aggregate.encode()),
+            concat!(
+                "4f5253500200680000003dc8ae13860107000000000000000500000000000000",
+                "090000000000000000000000004045409a9999999999d93f0300000000000000",
+                "0000030000000000000002000000000000000200000001000000000000000000",
+                "000000406f40020000000000000000000000004a9340",
+            )
+        );
+    }
+
+    #[test]
     fn simple_messages_round_trip() {
         for req in [
             Request::Ping,

@@ -300,8 +300,9 @@ impl Tracer {
     }
 
     /// Start a child of an explicit context — for worker threads that
-    /// don't inherit the request thread's ambient span (`thread::scope`
-    /// fan-out). No-op when `ctx` is `None` or unsampled.
+    /// don't inherit the request thread's ambient span (the proxy's
+    /// long-lived fan-out leg threads). No-op when `ctx` is `None` or
+    /// unsampled.
     pub fn child_of(&self, ctx: Option<TraceContext>, name: &'static str) -> SpanGuard {
         match ctx {
             Some(c) if c.sampled => {

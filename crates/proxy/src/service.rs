@@ -18,9 +18,12 @@
 //!   (asserted end to end by `tests/proxy_end_to_end.rs`). Each costs
 //!   one fan-out round: a search scatters `SearchParts`, whose legs
 //!   carry the ranked hits plus each hit's integer support, and never
-//!   moves an effort point. The cluster-internal `AggregateParts`,
-//!   `SearchParts`, `Replicate`, and `CatchUp` RPCs are refused at the
-//!   front door unless [`ProxyConfig::cluster_internal`] is set.
+//!   moves an effort point. The first leg runs on the dispatch thread;
+//!   the others go to long-lived `proxy-leg` threads the service owns
+//!   (see `LegPool`), so a read spawns nothing. The cluster-internal
+//!   `AggregateParts`, `SearchParts`, `Replicate`, and `CatchUp` RPCs
+//!   are refused at the front door unless
+//!   [`ProxyConfig::cluster_internal`] is set.
 //! * **Failover** (when [`ProxyConfig::replication_factor`] > 1): each
 //!   range's route starts at its born owner and moves when that backend
 //!   goes hard-down — the proxy promotes the next live member of the
@@ -43,7 +46,9 @@ use orsp_server::shard_index;
 use orsp_types::{DeviceId, EntityId, RecordId};
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 
 /// Proxy tunables.
 #[derive(Debug, Clone, Copy)]
@@ -175,6 +180,19 @@ struct BackendCounters {
     write_failover: Counter,
 }
 
+impl BackendCounters {
+    fn new(obs: &Registry, i: usize) -> BackendCounters {
+        BackendCounters {
+            forwarded: obs.counter(&format!("proxy_backend{i}_forwarded_total")),
+            retried: obs.counter(&format!("proxy_backend{i}_retried_total")),
+            unavailable: obs.counter(&format!("proxy_backend{i}_unavailable_total")),
+            shed: obs.counter(&format!("proxy_backend{i}_shed_total")),
+            read_failover: obs.counter(&format!("proxy_backend{i}_read_failover_total")),
+            write_failover: obs.counter(&format!("proxy_backend{i}_write_failover_total")),
+        }
+    }
+}
+
 /// Per-range routing state exported as gauges: `proxy_range<r>_primary`
 /// (backend index currently serving the range) and
 /// `proxy_range<r>_epoch` (the fencing epoch the proxy last promoted
@@ -186,7 +204,6 @@ struct RangeGauges {
 }
 
 struct ProxyMetrics {
-    backends: Vec<BackendCounters>,
     ranges: Vec<RangeGauges>,
     requests: Counter,
     unavailable: Counter,
@@ -206,18 +223,6 @@ struct ProxyMetrics {
 impl ProxyMetrics {
     fn new(obs: &Registry, n: usize) -> ProxyMetrics {
         ProxyMetrics {
-            backends: (0..n)
-                .map(|i| BackendCounters {
-                    forwarded: obs.counter(&format!("proxy_backend{i}_forwarded_total")),
-                    retried: obs.counter(&format!("proxy_backend{i}_retried_total")),
-                    unavailable: obs.counter(&format!("proxy_backend{i}_unavailable_total")),
-                    shed: obs.counter(&format!("proxy_backend{i}_shed_total")),
-                    read_failover: obs
-                        .counter(&format!("proxy_backend{i}_read_failover_total")),
-                    write_failover: obs
-                        .counter(&format!("proxy_backend{i}_write_failover_total")),
-                })
-                .collect(),
             ranges: (0..n)
                 .map(|r| {
                     let gauges = RangeGauges {
@@ -254,12 +259,179 @@ struct RangeRoute {
     epoch: u64,
 }
 
+/// One backend's answer to a scatter, tagged with the backend's index so
+/// an error names the node that caused it.
+type Leg = (usize, Result<Response, ProxyError>);
+
+/// The backends and their outcome counters: everything one backend call
+/// touches, shared by the dispatch thread and the leg threads.
+struct Links {
+    backends: Vec<Arc<dyn BackendLink>>,
+    counters: Vec<BackendCounters>,
+    obs: Arc<Registry>,
+}
+
+impl Links {
+    /// One routed call, with per-backend outcome accounting, inside a
+    /// `backend_call` trace span under `parent` (a no-op when the
+    /// request is untraced). The span's own context is what gets
+    /// stamped on the wire, so the backend's `server/<kind>` span parents
+    /// under the call, not under the whole proxy RPC.
+    fn call(
+        &self,
+        i: usize,
+        request: &Request,
+        parent: Option<TraceContext>,
+    ) -> Result<Response, ProxyError> {
+        let guard = self.obs.tracer().child_of(parent, "backend_call");
+        let ctx = guard.context().or(parent);
+        let result = self.call_raw(i, request, ctx);
+        guard.end();
+        result
+    }
+
+    /// [`Self::call`] for a fan-out leg: a link that panics becomes a
+    /// typed `Unavailable` for its backend, so the read fails cleanly
+    /// and neither the dispatch thread nor a leg thread dies with it.
+    fn call_leg(&self, i: usize, request: &Request, parent: Option<TraceContext>) -> Leg {
+        let result = panic::catch_unwind(AssertUnwindSafe(|| self.call(i, request, parent)))
+            .unwrap_or_else(|payload| {
+                self.counters[i].unavailable.inc();
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                Err(ProxyError::Unavailable {
+                    backend: i,
+                    source: NetError::Unexpected(format!("backend call panicked: {what}")),
+                })
+            });
+        (i, result)
+    }
+
+    fn call_raw(
+        &self,
+        i: usize,
+        request: &Request,
+        ctx: Option<TraceContext>,
+    ) -> Result<Response, ProxyError> {
+        let counters = &self.counters[i];
+        counters.forwarded.inc();
+        match self.backends[i].call(request, ctx) {
+            Ok((Response::Busy, _)) => {
+                // A fake or a proxy-of-proxies can hand back `Busy` as a
+                // value; a `NetPool` retries it internally and surfaces
+                // exhaustion as `Err(NetError::Busy)` below.
+                counters.shed.inc();
+                Err(ProxyError::Unavailable { backend: i, source: NetError::Busy })
+            }
+            Ok((Response::Unavailable { detail }, _)) => {
+                // A backend refusing as *not serving* (a replica that
+                // demoted itself, a follower holding a range it is not
+                // primary for). A `NetPool` fails fast and surfaces this
+                // as `Err(NetError::Unavailable)`; fakes and in-process
+                // links hand it back as a value. Either way it is a
+                // hard-down signal the failover logic routes around.
+                counters.unavailable.inc();
+                Err(ProxyError::Unavailable { backend: i, source: NetError::Unavailable(detail) })
+            }
+            Ok((response, trace)) => {
+                if trace.retried() {
+                    counters.retried.add(u64::from(trace.attempts - 1));
+                }
+                Ok(response)
+            }
+            Err(NetError::Busy) => {
+                counters.shed.inc();
+                Err(ProxyError::Unavailable { backend: i, source: NetError::Busy })
+            }
+            Err(source) => {
+                counters.unavailable.inc();
+                Err(ProxyError::Unavailable { backend: i, source })
+            }
+        }
+    }
+}
+
+type LegJob = Box<dyn FnOnce() + Send>;
+
+/// One parked `proxy-leg` thread and the channel that wakes it.
+struct LegThread {
+    jobs: mpsc::Sender<LegJob>,
+    handle: JoinHandle<()>,
+}
+
+/// The long-lived threads a scatter hands its second and later legs to.
+/// A scatter checks out one idle thread per leg and gives it back once
+/// that leg has answered; a thread is spawned only when none is idle.
+/// The pool therefore never holds more threads than concurrent scatters
+/// times (targets − 1), and has no size to configure. The live count is
+/// the `proxy_fanout_threads` gauge. Dropping the pool hangs up every
+/// thread's channel and joins the thread.
+struct LegPool {
+    idle: Mutex<Vec<LegThread>>,
+    threads: Gauge,
+}
+
+impl LegPool {
+    fn new(threads: Gauge) -> LegPool {
+        LegPool { idle: Mutex::new(Vec::new()), threads }
+    }
+
+    /// Run `job` on an idle leg thread, spawning one if none is idle.
+    /// Returns the thread, to [`Self::give_back`] once the job's answer
+    /// is in. Should the OS refuse a new thread, the job runs right here
+    /// and `None` comes back: slower, never lost.
+    fn run(&self, job: LegJob) -> Option<LegThread> {
+        let idle = self.idle.lock().pop();
+        let Some(thread) = idle.or_else(|| self.spawn()) else {
+            job();
+            return None;
+        };
+        // Jobs never unwind (each leg catches its link's panic), so a
+        // leg thread lives until this sender is dropped.
+        thread.jobs.send(job).expect("leg thread outlives its channel");
+        Some(thread)
+    }
+
+    fn give_back(&self, threads: impl IntoIterator<Item = LegThread>) {
+        self.idle.lock().extend(threads);
+    }
+
+    fn spawn(&self) -> Option<LegThread> {
+        let (jobs, inbox) = mpsc::channel::<LegJob>();
+        let threads = self.threads.clone();
+        let handle = std::thread::Builder::new()
+            .name("proxy-leg".into())
+            .spawn(move || {
+                for job in inbox {
+                    job();
+                }
+                threads.add(-1);
+            })
+            .ok()?;
+        self.threads.add(1);
+        Some(LegThread { jobs, handle })
+    }
+}
+
+impl Drop for LegPool {
+    fn drop(&mut self) {
+        for LegThread { jobs, handle } in self.idle.get_mut().drain(..) {
+            drop(jobs);
+            let _ = handle.join();
+        }
+    }
+}
+
 /// The front door over N backends. Almost stateless: the only state is
 /// the per-range routing table, which a restarted proxy relearns in one
 /// failed call + `StaleEpoch` exchange — restart at will, run several
 /// for availability.
 pub struct ProxyService {
-    backends: Vec<Arc<dyn BackendLink>>,
+    links: Arc<Links>,
+    legs: LegPool,
     config: ProxyConfig,
     topology: Topology,
     routes: Mutex<Vec<RangeRoute>>,
@@ -281,12 +453,15 @@ impl ProxyService {
         let obs = Arc::new(Registry::new());
         obs.tracer().set_process("proxy");
         let metrics = ProxyMetrics::new(&obs, n);
-        ProxyService { backends, config, topology, routes, obs, metrics }
+        let counters = (0..n).map(|i| BackendCounters::new(&obs, i)).collect();
+        let links = Arc::new(Links { backends, counters, obs: Arc::clone(&obs) });
+        let legs = LegPool::new(obs.gauge("proxy_fanout_threads"));
+        ProxyService { links, legs, config, topology, routes, obs, metrics }
     }
 
     /// Number of backends.
     pub fn backend_count(&self) -> usize {
-        self.backends.len()
+        self.links.backends.len()
     }
 
     /// The proxy's own metric registry.
@@ -299,7 +474,7 @@ impl ProxyService {
     /// `orsp_core::shard_index`) applied to the backend count, exactly as
     /// each backend applies it to its ingest-shard count.
     pub fn backend_for_record(&self, record_id: &RecordId) -> usize {
-        shard_index(record_id.as_bytes(), self.backends.len())
+        shard_index(record_id.as_bytes(), self.backend_count())
     }
 
     /// Which backend mints for a device. Devices hash by their id, so
@@ -307,7 +482,7 @@ impl ProxyService {
     pub fn backend_for_device(&self, device: DeviceId) -> usize {
         let mut key = [0u8; 32];
         key[..8].copy_from_slice(&device.raw().to_le_bytes());
-        shard_index(&key, self.backends.len())
+        shard_index(&key, self.backend_count())
     }
 
     /// The backend currently serving `range` — the born owner until a
@@ -403,113 +578,53 @@ impl ProxyService {
         moved
     }
 
-    /// One routed call, with per-backend outcome accounting, inside a
-    /// `backend_call` trace span (a no-op when the request is untraced).
-    /// The span's own context is what gets stamped on the wire, so the
-    /// backend's `server/<kind>` span parents under the call, not under
-    /// the whole proxy RPC.
+    /// One routed call on the dispatch thread, under its ambient trace
+    /// (see [`Links::call`]).
     fn call_backend(&self, i: usize, request: &Request) -> Result<Response, ProxyError> {
-        let guard = self.obs.tracer().child_of(trace::current(), "backend_call");
-        let ctx = guard.context().or_else(trace::current);
-        let result = self.call_backend_raw(i, request, ctx);
-        guard.end();
-        result
-    }
-
-    /// [`Self::call_backend`] with an explicit parent context — for the
-    /// scatter threads, where the dispatch thread's ambient trace does
-    /// not follow.
-    fn call_backend_from(
-        &self,
-        i: usize,
-        request: &Request,
-        parent: Option<TraceContext>,
-    ) -> Result<Response, ProxyError> {
-        let guard = self.obs.tracer().child_of(parent, "backend_call");
-        let ctx = guard.context().or(parent);
-        let result = self.call_backend_raw(i, request, ctx);
-        guard.end();
-        result
-    }
-
-    fn call_backend_raw(
-        &self,
-        i: usize,
-        request: &Request,
-        ctx: Option<TraceContext>,
-    ) -> Result<Response, ProxyError> {
-        let counters = &self.metrics.backends[i];
-        counters.forwarded.inc();
-        match self.backends[i].call(request, ctx) {
-            Ok((Response::Busy, _)) => {
-                // A fake or a proxy-of-proxies can hand back `Busy` as a
-                // value; a `NetPool` retries it internally and surfaces
-                // exhaustion as `Err(NetError::Busy)` below.
-                counters.shed.inc();
-                Err(ProxyError::Unavailable { backend: i, source: NetError::Busy })
-            }
-            Ok((Response::Unavailable { detail }, _)) => {
-                // A backend refusing as *not serving* (a replica that
-                // demoted itself, a follower holding a range it is not
-                // primary for). A `NetPool` fails fast and surfaces this
-                // as `Err(NetError::Unavailable)`; fakes and in-process
-                // links hand it back as a value. Either way it is a
-                // hard-down signal the failover logic routes around.
-                counters.unavailable.inc();
-                Err(ProxyError::Unavailable { backend: i, source: NetError::Unavailable(detail) })
-            }
-            Ok((response, trace)) => {
-                if trace.retried() {
-                    counters.retried.add(u64::from(trace.attempts - 1));
-                }
-                Ok(response)
-            }
-            Err(NetError::Busy) => {
-                counters.shed.inc();
-                Err(ProxyError::Unavailable { backend: i, source: NetError::Busy })
-            }
-            Err(source) => {
-                counters.unavailable.inc();
-                Err(ProxyError::Unavailable { backend: i, source })
-            }
-        }
+        self.links.call(i, request, trace::current())
     }
 
     /// Fan one request out to every backend concurrently — the
     /// whole-cluster fan (`Stats`, `Traces`): every backend reports,
-    /// primary or not. The dispatch thread's trace context is captured
-    /// *before* the scope — scoped threads don't inherit thread-locals,
-    /// so each leg re-parents its `backend_call` span explicitly.
-    fn scatter(&self, request: &Request) -> Vec<Result<Response, ProxyError>> {
-        let all: Vec<usize> = (0..self.backends.len()).collect();
-        self.scatter_to(&all, request)
+    /// primary or not.
+    fn scatter(&self, request: Request) -> Vec<Leg> {
+        let all: Vec<usize> = (0..self.backend_count()).collect();
+        self.scatter_to(&all, &Arc::new(request))
     }
 
-    /// Fan one request out to an explicit set of backends concurrently.
-    /// The first leg runs on the calling thread, which would otherwise
-    /// only park in `join`: N targets cost N−1 spawns.
-    fn scatter_to(
-        &self,
-        targets: &[usize],
-        request: &Request,
-    ) -> Vec<Result<Response, ProxyError>> {
+    /// Fan one request out to an explicit set of backends concurrently,
+    /// answers in target order. The first leg runs on the calling
+    /// thread, which would otherwise only wait; the rest go to the
+    /// [`LegPool`]. The dispatch thread's trace context is captured
+    /// here — leg threads don't inherit thread-locals, so each leg
+    /// re-parents its `backend_call` span explicitly.
+    fn scatter_to(&self, targets: &[usize], request: &Arc<Request>) -> Vec<Leg> {
         let Some((&first, rest)) = targets.split_first() else {
             return Vec::new();
         };
-        if rest.is_empty() {
-            return vec![self.call_backend(first, request)];
-        }
         let parent = trace::current();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rest
-                .iter()
-                .map(|&i| scope.spawn(move || self.call_backend_from(i, request, parent)))
-                .collect();
-            let mut results = Vec::with_capacity(targets.len());
-            results.push(self.call_backend_from(first, request, parent));
-            results.extend(handles.into_iter().map(|h| h.join().expect("backend fan-out thread")));
-            results
-        })
+        let (answers, inbox) = mpsc::channel();
+        let checked_out: Vec<LegThread> = rest
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, &i)| {
+                let links = Arc::clone(&self.links);
+                let request = Arc::clone(request);
+                let answers = answers.clone();
+                self.legs.run(Box::new(move || {
+                    let _ = answers.send((slot + 1, links.call_leg(i, &request, parent)));
+                }))
+            })
+            .collect();
+        drop(answers);
+        let mut legs: Vec<Option<Leg>> = vec![None; targets.len()];
+        legs[0] = Some(self.links.call_leg(first, request, parent));
+        // Ends once every job has answered and dropped its sender.
+        for (slot, leg) in inbox {
+            legs[slot] = Some(leg);
+        }
+        self.legs.give_back(checked_out);
+        legs.into_iter().map(|leg| leg.expect("every leg answers")).collect()
     }
 
     /// The read fan: scatter to the current primaries, and — when
@@ -519,31 +634,29 @@ impl ProxyService {
     /// the survivors is what keeps the merge a complete union rather
     /// than a partial answer). If nothing could be promoted the original
     /// results — including the failure — stand.
-    fn scatter_reads(&self, request: &Request) -> Vec<Result<Response, ProxyError>> {
-        let targets = self.read_targets();
-        let results = self.scatter_to(&targets, request);
+    fn scatter_reads(&self, request: Request) -> Vec<Leg> {
+        let request = Arc::new(request);
+        let legs = self.scatter_to(&self.read_targets(), &request);
         if self.topology.replication_factor == 1 {
-            return results;
+            return legs;
         }
-        let dead: Vec<usize> = targets
+        let dead: Vec<usize> = legs
             .iter()
-            .zip(&results)
             .filter(|(_, result)| Self::is_hard_down(result))
-            .map(|(&backend, _)| backend)
+            .map(|&(backend, _)| backend)
             .collect();
         if dead.is_empty() {
-            return results;
+            return legs;
         }
         let mut moved = false;
         for &backend in &dead {
-            self.metrics.backends[backend].read_failover.inc();
+            self.links.counters[backend].read_failover.inc();
             moved |= self.fail_over_backend(backend);
         }
         if !moved {
-            return results;
+            return legs;
         }
-        let retargeted = self.read_targets();
-        self.scatter_to(&retargeted, request)
+        self.scatter_to(&self.read_targets(), &request)
     }
 
     /// Scatter `AggregateParts` and merge: the floor-unfiltered union of
@@ -553,18 +666,13 @@ impl ProxyService {
         entity: EntityId,
     ) -> Result<Option<orsp_server::AggregateParts>, ProxyError> {
         let span = self.obs.span_into(&self.metrics.fanout_aggregate_parts_us);
-        let gathered = self.scatter_reads(&Request::AggregateParts { entity });
+        let gathered = self.scatter_reads(Request::AggregateParts { entity });
         span.end();
         let mut parts = Vec::with_capacity(gathered.len());
-        for result in gathered {
+        for (backend, result) in gathered {
             match result? {
                 Response::AggregateParts { parts: p } => parts.push(p),
-                other => {
-                    return Err(ProxyError::Unavailable {
-                        backend: 0,
-                        source: NetError::Unexpected(format!("aggregate parts got {other:?}")),
-                    })
-                }
+                other => return Err(unexpected(backend, "aggregate parts", other)),
             }
         }
         Ok(merge::merge_parts(entity, parts)?)
@@ -584,22 +692,15 @@ impl ProxyService {
         }
         let span = self.obs.span_into(&self.metrics.fanout_aggregate_parts_us);
         let gathered =
-            self.scatter_reads(&Request::AggregatePartsBatch { entities: entities.to_vec() });
+            self.scatter_reads(Request::AggregatePartsBatch { entities: entities.to_vec() });
         span.end();
         let mut lists = Vec::with_capacity(gathered.len());
-        for result in gathered {
+        for (backend, result) in gathered {
             match result? {
                 Response::AggregatePartsBatch { parts } if parts.len() == entities.len() => {
                     lists.push(parts)
                 }
-                other => {
-                    return Err(ProxyError::Unavailable {
-                        backend: 0,
-                        source: NetError::Unexpected(format!(
-                            "aggregate parts batch got {other:?}"
-                        )),
-                    })
-                }
+                other => return Err(unexpected(backend, "aggregate parts batch", other)),
             }
         }
         entities
@@ -614,17 +715,12 @@ impl ProxyService {
 
     fn do_ping(&self) -> Result<Response, ProxyError> {
         let span = self.obs.span_into(&self.metrics.fanout_ping_us);
-        let gathered = self.scatter_reads(&Request::Ping);
+        let gathered = self.scatter_reads(Request::Ping);
         span.end();
-        for result in gathered {
+        for (backend, result) in gathered {
             match result? {
                 Response::Pong => {}
-                other => {
-                    return Err(ProxyError::Unavailable {
-                        backend: 0,
-                        source: NetError::Unexpected(format!("ping got {other:?}")),
-                    })
-                }
+                other => return Err(unexpected(backend, "ping", other)),
             }
         }
         Ok(Response::Pong)
@@ -647,17 +743,12 @@ impl ProxyService {
         query: orsp_search::SearchQuery,
     ) -> Result<(Vec<orsp_net::SearchHit>, Vec<orsp_server::SupportParts>), ProxyError> {
         let _span = self.obs.span_into(&self.metrics.fanout_search_us);
-        let gathered = self.scatter_reads(&Request::SearchParts { query });
+        let gathered = self.scatter_reads(Request::SearchParts { query });
         let mut legs = Vec::with_capacity(gathered.len());
-        for result in gathered {
+        for (backend, result) in gathered {
             match result? {
                 Response::SearchParts { hits, support } => legs.push((hits, support)),
-                other => {
-                    return Err(ProxyError::Unavailable {
-                        backend: 0,
-                        source: NetError::Unexpected(format!("search parts got {other:?}")),
-                    })
-                }
+                other => return Err(unexpected(backend, "search parts", other)),
             }
         }
         let _merge_span = trace::child("proxy_merge");
@@ -694,11 +785,10 @@ impl ProxyService {
 
     fn do_stats(&self) -> Response {
         let span = self.obs.span_into(&self.metrics.fanout_stats_us);
-        let gathered = self.scatter(&Request::Stats);
+        let gathered = self.scatter(Request::Stats);
         span.end();
         let backends = gathered
             .into_iter()
-            .enumerate()
             .map(|(i, result)| match result {
                 Ok(Response::Stats { snapshot }) => (i, Some(snapshot)),
                 _ => (i, None),
@@ -710,7 +800,7 @@ impl ProxyService {
         // from the proxy's side of the wire, complementing the backends'
         // own server-side counters.
         let mut local = self.obs.snapshot();
-        for (i, link) in self.backends.iter().enumerate() {
+        for (i, link) in self.links.backends.iter().enumerate() {
             if let Some(rs) = link.retry_stats() {
                 local.counters.extend([
                     (format!("proxy_backend{i}_client_attempts_total"), rs.attempts),
@@ -739,9 +829,9 @@ impl ProxyService {
     fn do_traces(&self) -> Response {
         let span = self.obs.span_into(&self.metrics.fanout_traces_us);
         let mut traces = self.obs.tracer().drain_completed(TRACES_RPC_LIMIT);
-        let gathered = self.scatter(&Request::Traces);
+        let gathered = self.scatter(Request::Traces);
         span.end();
-        for (i, result) in gathered.into_iter().enumerate() {
+        for (i, result) in gathered {
             if let Ok(Response::Traces { traces: remote }) = result {
                 for mut trace_record in remote {
                     for s in &mut trace_record.spans {
@@ -773,9 +863,9 @@ impl ProxyService {
                 if self.topology.replication_factor > 1 {
                     let mut tried = 1;
                     let mut at = backend;
-                    while Self::is_hard_down(&response) && tried < self.backends.len() {
-                        self.metrics.backends[at].write_failover.inc();
-                        at = (at + 1) % self.backends.len();
+                    while Self::is_hard_down(&response) && tried < self.backend_count() {
+                        self.links.counters[at].write_failover.inc();
+                        at = (at + 1) % self.backend_count();
                         response = self.call_backend(at, &request);
                         tried += 1;
                     }
@@ -790,7 +880,7 @@ impl ProxyService {
                 let primary = self.primary_of(range);
                 let mut response = self.call_backend(primary, &request);
                 if Self::is_hard_down(&response) && self.topology.replication_factor > 1 {
-                    self.metrics.backends[primary].write_failover.inc();
+                    self.links.counters[primary].write_failover.inc();
                     if let Some(promoted) = self.promote_range(range, primary) {
                         response = self.call_backend(promoted, &request);
                     }
@@ -847,11 +937,11 @@ impl ProxyService {
                 // An internal tier may relay anti-entropy: the range's
                 // current primary is the authoritative source.
                 let range = range as usize;
-                if range >= self.backends.len() {
+                if range >= self.backend_count() {
                     return Ok(Response::Error {
                         detail: format!(
                             "range {range} outside cluster of {}",
-                            self.backends.len()
+                            self.backend_count()
                         ),
                     });
                 }
@@ -906,6 +996,15 @@ impl ProxyService {
         };
         root.end();
         response
+    }
+}
+
+/// A leg answered with a response of the wrong kind: an error naming
+/// the backend that sent it.
+fn unexpected(backend: usize, what: &str, got: Response) -> ProxyError {
+    ProxyError::Unavailable {
+        backend,
+        source: NetError::Unexpected(format!("{what} got {got:?}")),
     }
 }
 
@@ -1471,6 +1570,11 @@ mod tests {
                     Some(1),
                     "proxy's own metrics ride along"
                 );
+                assert_eq!(
+                    snapshot.gauge("proxy_fanout_threads"),
+                    Some(1),
+                    "the second backend's leg ran on the one leg thread"
+                );
             }
             other => panic!("expected partial stats, got {other:?}"),
         }
@@ -1486,5 +1590,180 @@ mod tests {
         let snap = p.obs().snapshot();
         assert_eq!(snap.counter("proxy_backend0_forwarded_total"), Some(1));
         assert_eq!(snap.counter("proxy_backend0_retried_total"), Some(2));
+    }
+
+    #[test]
+    fn an_unexpected_leg_answer_names_the_backend_that_sent_it() {
+        // Backend 2 answers `Pong` to everything: each read's error must
+        // send the operator to backend 2, not to backend 0.
+        let sound = || {
+            let (parts, search) = (parts_backend(7, 3), three_hit_backend());
+            Fake::new(move |r| match r {
+                Request::SearchParts { .. } => search.call(r, None),
+                _ => parts.call(r, None),
+            })
+        };
+        let (p, _) = proxy_with(vec![sound(), sound(), Fake::ok(|_| Response::Pong)], internal());
+        for request in [
+            Request::FetchAggregate { entity: EntityId::new(7) },
+            Request::AggregateParts { entity: EntityId::new(7) },
+            Request::AggregatePartsBatch { entities: vec![EntityId::new(7)] },
+            Request::Search { query: dentists() },
+        ] {
+            match p.handle(request) {
+                Response::Unavailable { detail } => {
+                    assert!(detail.starts_with("backend 2 unavailable"), "{detail}")
+                }
+                other => panic!("expected typed unavailable, got {other:?}"),
+            }
+        }
+        let (p, _) = proxy(vec![
+            Fake::ok(|_| Response::Pong),
+            Fake::ok(|_| Response::UploadAccepted),
+        ]);
+        match p.handle(Request::Ping) {
+            Response::Unavailable { detail } => {
+                assert!(detail.starts_with("backend 1 unavailable"), "{detail}")
+            }
+            other => panic!("expected typed unavailable, got {other:?}"),
+        }
+    }
+
+    /// The live leg-thread count, as `Stats` exports it.
+    fn leg_threads(p: &ProxyService) -> i64 {
+        p.obs().snapshot().gauge("proxy_fanout_threads").expect("fan-out gauge")
+    }
+
+    fn three_hit_backend() -> Arc<Fake> {
+        search_backend(vec![hit(1, 4.0, 0), hit(2, 3.0, 0), hit(3, 2.0, 0)], vec![(6, 3); 3])
+    }
+
+    #[test]
+    fn sequential_reads_reuse_one_leg_thread_per_extra_backend() {
+        let (p, fakes) = proxy(vec![three_hit_backend(), three_hit_backend(), three_hit_backend()]);
+        assert_eq!(leg_threads(&p), 0, "nothing spawned before the first read");
+        let first = p.handle(Request::Search { query: dentists() });
+        assert!(matches!(&first, Response::SearchResults { hits } if hits.len() == 3), "{first:?}");
+        for _ in 1..1_000 {
+            assert_eq!(p.handle(Request::Search { query: dentists() }), first);
+        }
+        for f in &fakes {
+            assert_eq!(f.calls.load(Ordering::Relaxed), 1_000, "one leg per backend per read");
+        }
+        assert_eq!(leg_threads(&p), 2, "N - 1 legs leave the calling thread");
+    }
+
+    #[test]
+    fn concurrent_readers_get_the_sequential_answers_from_a_bounded_pool() {
+        let (p, fakes) = proxy(vec![three_hit_backend(), three_hit_backend(), three_hit_backend()]);
+        let expected = p.handle(Request::Search { query: dentists() });
+        let p = Arc::new(p);
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let readers: Vec<_> = (0..8)
+            .map(|_| {
+                let (p, start) = (Arc::clone(&p), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..200).map(|_| p.handle(Request::Search { query: dentists() })).collect()
+                })
+            })
+            .collect();
+        for reader in readers {
+            let answers: Vec<Response> = reader.join().expect("reader thread");
+            assert!(answers.iter().all(|a| *a == expected));
+        }
+        for f in &fakes {
+            assert_eq!(f.calls.load(Ordering::Relaxed), 1 + 8 * 200);
+        }
+        let threads = leg_threads(&p);
+        assert!((2..=16).contains(&threads), "8 readers x 2 extra legs at most, got {threads}");
+    }
+
+    #[test]
+    fn a_panicking_leg_is_a_typed_error_and_the_next_read_is_served() {
+        // Backend 2's first call panics (on a leg thread); backend 0's
+        // second call panics (on the dispatch thread). Each read answers
+        // a typed error naming the backend, well inside its deadline, and
+        // the read after it is served by the same threads.
+        let panicky = |panic_on: u64| {
+            let calls = AtomicU64::new(0);
+            let healthy = three_hit_backend();
+            Fake::ok(move |r| {
+                if calls.fetch_add(1, Ordering::Relaxed) == panic_on {
+                    panic!("link bug");
+                }
+                healthy.call(r, None).expect("healthy fake").0
+            })
+        };
+        let (p, _) = proxy(vec![panicky(1), three_hit_backend(), panicky(0)]);
+        let p = Arc::new(p);
+        let read = |p: &Arc<ProxyService>| {
+            let (done, answer) = mpsc::channel();
+            let p = Arc::clone(p);
+            std::thread::spawn(move || {
+                let _ = done.send(p.handle(Request::Search { query: dentists() }));
+            });
+            answer.recv_timeout(std::time::Duration::from_secs(10)).expect("read within deadline")
+        };
+        for culprit in [2, 0] {
+            match read(&p) {
+                Response::Unavailable { detail } => {
+                    assert!(detail.starts_with(&format!("backend {culprit} ")), "{detail}");
+                    assert!(detail.contains("panicked: link bug"), "{detail}");
+                }
+                other => panic!("expected typed unavailable, got {other:?}"),
+            }
+        }
+        assert!(matches!(read(&p), Response::SearchResults { hits } if hits.len() == 3));
+        assert_eq!(leg_threads(&p), 2, "no leg thread died with its panic");
+        assert_eq!(p.obs().snapshot().counter("proxy_backend2_unavailable_total"), Some(1));
+    }
+
+    /// The kernel's id for the calling thread.
+    fn tid() -> String {
+        let link = std::fs::read_link("/proc/thread-self").expect("/proc/thread-self");
+        link.file_name().expect("task id").to_string_lossy().into_owned()
+    }
+
+    /// A thread's name as the kernel reports it, or None once it is gone.
+    fn comm(tid: &str) -> Option<String> {
+        std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
+            .ok()
+            .map(|name| name.trim_end().to_string())
+    }
+
+    #[test]
+    fn dropping_the_service_ends_its_leg_threads() {
+        // Each fake records which kernel thread served it, so the check
+        // below follows this service's threads only — other tests in the
+        // binary run proxies of their own in parallel.
+        let seen = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
+        let recording = || {
+            let seen = Arc::clone(&seen);
+            let healthy = three_hit_backend();
+            Fake::ok(move |r| {
+                seen.lock().insert(tid());
+                healthy.call(r, None).expect("healthy fake").0
+            })
+        };
+        let (p, _) = proxy(vec![recording(), recording(), recording()]);
+        for _ in 0..10 {
+            let answer = p.handle(Request::Search { query: dentists() });
+            assert!(matches!(answer, Response::SearchResults { .. }), "{answer:?}");
+        }
+        let mine = tid();
+        let legs: Vec<String> = seen.lock().iter().filter(|&t| *t != mine).cloned().collect();
+        assert_eq!(legs.len(), 2, "two leg threads served the extra legs: {legs:?}");
+        for t in &legs {
+            assert_eq!(comm(t).as_deref(), Some("proxy-leg"));
+        }
+        let obs = Arc::clone(p.obs());
+        drop(p);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while legs.iter().any(|t| comm(t).as_deref() == Some("proxy-leg")) {
+            assert!(std::time::Instant::now() < deadline, "leg threads outlived their service");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(obs.snapshot().gauge("proxy_fanout_threads"), Some(0));
     }
 }

@@ -52,8 +52,11 @@ const HISTOGRAM_CAP: usize = 20;
 /// [`AggregateParts::finalize`]: `mean_dwell_min` from an integer
 /// second-sum (addition over `i64` is associative, unlike `f64`), and
 /// `repeat_fraction` from two integer counts. `effort_points` entries are
-/// per-history values — independent of every other history — and the
-/// finalize step sorts them, so concatenation order cannot show through.
+/// per-history values — independent of every other history. The publish
+/// sorts them once ([`AggregateParts::sort_effort_points`]);
+/// [`AggregateParts::finalize`] still sorts, so concatenation order
+/// cannot show through, but on one node's parts or on N concatenated
+/// sorted legs it only merges already-sorted runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AggregateParts {
     /// The entity.
@@ -70,9 +73,17 @@ pub struct AggregateParts {
     pub dwell_secs: i64,
     /// Number of visit interactions behind `dwell_secs`.
     pub dwell_n: u64,
-    /// (interaction count, mean distance) per history, unsorted until
-    /// finalize.
+    /// (interaction count, mean distance) per history. Sorted when the
+    /// publisher built these parts; [`AggregateParts::merge`] concatenates
+    /// and finalize sorts, whatever order arrived.
     pub effort_points: Vec<(u64, f64)>,
+}
+
+/// The one canonical effort-point order: by interaction count, then by
+/// mean distance under IEEE total order. The publish presorts in it and
+/// finalize sorts in it, so a sort at finalize only merges sorted runs.
+fn effort_order<N: Ord>(a: &(N, f64), b: &(N, f64)) -> std::cmp::Ordering {
+    a.0.cmp(&b.0).then(a.1.total_cmp(&b.1))
 }
 
 /// The integer support behind an entity's inferences — all a search hit
@@ -161,6 +172,13 @@ impl AggregateParts {
         self.effort_points.extend(other.effort_points.iter().copied());
     }
 
+    /// Put the effort points in the canonical order `finalize` uses — the
+    /// publish does this once, so every fetch's finalize sorts runs that
+    /// are already in order.
+    pub fn sort_effort_points(&mut self) {
+        self.effort_points.sort_by(effort_order);
+    }
+
     /// The integer support counts, without touching an effort point.
     pub fn support(&self) -> SupportParts {
         SupportParts { histories: self.histories, repeats: self.repeats }
@@ -177,7 +195,7 @@ impl AggregateParts {
         let (_, repeat_fraction) = self.support().published(0);
         let mut effort_points: Vec<(usize, f64)> =
             self.effort_points.iter().map(|&(n, d)| (n as usize, d)).collect();
-        effort_points.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        effort_points.sort_by(effort_order);
         EntityAggregate {
             entity: self.entity,
             histories: self.histories as usize,
@@ -226,13 +244,17 @@ impl AggregatePublisher {
     /// histories — what a backend exports so a front-door proxy can merge
     /// per-backend partials into the exact whole-cluster aggregate.
     /// Accumulation runs in record-id order (the canonical order; the
-    /// accumulators are order-free, so this is belt and braces).
+    /// accumulators are order-free, so this is belt and braces). The
+    /// effort points leave sorted, exactly as the publish
+    /// (`ShardedIngest::aggregate_parts`) leaves them.
     pub fn parts_from_histories(
         entity: EntityId,
         mut histories: Vec<(RecordId, StoredHistory)>,
     ) -> AggregateParts {
         histories.sort_by_key(|(rid, _)| *rid);
-        Self::accumulate(entity, histories.iter().map(|(_, s)| s))
+        let mut parts = Self::accumulate(entity, histories.iter().map(|(_, s)| s));
+        parts.sort_effort_points();
+        parts
     }
 
     fn accumulate<'a>(
@@ -434,6 +456,25 @@ mod tests {
         let mut sum = SupportParts { histories: 3, repeats: 1 };
         sum.merge(SupportParts { histories: 2, repeats: 2 });
         assert_eq!(sum, SupportParts { histories: 5, repeats: 3 });
+    }
+
+    #[test]
+    fn published_parts_carry_effort_points_presorted_and_finalize_still_sorts() {
+        let mut store = HistoryStore::new();
+        for i in 0..12u8 {
+            add_history(&mut store, i, 5, 1 + (i as usize * 7 % 4), 90.0 - 7.5 * i as f64);
+        }
+        let histories: Vec<_> = store
+            .histories_for_entity(EntityId::new(5))
+            .map(|(rid, s)| (*rid, s.clone()))
+            .collect();
+        let parts = AggregatePublisher::parts_from_histories(EntityId::new(5), histories);
+        assert!(parts.effort_points.windows(2).all(|w| effort_order(&w[0], &w[1]).is_le()));
+        // The presort is a speed-up, not a contract: parts arriving in any
+        // order (an older peer, a hand-built leg) finalize identically.
+        let mut reversed = parts.clone();
+        reversed.effort_points.reverse();
+        assert_eq!(reversed.finalize(), parts.finalize());
     }
 
     #[test]

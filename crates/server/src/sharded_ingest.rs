@@ -33,6 +33,7 @@
 //! sequential reference (the other: admission decisions only ever depend
 //! on single-token or single-record state, never on cross-shard state).
 
+use crate::aggregates::AggregateParts;
 use crate::ingest::{IngestService, IngestStats, RejectReason};
 use crate::lockorder::{self, rank};
 use crate::sharded::shard_index;
@@ -504,20 +505,27 @@ impl ShardedIngest {
             .sum()
     }
 
-    /// Clone out every stored history grouped by entity, one brief shard
-    /// lock at a time — the aggregate-publish path, which walks the
-    /// whole store once instead of re-locking per entity.
-    pub fn histories_by_entity(
-        &self,
-    ) -> HashMap<EntityId, Vec<(RecordId, StoredHistory)>> {
-        let mut out: HashMap<EntityId, Vec<(RecordId, StoredHistory)>> = HashMap::new();
+    /// Every entity's mergeable aggregate parts — the aggregate-publish
+    /// path. It walks the whole store once, one brief shard lock at a
+    /// time, and folds each history into its entity's parts in place:
+    /// no history is cloned. The parts are order-free sums plus a list
+    /// sorted at the end, so they equal
+    /// [`crate::AggregatePublisher::parts_from_histories`] over the same
+    /// histories whatever the shard layout.
+    pub fn aggregate_parts(&self) -> HashMap<EntityId, AggregateParts> {
+        let mut out: HashMap<EntityId, AggregateParts> = HashMap::new();
         for shard in &self.shards {
             let _rank = lockorder::enter(rank::STORE_SHARD);
             self.store_locks.fetch_add(1, Relaxed);
             let store = shard.store.lock();
-            for (rid, stored) in store.iter() {
-                out.entry(stored.entity).or_default().push((*rid, stored.clone()));
+            for (_, stored) in store.iter() {
+                out.entry(stored.entity)
+                    .or_insert_with(|| AggregateParts::empty(stored.entity))
+                    .add(stored);
             }
+        }
+        for parts in out.values_mut() {
+            parts.sort_effort_points();
         }
         out
     }
@@ -673,6 +681,17 @@ mod tests {
         let ingest = ShardedIngest::new(8);
         for u in &ups {
             ingest.ingest(u, &key);
+        }
+        // The publish folds histories in place, shard by shard: the same
+        // parts, presorted, as from the cloned histories of each entity.
+        let published = ingest.aggregate_parts();
+        assert_eq!(published.len(), 5);
+        for (&entity, parts) in &published {
+            let cloned = crate::AggregatePublisher::parts_from_histories(
+                entity,
+                ingest.histories_for_entity(entity),
+            );
+            assert_eq!(*parts, cloned, "entity {entity:?}");
         }
         let entity = EntityId::new(2);
         let via_shards = crate::AggregatePublisher::from_histories(

@@ -131,9 +131,8 @@ fn render(
         ));
     }
 
-    // Connection health: the scraped process's own server core. The
-    // gauges only move on the event-loop transport (the reactor owns the
-    // slab); the counters are shared by both transports.
+    // Connection health: the scraped process's own server core — the
+    // epoll reactor's slab gauges and its accept/request/shed counters.
     let open = stats.gauge("net_open_connections").unwrap_or(0);
     let high = stats.gauge("net_slab_high_water").unwrap_or(0);
     if stats.counter("net_accepted_total").is_some() {
@@ -192,6 +191,11 @@ fn render(
                 failover,
                 lag,
             ));
+        }
+        // The proxy's long-lived fan-out threads: flat under steady load
+        // (at most concurrent reads x (backends - 1)), never per request.
+        if let Some(threads) = stats.gauge("proxy_fanout_threads") {
+            out.push_str(&format!("  fan-out threads: {threads}\n"));
         }
     }
 

@@ -48,8 +48,8 @@ echo "== proxy test suites (merge rules, routing/failure semantics, 3-backend di
 cargo test -q --release -p orsp-proxy
 cargo test -q --release -p orsp-proxy --test proxy_end_to_end
 
-echo "== benchmark smoke: every read answer equals the reference, no op fails (real proxy + 3x replicad; one in-process node) =="
-for workload in read_mix mixed_fresh; do
+echo "== benchmark smoke: every read answer equals the reference, no op fails, on all four workloads (the CRC sits on the upload, WAL and read paths) =="
+for workload in device_roundtrip ingest_open read_mix mixed_fresh; do
     last=$(bash benchmark/run.sh --quick --workload "$workload" | tail -n 1)
     case "$last" in
         *'"correct": true'*'"failed": 0,'*) ;;
