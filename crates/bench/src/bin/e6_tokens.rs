@@ -5,9 +5,10 @@
 //! require that every device present a valid token when anonymously
 //! uploading information."
 //!
-//! Measures: issue/redeem throughput, rejection of forged and
-//! double-spent tokens, rate-limit enforcement, and the success
-//! probability of the Ru-guessing attack the token scheme bounds.
+//! Measures: issue/redeem throughput at 256-, 512-, 1024- and 2048-bit
+//! moduli, rejection of forged and double-spent tokens, rate-limit
+//! enforcement, and the success probability of the Ru-guessing attack
+//! the token scheme bounds.
 
 use orsp_bench::{arg_u64, compare, f, header, seed_from_args};
 use orsp_crypto::{
@@ -23,35 +24,40 @@ fn main() {
     let n_tokens = arg_u64("tokens", 400);
     header("E6", "Blind rate-limit tokens — throughput and attack resistance");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut mint = TokenMint::new(&mut rng, 512, u32::MAX, SimDuration::DAY);
-    let mut wallet = TokenWallet::new(DeviceId::new(1), mint.public_key().clone());
     let now = Timestamp::EPOCH;
 
-    // Throughput.
-    let t0 = Instant::now();
-    for _ in 0..n_tokens {
-        wallet.request_token(&mut rng, &mut mint, now).unwrap();
-    }
-    let issue_elapsed = t0.elapsed();
-    let tokens: Vec<Token> = (0..n_tokens).map(|_| wallet.take_token().unwrap()).collect();
-    let t1 = Instant::now();
-    let mut accepted = 0;
-    for t in &tokens {
-        if mint.redeem(t, now) == SpendOutcome::Accepted {
-            accepted += 1;
+    // Throughput at each modulus size, fewer tokens at the larger ones.
+    // The 512-bit mint and its tokens go on to the attack checks below.
+    println!("\nBlind tokens by RSA modulus size (issue = blind + sign + unblind + verify;");
+    println!("redeem = verify + ledger):");
+    println!("  {:>5} {:>7} {:>14} {:>14}", "bits", "tokens", "issue tok/s", "redeem tok/s");
+    let mut kept = None;
+    let sizes = [(256, n_tokens), (512, n_tokens), (1024, n_tokens / 4), (2048, n_tokens / 10)];
+    for (bits, count) in sizes {
+        let count = count.max(1);
+        let mut mint = TokenMint::new(&mut rng, bits, u32::MAX, SimDuration::DAY);
+        let mut wallet = TokenWallet::new(DeviceId::new(1), mint.public_key().clone());
+        let t0 = Instant::now();
+        for _ in 0..count {
+            wallet.request_token(&mut rng, &mut mint, now).unwrap();
+        }
+        let issue_elapsed = t0.elapsed();
+        let tokens: Vec<Token> = (0..count).map(|_| wallet.take_token().unwrap()).collect();
+        let t1 = Instant::now();
+        let accepted =
+            tokens.iter().filter(|t| mint.redeem(t, now) == SpendOutcome::Accepted).count();
+        let redeem_elapsed = t1.elapsed();
+        assert_eq!(accepted, count as usize);
+        println!(
+            "  {bits:>5} {count:>7} {:>14} {:>14}",
+            f(count as f64 / issue_elapsed.as_secs_f64()),
+            f(count as f64 / redeem_elapsed.as_secs_f64())
+        );
+        if bits == 512 {
+            kept = Some((mint, tokens));
         }
     }
-    let redeem_elapsed = t1.elapsed();
-    println!("\nRSA-512 blind tokens (simulation-grade keys):");
-    println!(
-        "  issue (blind + sign + unblind + verify): {:>8} tokens/s",
-        f(n_tokens as f64 / issue_elapsed.as_secs_f64())
-    );
-    println!(
-        "  redeem (verify + ledger):                {:>8} tokens/s",
-        f(n_tokens as f64 / redeem_elapsed.as_secs_f64())
-    );
-    assert_eq!(accepted, n_tokens as usize);
+    let (mut mint, tokens) = kept.expect("the 512-bit size is measured");
 
     // Double spend: every replay is caught.
     let replays = tokens.iter().filter(|t| mint.redeem(t, now) == SpendOutcome::DoubleSpend).count();

@@ -1,11 +1,13 @@
 //! Arbitrary-precision unsigned integers.
 //!
 //! A deliberately small big-integer: little-endian `u64` limbs, schoolbook
-//! multiplication, shift-subtract division, square-and-multiply modular
-//! exponentiation, and an extended-Euclid modular inverse. RSA at the
-//! simulation-grade key sizes used here (512–1024 bits) needs nothing
-//! fancier, and simplicity-over-cleverness is the house style (cf. the
-//! smoltcp design notes in the networking guides).
+//! multiplication and Knuth-D division. Modular exponentiation by an odd
+//! modulus (every RSA modulus and prime) runs on fixed-width Montgomery
+//! kernels — CIOS multiplication into reused buffers, a 4-bit window for
+//! long exponents — and the odd-modulus inverse is a binary extended GCD
+//! in place on fixed-width limb buffers; even moduli keep
+//! square-and-multiply and extended Euclid. The served mint signs at 256
+//! bits and `e6_tokens` prices 256–2048; none of it is constant-time.
 
 use rand::Rng;
 use std::cmp::Ordering;
@@ -111,6 +113,13 @@ impl BigUint {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
         }
+    }
+
+    /// From little-endian limbs, trailing zeros allowed.
+    fn from_limbs(limbs: Vec<u64>) -> BigUint {
+        let mut n = BigUint { limbs };
+        n.normalize();
+        n
     }
 
     /// Addition.
@@ -362,12 +371,26 @@ impl BigUint {
         self.mul(other).rem(modulus)
     }
 
-    /// Modular exponentiation by square-and-multiply.
+    /// Modular exponentiation. An odd modulus (every RSA modulus and
+    /// prime) runs on the Montgomery kernel; an even one, where Montgomery
+    /// reduction is undefined, falls back to square-and-multiply over
+    /// [`BigUint::rem`].
     pub fn mod_pow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "mod_pow with zero modulus");
         if modulus.is_one() {
             return BigUint::zero();
         }
+        if !modulus.is_even() {
+            return Montgomery::new(modulus).pow(self, exponent);
+        }
+        self.square_and_multiply(exponent, modulus)
+    }
+
+    /// `self^exponent mod modulus` by right-to-left square-and-multiply,
+    /// allocating at every step. The even-modulus path of
+    /// [`BigUint::mod_pow`], and the oracle its Montgomery path is tested
+    /// against.
+    fn square_and_multiply(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         let mut result = BigUint::one();
         let mut base = self.rem(modulus);
         for i in 0..exponent.bit_len() {
@@ -427,60 +450,58 @@ impl BigUint {
         Some(if t0.0 && !mag.is_zero() { m.sub(&mag) } else { mag })
     }
 
-    /// Binary extended GCD inversion for odd `m`.
+    /// Binary extended GCD inversion for odd `m`, in place on
+    /// fixed-width buffers of `len(m) + 1` limbs: the extra limb holds the
+    /// `x + m` that halving an odd `x` modulo `m` passes through. Every
+    /// `x` stays in `[0, m)`, so nothing allocates inside the loop.
     fn mod_inverse_odd(&self, m: &BigUint) -> Option<BigUint> {
         debug_assert!(!m.is_even() && !m.is_one() && !m.is_zero());
         let a = self.rem(m);
         if a.is_zero() {
             return None;
         }
-        // Halve x modulo the odd m: x/2 if even, (x+m)/2 otherwise.
-        let half_mod = |x: BigUint| -> BigUint {
-            if x.is_even() {
-                x.shr(1)
-            } else {
-                x.add(m).shr(1)
-            }
-        };
-        let mut u = a;
+        let width = m.limbs.len() + 1;
+        let m = padded(m, width);
+        let mut u = padded(&a, width);
         let mut v = m.clone();
-        let mut x1 = BigUint::one();
-        let mut x2 = BigUint::zero();
-        while !u.is_one() && !v.is_one() {
-            if u.is_zero() || v.is_zero() {
+        let mut x1 = padded(&BigUint::one(), width);
+        let mut x2 = vec![0u64; width];
+        // Halve x modulo the odd m: x/2 if even, (x+m)/2 otherwise.
+        let half_mod = |x: &mut [u64]| {
+            if x[0] & 1 == 1 {
+                add_limbs(x, &m);
+            }
+            shr1_limbs(x);
+        };
+        // x = (x - y) mod m, for x, y in [0, m).
+        let sub_mod = |x: &mut [u64], y: &[u64]| {
+            if cmp_limbs(x, y) == Ordering::Less {
+                add_limbs(x, &m);
+            }
+            sub_limbs(x, y);
+        };
+        while !is_one_limbs(&u) && !is_one_limbs(&v) {
+            if is_zero_limbs(&u) || is_zero_limbs(&v) {
                 // gcd(a, m) > 1 — no inverse.
                 return None;
             }
-            while u.is_even() {
-                u = u.shr(1);
-                x1 = half_mod(x1);
+            while u[0] & 1 == 0 {
+                shr1_limbs(&mut u);
+                half_mod(&mut x1);
             }
-            while v.is_even() {
-                v = v.shr(1);
-                x2 = half_mod(x2);
+            while v[0] & 1 == 0 {
+                shr1_limbs(&mut v);
+                half_mod(&mut x2);
             }
-            if u.cmp_big(&v) != Ordering::Less {
-                u = u.sub(&v);
-                // x1 = (x1 - x2) mod m
-                x1 = match x1.checked_sub(&x2) {
-                    Some(d) => d,
-                    None => x1.add(m).sub(&x2),
-                };
+            if cmp_limbs(&u, &v) != Ordering::Less {
+                sub_limbs(&mut u, &v);
+                sub_mod(&mut x1, &x2);
             } else {
-                v = v.sub(&u);
-                x2 = match x2.checked_sub(&x1) {
-                    Some(d) => d,
-                    None => x2.add(m).sub(&x1),
-                };
+                sub_limbs(&mut v, &u);
+                sub_mod(&mut x2, &x1);
             }
         }
-        if u.is_one() {
-            Some(x1.rem(m))
-        } else if v.is_one() {
-            Some(x2.rem(m))
-        } else {
-            None
-        }
+        Some(BigUint::from_limbs(if is_one_limbs(&u) { x1 } else { x2 }))
     }
 
     /// Uniform random value in `[0, bound)`. Panics if `bound` is zero.
@@ -519,6 +540,200 @@ impl BigUint {
         assert!(bits >= 1);
         let n = Self::random_bits(rng, bits);
         n.set_bit(bits - 1)
+    }
+}
+
+/// Montgomery arithmetic modulo one fixed odd modulus `n` of `k` limbs.
+///
+/// Values live in Montgomery form `x·R mod n` with `R = 2^(64k)`, as
+/// `k`-limb slices. One multiplication is CIOS (coarsely integrated
+/// operand scanning: multiply and reduce interleaved limb by limb) into a
+/// reused `k + 2`-limb scratch buffer, so [`Montgomery::pow`] allocates
+/// its buffers once and nothing inside its loop. Build the context once
+/// per modulus and reuse it: it costs one division (`R² mod n`).
+#[derive(Clone)]
+pub(crate) struct Montgomery {
+    modulus: BigUint,
+    /// `−n⁻¹ mod 2⁶⁴`.
+    n0: u64,
+    /// `R² mod n`, padded to `k` limbs: multiplying by it enters
+    /// Montgomery form.
+    r2: Vec<u64>,
+}
+
+impl Montgomery {
+    /// The context for an odd `modulus`. Panics if it is even, where
+    /// Montgomery reduction is undefined.
+    pub(crate) fn new(modulus: &BigUint) -> Self {
+        assert!(!modulus.is_even(), "Montgomery needs an odd modulus");
+        let k = modulus.limbs.len();
+        // Newton's iteration doubles the correct low bits of n⁻¹ mod 2⁶⁴
+        // at every step; an odd n is its own inverse mod 8, so five steps
+        // take 3 bits to 96.
+        let low = modulus.limbs[0];
+        let mut inv = low;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(low.wrapping_mul(inv)));
+        }
+        let r2 = BigUint::one().shl(128 * k).rem(modulus);
+        Montgomery { modulus: modulus.clone(), n0: inv.wrapping_neg(), r2: padded(&r2, k) }
+    }
+
+    /// The modulus.
+    pub(crate) fn modulus(&self) -> &BigUint {
+        &self.modulus
+    }
+
+    /// `a·b·R⁻¹ mod n` for `k`-limb `a, b < n`, left in `t[..k]`;
+    /// `t` has `k + 2` limbs.
+    fn mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let n = &self.modulus.limbs;
+        let k = n.len();
+        t.fill(0);
+        for &b_i in b {
+            // t += a·b_i
+            let mut carry = 0u64;
+            for (t_j, &a_j) in t.iter_mut().zip(a) {
+                let s = *t_j as u128 + a_j as u128 * b_i as u128 + carry as u128;
+                *t_j = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            let s = t[k] as u128 + carry as u128;
+            t[k] = s as u64;
+            t[k + 1] = (s >> 64) as u64;
+            // t = (t + m·n) / 2⁶⁴, with m chosen so the low limb cancels.
+            let m = t[0].wrapping_mul(self.n0);
+            let s = t[0] as u128 + m as u128 * n[0] as u128;
+            let mut carry = (s >> 64) as u64;
+            for j in 1..k {
+                let s = t[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
+                t[j - 1] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            let s = t[k] as u128 + carry as u128;
+            t[k - 1] = s as u64;
+            t[k] = t[k + 1] + (s >> 64) as u64;
+        }
+        // t < 2n: one conditional subtraction lands it in [0, n). When
+        // t[k] is set, the borrow out of t[..k] cancels it.
+        if t[k] != 0 || cmp_limbs(&t[..k], n) != Ordering::Less {
+            sub_limbs(&mut t[..k], n);
+        }
+    }
+
+    /// `acc = acc·b·R⁻¹ mod n`, through the scratch buffer `t`.
+    fn mul_assign(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
+        self.mul(acc, b, t);
+        acc.copy_from_slice(&t[..acc.len()]);
+    }
+
+    /// `acc = acc²·R⁻¹ mod n`, through the scratch buffer `t`.
+    fn square_assign(&self, acc: &mut [u64], t: &mut [u64]) {
+        self.mul(acc, acc, t);
+        acc.copy_from_slice(&t[..acc.len()]);
+    }
+
+    /// `base^exponent mod n`. Exponents up to 64 bits (a public `e`) run
+    /// left-to-right binary; longer ones a fixed 4-bit window over a
+    /// 16-entry table of `base^i`. Not constant-time.
+    pub(crate) fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        let k = self.modulus.limbs.len();
+        if exponent.is_zero() {
+            return BigUint::one().rem(&self.modulus);
+        }
+        let mut t = vec![0u64; k + 2];
+        let mut base_m = padded(&base.rem(&self.modulus), k);
+        self.mul_assign(&mut base_m, &self.r2, &mut t);
+        let bits = exponent.bit_len();
+        let mut acc = base_m.clone();
+        if bits <= 64 {
+            for i in (0..bits - 1).rev() {
+                self.square_assign(&mut acc, &mut t);
+                if exponent.bit(i) {
+                    self.mul_assign(&mut acc, &base_m, &mut t);
+                }
+            }
+        } else {
+            let nibble = |w: usize| (exponent.limbs[w / 16] >> (4 * (w % 16))) as usize & 0xf;
+            // table[i] = base^i in Montgomery form; table[0] = R mod n.
+            let mut table = vec![0u64; 16 * k];
+            let mut one = vec![0u64; k];
+            one[0] = 1;
+            self.mul(&one, &self.r2, &mut t);
+            table[..k].copy_from_slice(&t[..k]);
+            for i in 1..16 {
+                let (done, rest) = table.split_at_mut(i * k);
+                self.mul(&done[(i - 1) * k..], &base_m, &mut t);
+                rest[..k].copy_from_slice(&t[..k]);
+            }
+            let windows = bits.div_ceil(4);
+            let top = nibble(windows - 1);
+            acc.copy_from_slice(&table[top * k..(top + 1) * k]);
+            for w in (0..windows - 1).rev() {
+                for _ in 0..4 {
+                    self.square_assign(&mut acc, &mut t);
+                }
+                let i = nibble(w);
+                if i != 0 {
+                    self.mul_assign(&mut acc, &table[i * k..(i + 1) * k], &mut t);
+                }
+            }
+        }
+        // Leave Montgomery form: multiply by a plain 1.
+        let mut one = vec![0u64; k];
+        one[0] = 1;
+        self.mul_assign(&mut acc, &one, &mut t);
+        BigUint::from_limbs(acc)
+    }
+}
+
+/// `x`'s limbs zero-extended to `width` (`x` must fit).
+fn padded(x: &BigUint, width: usize) -> Vec<u64> {
+    let mut limbs = x.limbs.clone();
+    limbs.resize(width, 0);
+    limbs
+}
+
+/// Compare equal-width limb slices.
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
+    a.iter().rev().cmp(b.iter().rev())
+}
+
+fn is_zero_limbs(x: &[u64]) -> bool {
+    x.iter().all(|&l| l == 0)
+}
+
+fn is_one_limbs(x: &[u64]) -> bool {
+    x[0] == 1 && is_zero_limbs(&x[1..])
+}
+
+/// `x += y` over equal widths, dropping the carry out of the top limb.
+fn add_limbs(x: &mut [u64], y: &[u64]) {
+    let mut carry = false;
+    for (a, &b) in x.iter_mut().zip(y) {
+        let (s1, c1) = a.overflowing_add(b);
+        let (s2, c2) = s1.overflowing_add(carry as u64);
+        *a = s2;
+        carry = c1 | c2;
+    }
+}
+
+/// `x -= y` over equal widths, dropping the borrow out of the top limb.
+fn sub_limbs(x: &mut [u64], y: &[u64]) {
+    let mut borrow = false;
+    for (a, &b) in x.iter_mut().zip(y) {
+        let (d1, b1) = a.overflowing_sub(b);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *a = d2;
+        borrow = b1 | b2;
+    }
+}
+
+/// `x >>= 1`.
+fn shr1_limbs(x: &mut [u64]) {
+    for i in 0..x.len() {
+        let hi = x.get(i + 1).map_or(0, |&l| l << 63);
+        x[i] = (x[i] >> 1) | hi;
     }
 }
 
@@ -746,6 +961,130 @@ mod tests {
         for bits in [1usize, 7, 64, 65, 128, 257] {
             let v = BigUint::random_exact_bits(&mut rng, bits);
             assert_eq!(v.bit_len(), bits, "bits={bits}");
+        }
+    }
+
+    /// The allocating binary extended GCD `mod_inverse_odd` replaced: the
+    /// oracle for the in-place one.
+    fn mod_inverse_odd_reference(a: &BigUint, m: &BigUint) -> Option<BigUint> {
+        let a = a.rem(m);
+        if a.is_zero() {
+            return None;
+        }
+        let half_mod = |x: BigUint| -> BigUint {
+            if x.is_even() {
+                x.shr(1)
+            } else {
+                x.add(m).shr(1)
+            }
+        };
+        let mut u = a;
+        let mut v = m.clone();
+        let mut x1 = BigUint::one();
+        let mut x2 = BigUint::zero();
+        while !u.is_one() && !v.is_one() {
+            if u.is_zero() || v.is_zero() {
+                return None;
+            }
+            while u.is_even() {
+                u = u.shr(1);
+                x1 = half_mod(x1);
+            }
+            while v.is_even() {
+                v = v.shr(1);
+                x2 = half_mod(x2);
+            }
+            if u.cmp_big(&v) != Ordering::Less {
+                u = u.sub(&v);
+                x1 = match x1.checked_sub(&x2) {
+                    Some(d) => d,
+                    None => x1.add(m).sub(&x2),
+                };
+            } else {
+                v = v.sub(&u);
+                x2 = match x2.checked_sub(&x1) {
+                    Some(d) => d,
+                    None => x2.add(m).sub(&x1),
+                };
+            }
+        }
+        if u.is_one() {
+            Some(x1.rem(m))
+        } else {
+            Some(x2.rem(m))
+        }
+    }
+
+    /// Odd moduli of exactly `limbs` limbs: a random one, `2^(64·limbs) − 1`,
+    /// and (above one limb) one whose top limb is 1.
+    fn odd_moduli(rng: &mut StdRng, limbs: usize) -> Vec<BigUint> {
+        let random = BigUint::random_exact_bits(rng, 64 * limbs).set_bit(0);
+        let all_ones = BigUint::one().shl(64 * limbs).sub(&BigUint::one());
+        let mut moduli = vec![random, all_ones];
+        if limbs > 1 {
+            let low = BigUint::random_bits(rng, 64 * (limbs - 1)).set_bit(0);
+            moduli.push(BigUint::one().shl(64 * (limbs - 1)).add(&low));
+        }
+        moduli
+    }
+
+    #[test]
+    fn montgomery_pow_matches_square_and_multiply() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for limbs in 1..=32 {
+            for m in odd_moduli(&mut rng, limbs) {
+                let bases = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    m.sub(&BigUint::one()),
+                    m.clone(),
+                    m.add(&BigUint::random_below(&mut rng, &m)),
+                    BigUint::random_below(&mut rng, &m),
+                ];
+                let full = BigUint::random_exact_bits(&mut rng, m.bit_len());
+                let exponents = [BigUint::zero(), BigUint::one(), big(65_537), full];
+                let ctx = Montgomery::new(&m);
+                for (i, base) in bases.iter().enumerate() {
+                    for (j, exponent) in exponents.iter().enumerate() {
+                        // Full-width references at 32 limbs are slow in a
+                        // debug build: two bases per modulus carry them.
+                        if j == 3 && i < 4 {
+                            continue;
+                        }
+                        let expected = base.square_and_multiply(exponent, &m);
+                        let got = ctx.pow(base, exponent);
+                        assert_eq!(got, expected, "limbs={limbs} base#{i} exp#{j}");
+                        assert_eq!(base.mod_pow(exponent, &m), expected);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mod_inverse_odd_matches_allocating_reference() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for limbs in 1..=32 {
+            for m in odd_moduli(&mut rng, limbs) {
+                let mut values = vec![
+                    BigUint::zero(),
+                    BigUint::one(),
+                    m.sub(&BigUint::one()),
+                    m.add(&BigUint::from_u64(2)),
+                    // Shares the factor 3 with m whenever 3 divides m.
+                    big(3),
+                ];
+                for _ in 0..4 {
+                    values.push(BigUint::random_below(&mut rng, &m));
+                }
+                for a in values {
+                    let inv = a.mod_inverse(&m);
+                    assert_eq!(inv, mod_inverse_odd_reference(&a, &m), "limbs={limbs} a={a:?}");
+                    if let Some(inv) = inv {
+                        assert!(a.mul_mod(&inv, &m).is_one());
+                    }
+                }
+            }
         }
     }
 

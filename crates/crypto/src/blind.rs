@@ -88,8 +88,20 @@ impl BlindingSession {
 /// The mint's half: sign a blinded message with the private key. A thin
 /// wrapper so the mint's code never accidentally hashes or inspects the
 /// value (it *can't* learn anything, but the type makes intent explicit).
+/// Panics if the signature fails its CRT self-check; a serving mint calls
+/// [`try_sign_blinded`].
 pub fn sign_blinded(keypair: &RsaKeyPair, blinded: &BlindedMessage) -> BlindSignature {
     BlindSignature(keypair.apply_private(&blinded.0))
+}
+
+/// [`sign_blinded`] that returns the CRT self-check's failure as an
+/// [`orsp_types::OrspError::Crypto`] and withholds the faulty signature
+/// (see [`RsaKeyPair::try_apply_private`]).
+pub fn try_sign_blinded(
+    keypair: &RsaKeyPair,
+    blinded: &BlindedMessage,
+) -> orsp_types::Result<BlindSignature> {
+    keypair.try_apply_private(&blinded.0).map(BlindSignature)
 }
 
 /// Verify an unblinded token signature against the mint's public key.
@@ -149,6 +161,28 @@ mod tests {
         let sig = session.unblind(&sign_blinded(&kp, &blinded)).unwrap();
         assert!(verify_unblinded(&kp.public, b"tok-A", &sig));
         assert!(!verify_unblinded(&kp.public, b"tok-B", &sig));
+    }
+
+    #[test]
+    fn non_canonical_token_signature_is_refused() {
+        let (kp, mut rng) = setup(6);
+        let msg = b"token-alias";
+        let (session, blinded) = BlindingSession::blind(&mut rng, &kp.public, msg);
+        let sig = session.unblind(&sign_blinded(&kp, &blinded)).unwrap();
+        assert!(verify_unblinded(&kp.public, msg, &sig));
+        assert!(!verify_unblinded(&kp.public, msg, &sig.add(&kp.public.n)));
+    }
+
+    #[test]
+    fn faulty_mint_withholds_the_signature() {
+        let (kp, mut rng) = setup(7);
+        let faulty = kp.with_corrupted_dp();
+        let (_, blinded) = BlindingSession::blind(&mut rng, &kp.public, b"tok");
+        assert!(try_sign_blinded(&kp, &blinded).is_ok());
+        assert!(matches!(
+            try_sign_blinded(&faulty, &blinded),
+            Err(orsp_types::OrspError::Crypto(_))
+        ));
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!
 //! ## Security posture
 //!
-//! This is **simulation-grade** cryptography: key sizes default to 512-bit
-//! RSA so that experiments run quickly, there is no padding (signatures are
-//! over fixed-length digests), and no constant-time discipline. The
+//! This is **simulation-grade** cryptography: the served mint uses 256-bit
+//! RSA (signing by CRT, each signature checked before release), there is
+//! no padding (signatures are over fixed-length digests), and no
+//! constant-time discipline. The
 //! *protocol semantics* — blindness, unlinkability, unforgeability against
 //! the simulated adversary, double-spend detection — are real and are what
 //! the paper's design depends on; the parameters are not deployment-ready.

@@ -7,7 +7,7 @@
 //! token has not been spent before.
 
 use crate::bigint::BigUint;
-use crate::blind::{sign_blinded, verify_unblinded, BlindedMessage, BlindingSession};
+use crate::blind::{try_sign_blinded, verify_unblinded, BlindedMessage, BlindingSession};
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
 use crate::sha256::sha256;
 use orsp_types::{DeviceId, OrspError, SimDuration, Timestamp};
@@ -150,7 +150,7 @@ impl TokenMint {
         now: Timestamp,
     ) -> orsp_types::Result<crate::blind::BlindSignature> {
         self.authorize(device, now)?;
-        Ok(sign_blinded(&self.keypair, blinded))
+        try_sign_blinded(&self.keypair, blinded)
     }
 
     /// Redeem a token at time `now`: verify the signature, then check and
@@ -209,7 +209,7 @@ impl TokenIssuer for &Mutex<TokenMint> {
             mint.authorize(device, now)?;
             mint.keypair_handle()
         };
-        Ok(sign_blinded(&keypair, blinded))
+        try_sign_blinded(&keypair, blinded)
     }
 }
 
@@ -282,6 +282,7 @@ impl TokenWallet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orsp_types::rng::rng_for;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -438,6 +439,40 @@ mod tests {
             SpendOutcome::Invalid
         );
         assert_eq!(mint.spent_total(), 1, "invalid tokens never touch the ledger");
+    }
+
+    #[test]
+    fn served_mint_key_and_blind_signature_are_pinned() {
+        // The served pipeline's mint (`PipelineConfig::default()`: 256
+        // bits from the "pipeline" stream) at world seed 13, and one blind
+        // signature, recorded from the square-and-multiply, non-CRT
+        // implementation.
+        use crate::rsa::tests::from_hex;
+        let mint = TokenMint::new(&mut rng_for(13, "pipeline"), 256, 1, SimDuration::DAY);
+        let keypair = mint.keypair_handle();
+        assert_eq!(
+            keypair.public.n,
+            from_hex("8238b3309bbaaa6317e366f7c8d93a3d59b756213666eb46362cab8a6a264367")
+        );
+        let mut rng = StdRng::seed_from_u64(13);
+        let (_, blinded) = BlindingSession::blind(&mut rng, &keypair.public, b"golden token");
+        assert_eq!(
+            blinded.0,
+            from_hex("60a786f67da34cd76340b5be86152aad571969619031769c342d0b978b9fcb73")
+        );
+        assert_eq!(
+            try_sign_blinded(&keypair, &blinded).unwrap().0,
+            from_hex("73d022fdf67d63026b3e075127db3c6960753da9ca71498c064a95b01dc2d5b8")
+        );
+    }
+
+    #[test]
+    fn faulty_mint_returns_an_error_not_a_signature() {
+        let (mut mint, mut wallet, mut rng) = setup(11, 10);
+        mint.keypair = Arc::new(mint.keypair.with_corrupted_dp());
+        let err = wallet.request_token(&mut rng, &mut mint, Timestamp::EPOCH).unwrap_err();
+        assert!(matches!(err, OrspError::Crypto(_)), "{err}");
+        assert_eq!(wallet.balance(), 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! reversed.
 
 use crate::wire::{Request, Response, SearchHit};
-use orsp_crypto::blind::{sign_blinded, verify_unblinded};
+use orsp_crypto::blind::{try_sign_blinded, verify_unblinded};
 use orsp_crypto::{RsaPublicKey, TokenMint};
 use orsp_obs::{trace, Counter, Histogram, Registry, TraceContext};
 use orsp_search::{InferredSummary, Ranker, ReviewSummary, SearchIndex, SearchQuery};
@@ -163,6 +163,10 @@ struct RouterMetrics {
     rpc_replicate_us: Histogram,
     rpc_catch_up_us: Histogram,
     rpc_search_parts_us: Histogram,
+    /// The RSA halves of `IssueToken` and `Upload`: one blind signature,
+    /// one token verification.
+    mint_sign_us: Histogram,
+    upload_verify_us: Histogram,
     mint_issued_total: Counter,
     mint_denied_total: Counter,
     ingest_accepted_total: Counter,
@@ -188,6 +192,8 @@ impl RouterMetrics {
             rpc_replicate_us: obs.histogram("rpc_replicate_us"),
             rpc_catch_up_us: obs.histogram("rpc_catch_up_us"),
             rpc_search_parts_us: obs.histogram("rpc_search_parts_us"),
+            mint_sign_us: obs.histogram("mint_sign_us"),
+            upload_verify_us: obs.histogram("upload_verify_us"),
             mint_issued_total: obs.counter("mint_issued_total"),
             mint_denied_total: obs.counter("mint_denied_total"),
             ingest_accepted_total: obs.counter("ingest_accepted_total"),
@@ -440,9 +446,16 @@ impl RspService {
                         }
                     }
                 };
-                let signature = sign_blinded(&keypair, &blinded);
-                self.metrics.mint_issued_total.inc();
-                Response::TokenIssued { signature }
+                let sign_span = self.obs.span_into(&self.metrics.mint_sign_us);
+                let signed = try_sign_blinded(&keypair, &blinded);
+                sign_span.end();
+                match signed {
+                    Ok(signature) => {
+                        self.metrics.mint_issued_total.inc();
+                        Response::TokenIssued { signature }
+                    }
+                    Err(e) => Response::Error { detail: e.to_string() },
+                }
             }
             Request::Upload { upload, now: _ } => {
                 // A demoted range refuses writes *before* the token is
@@ -456,11 +469,13 @@ impl RspService {
                 // No lock for the signature check (pure RSA against the
                 // cached key), then the ingest domain routes to the
                 // token's ledger shard and the record's store shard.
+                let verify_span = self.obs.span_into(&self.metrics.upload_verify_us);
                 let valid = verify_unblinded(
                     &self.mint_public,
                     &upload.token.message,
                     &upload.token.signature,
                 );
+                verify_span.end();
                 match self.ingest.ingest_verified(&upload, valid) {
                     IngestOutcome::Accepted => {
                         self.metrics.ingest_accepted_total.inc();
@@ -763,6 +778,47 @@ mod tests {
             Response::UploadRejected { reason: orsp_server::RejectReason::BadToken }
         );
         assert_eq!(svc.ingest_stats().bad_token, 1);
+    }
+
+    #[test]
+    fn upload_rejects_a_non_canonical_signature() {
+        // sig + n passes `sig^e ≡ h (mod n)` but is not the signature the
+        // mint issued; it must be refused like a forgery, and the honest
+        // token stays spendable.
+        let svc = service(4);
+        let public = svc.mint_public_key();
+        let mut rng = rng_for(10, "router-test-alias");
+        let mut wallet = TokenWallet::new(DeviceId::new(4), public.clone());
+        wallet.request_token(&mut rng, &mut ServiceIssuer(&svc), Timestamp::EPOCH).unwrap();
+        let token = wallet.take_token().unwrap();
+        let upload = |token: Token| orsp_client::UploadRequest {
+            record_id: orsp_types::RecordId::from_bytes([2; 32]),
+            entity: EntityId::new(1),
+            interaction: orsp_types::Interaction {
+                kind: orsp_types::InteractionKind::Visit,
+                start: Timestamp::EPOCH,
+                duration: SimDuration::minutes(30),
+                distance_travelled_m: 100.0,
+                group_size: 1,
+            },
+            token,
+            release_at: Timestamp::EPOCH,
+        };
+        let alias = Token { signature: token.signature.add(&public.n), ..token.clone() };
+        assert_eq!(
+            svc.handle(Request::Upload { upload: upload(alias), now: Timestamp::EPOCH }),
+            Response::UploadRejected { reason: orsp_server::RejectReason::BadToken }
+        );
+        assert_eq!(
+            svc.handle(Request::Upload { upload: upload(token), now: Timestamp::EPOCH }),
+            Response::UploadAccepted
+        );
+        // Both RSA halves are timed into their own histograms.
+        let Response::Stats { snapshot } = svc.handle(Request::Stats) else {
+            panic!("Stats answers with a snapshot");
+        };
+        assert_eq!(snapshot.histogram("mint_sign_us").map(|h| h.count), Some(1));
+        assert_eq!(snapshot.histogram("upload_verify_us").map(|h| h.count), Some(2));
     }
 
     #[test]

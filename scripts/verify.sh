@@ -23,6 +23,10 @@ while [ "$i" -lt 200 ]; do
     i=$((i + 1))
 done
 
+echo "== crypto (Montgomery kernels and in-place inverse vs their oracles, CRT vs direct, golden keys; E6 prices 256-2048-bit tokens and asserts its shape checks) =="
+cargo test -q --release -p orsp-crypto
+cargo run --release -p orsp-bench --bin e6_tokens
+
 echo "== net test suites (codec proptests, frame reassembly, TCP integration, idle fleet of 5000 on 4 workers, end-to-end digest) =="
 cargo test -q --release -p orsp-net --test wire_proptests
 cargo test -q --release -p orsp-net --test frame_reassembly
