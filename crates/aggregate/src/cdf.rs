@@ -4,8 +4,6 @@
 //! entities" / "of queries" against a log-scaled count axis); this type
 //! computes, evaluates, and exports them.
 
-use serde::Serialize;
-
 /// An empirical CDF over `f64` samples.
 ///
 /// ```
@@ -14,7 +12,7 @@ use serde::Serialize;
 /// assert_eq!(cdf.median(), Some(3.0));
 /// assert_eq!(cdf.fraction_at_or_below(2.0), 0.4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalCdf {
     sorted: Vec<f64>,
 }

@@ -1,11 +1,9 @@
 //! Histograms with explicit bin edges (Figure 3a's visits-per-user bars).
 
-use serde::Serialize;
-
 /// A histogram over `f64` values with explicit right-open bins
 /// `[edge[i], edge[i+1])`; values at or beyond the last edge land in an
 /// overflow bin.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     edges: Vec<f64>,
     counts: Vec<u64>,

@@ -7,13 +7,12 @@
 //! might ship instead — channel ids derived from a device-stable
 //! identifier — which the linkage-attack evaluator happily demolishes.
 
-use orsp_client::UploadRequest;
 use orsp_crypto::sha256::sha256;
+use orsp_crypto::UploadRequest;
 use orsp_types::{DeviceId, EntityId, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an anonymous channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChannelId(pub [u8; 16]);
 
 impl ChannelId {
@@ -24,7 +23,7 @@ impl ChannelId {
 }
 
 /// How channel ids are derived — the privacy-relevant design choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkageScheme {
     /// Paper design: channel id = `H(device secret salt ‖ entity)` where
     /// the salt never leaves the device; two channels of one device are

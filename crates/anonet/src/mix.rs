@@ -106,8 +106,7 @@ impl BatchMix {
 mod tests {
     use super::*;
     use crate::channel::LinkageScheme;
-    use orsp_client::UploadRequest;
-    use orsp_crypto::{BigUint, Token};
+    use orsp_crypto::{BigUint, Token, UploadRequest};
     use orsp_types::{
         DeviceId, EntityId, Interaction, InteractionKind, RecordId,
     };
@@ -209,8 +208,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::channel::LinkageScheme;
-    use orsp_client::UploadRequest;
-    use orsp_crypto::{BigUint, Token};
+    use orsp_crypto::{BigUint, Token, UploadRequest};
     use orsp_types::{DeviceId, EntityId, Interaction, InteractionKind, RecordId};
     use proptest::prelude::*;
 

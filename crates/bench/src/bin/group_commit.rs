@@ -59,7 +59,7 @@ impl Point {
     }
 }
 
-fn upload(serial: u64, seed: u64) -> orsp_client::UploadRequest {
+fn upload(serial: u64, seed: u64) -> orsp_crypto::UploadRequest {
     let mut id = [0u8; 32];
     id[..8].copy_from_slice(&serial.to_le_bytes());
     id[8..16].copy_from_slice(&seed.to_le_bytes());
@@ -68,7 +68,7 @@ fn upload(serial: u64, seed: u64) -> orsp_client::UploadRequest {
     message[..8].copy_from_slice(&serial.to_le_bytes());
     message[8..16].copy_from_slice(&seed.to_le_bytes());
     message[16] = 0x9A;
-    orsp_client::UploadRequest {
+    orsp_crypto::UploadRequest {
         record_id: RecordId::from_bytes(id),
         entity: EntityId::new(1 + serial % 997),
         interaction: Interaction::solo(
@@ -125,7 +125,7 @@ fn run_point(
 
     // Pre-build every upload so the timed region is admission + WAL +
     // fsync, nothing else.
-    let batches: Vec<Vec<orsp_client::UploadRequest>> = (0..uploaders)
+    let batches: Vec<Vec<orsp_crypto::UploadRequest>> = (0..uploaders)
         .map(|t| {
             (0..per_thread).map(|i| upload(t as u64 * per_thread + i, seed)).collect()
         })

@@ -29,11 +29,9 @@
 
 use orsp_bench::{arg_u64, f, header, seed_from_args};
 use orsp_net::{NetError, ReplicaHook, ReplicateOutcome, Request, Response};
-use orsp_replica::{
-    PeerLink, RangeInit, ReplicaNode, ReplicatingSink, ReplicationMode, Role, Topology,
-};
+use orsp_replica::{PeerLink, RangeInit, ReplicaNode, ReplicatingSink, ReplicationMode, Role};
 use orsp_server::{
-    shard_index, GroupCommitConfig, IngestOutcome, ShardedIngest, WalSink,
+    shard_index, GroupCommitConfig, IngestOutcome, ShardedIngest, Topology, WalSink,
 };
 use orsp_storage::{FsDir, FsyncPolicy, StorageEngine, StorageOptions};
 use orsp_types::{EntityId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp};
@@ -52,7 +50,7 @@ fn options() -> StorageOptions {
 
 /// An upload whose record id lands in hash range 0 of a 2-node ring, so
 /// a single replica set (primary + one follower) sees every write.
-fn upload(serial: u64, seed: u64) -> orsp_client::UploadRequest {
+fn upload(serial: u64, seed: u64) -> orsp_crypto::UploadRequest {
     let mut id = [0u8; 32];
     // `shard_index` is the id's first 8 LE bytes mod n: an even value
     // is range 0 of 2 by construction.
@@ -64,7 +62,7 @@ fn upload(serial: u64, seed: u64) -> orsp_client::UploadRequest {
     message[..8].copy_from_slice(&serial.to_le_bytes());
     message[8..16].copy_from_slice(&seed.to_le_bytes());
     message[16] = 0xB3;
-    orsp_client::UploadRequest {
+    orsp_crypto::UploadRequest {
         record_id: RecordId::from_bytes(id),
         entity: EntityId::new(1 + serial % 997),
         interaction: Interaction::solo(
@@ -126,7 +124,7 @@ impl Point {
 }
 
 fn drive(ingest: &ShardedIngest, uploaders: usize, per_thread: u64, seed: u64) -> f64 {
-    let batches: Vec<Vec<orsp_client::UploadRequest>> = (0..uploaders)
+    let batches: Vec<Vec<orsp_crypto::UploadRequest>> = (0..uploaders)
         .map(|t| (0..per_thread).map(|i| upload(t as u64 * per_thread + i, seed)).collect())
         .collect();
     let t0 = Instant::now();

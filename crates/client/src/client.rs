@@ -12,8 +12,8 @@ use crate::history::LocalHistoryStore;
 use crate::mapper::EntityMapper;
 use crate::sessionizer::{SessionizerConfig, VisitSessionizer};
 use crate::transparency::TransparencyLog;
-use crate::uploader::{UploadRequest, UploadScheduler};
-use orsp_crypto::{DeviceSecret, TokenIssuer, TokenWallet};
+use crate::uploader::UploadScheduler;
+use orsp_crypto::{DeviceSecret, TokenIssuer, TokenWallet, UploadRequest};
 use orsp_sensors::SensorTrace;
 use orsp_types::{
     DeviceId, EntityId, Interaction, InteractionKind, SimDuration, Timestamp,

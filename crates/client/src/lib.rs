@@ -45,4 +45,6 @@ pub use history::LocalHistoryStore;
 pub use mapper::{EntityDirectory, EntityMapper};
 pub use sessionizer::{DetectedVisit, SessionizerConfig, VisitSessionizer};
 pub use transparency::{InferenceEntry, InferenceStatus, TransparencyLog};
-pub use uploader::{UploadRequest, UploadScheduler};
+pub use uploader::UploadScheduler;
+// Kept for `benchmark/src/{load,replay}.rs`; in-tree code names `orsp_crypto::UploadRequest`.
+pub use orsp_crypto::UploadRequest;

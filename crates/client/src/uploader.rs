@@ -11,30 +11,10 @@
 //! here we prepare one [`UploadRequest`] per inference with its own
 //! record id and rate-limit token).
 
-use orsp_crypto::{Token, TokenIssuer, TokenWallet};
+use orsp_crypto::{TokenIssuer, TokenWallet, UploadRequest};
 use orsp_types::{EntityId, Interaction, RecordId, SimDuration, Timestamp};
 use rand::Rng;
 use std::collections::BinaryHeap;
-
-/// One inference ready to travel through the anonymity network.
-///
-/// Contents are anonymous-by-construction: the record id is `hash(Ru, e)`,
-/// the entity id is needed by the server for aggregation, the interaction
-/// carries only §4.2's features, and the token is unlinkable to its
-/// issuance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UploadRequest {
-    /// Opaque per-(user, entity) history id.
-    pub record_id: RecordId,
-    /// The entity the record concerns (needed for aggregation).
-    pub entity: EntityId,
-    /// The inferred interaction.
-    pub interaction: Interaction,
-    /// Blind rate-limit token.
-    pub token: Token,
-    /// When the client releases this request into the network.
-    pub release_at: Timestamp,
-}
 
 /// Min-heap ordering by release time.
 #[derive(Debug, Clone, PartialEq)]

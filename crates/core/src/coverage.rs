@@ -9,11 +9,10 @@
 
 use orsp_aggregate::EmpiricalCdf;
 use orsp_types::EntityId;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Opinion counts for one entity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpinionCounts {
     /// Explicit reviews posted.
     pub explicit: u64,
@@ -34,7 +33,7 @@ impl OpinionCounts {
 }
 
 /// The coverage comparison across all entities.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CoverageReport {
     /// Per-entity counts.
     pub per_entity: HashMap<EntityId, OpinionCounts>,

@@ -194,7 +194,7 @@ pub(crate) struct FrontHalf {
     pub(crate) observer: NetworkObserver,
     pub(crate) record_owner: HashMap<RecordId, (UserId, EntityId)>,
     pub(crate) user_views: Vec<UserView>,
-    pub(crate) deliveries: Vec<(Timestamp, orsp_client::UploadRequest)>,
+    pub(crate) deliveries: Vec<(Timestamp, orsp_crypto::UploadRequest)>,
 }
 
 impl RspPipeline {
@@ -363,11 +363,11 @@ impl RspPipeline {
         let mix_span = obs.span("pipeline_mix_us");
         in_flight.sort_by_key(|(t, u)| (*t, u.request.entity.raw()));
         let mut mix = BatchMix::new(cfg.mix, world.config.seed);
-        let mut deliveries: Vec<(Timestamp, orsp_client::UploadRequest)> =
+        let mut deliveries: Vec<(Timestamp, orsp_crypto::UploadRequest)> =
             Vec::with_capacity(in_flight.len());
         let deliver = |batch: Vec<AnonymousUpload>,
                            at: Timestamp,
-                           deliveries: &mut Vec<(Timestamp, orsp_client::UploadRequest)>,
+                           deliveries: &mut Vec<(Timestamp, orsp_crypto::UploadRequest)>,
                            observer: &mut NetworkObserver| {
             for upload in batch {
                 let truth_device = record_owner

@@ -16,7 +16,8 @@
 //!   paper cites for rate-limit tokens: the RSP signs a *blinded* token so
 //!   that issue and redemption are unlinkable;
 //! * [`token`] — the blind-token protocol: rate-limited issuance,
-//!   verification, and a double-spend ledger;
+//!   verification, a double-spend ledger, and the [`UploadRequest`] a
+//!   token is spent on;
 //! * [`record`] — derivation of [`orsp_types::RecordId`] from the device
 //!   secret `Ru` and an entity id.
 //!
@@ -52,4 +53,4 @@ pub use blind::{BlindSignature, BlindedMessage, BlindingSession};
 pub use record::{derive_record_id, DeviceSecret};
 pub use rsa::{RsaKeyPair, RsaPublicKey};
 pub use sha256::{sha256, Sha256};
-pub use token::{SpendOutcome, Token, TokenIssuer, TokenMint, TokenWallet};
+pub use token::{SpendOutcome, Token, TokenIssuer, TokenMint, TokenWallet, UploadRequest};

@@ -10,7 +10,7 @@ use crate::bigint::BigUint;
 use crate::blind::{try_sign_blinded, verify_unblinded, BlindedMessage, BlindingSession};
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
 use crate::sha256::sha256;
-use orsp_types::{DeviceId, OrspError, SimDuration, Timestamp};
+use orsp_types::{DeviceId, EntityId, Interaction, OrspError, RecordId, SimDuration, Timestamp};
 use rand::Rng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -31,6 +31,27 @@ impl Token {
     pub fn ledger_key(&self) -> [u8; 32] {
         sha256(&self.message)
     }
+}
+
+/// One inference ready to travel through the anonymity network, and the
+/// body of the `Upload` RPC.
+///
+/// Contents are anonymous-by-construction: the record id is `hash(Ru, e)`
+/// ([`crate::derive_record_id`]), the entity id is needed by the server
+/// for aggregation, the interaction carries only §4.2's features, and the
+/// token is unlinkable to its issuance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UploadRequest {
+    /// Opaque per-(user, entity) history id.
+    pub record_id: RecordId,
+    /// The entity the record concerns (needed for aggregation).
+    pub entity: EntityId,
+    /// The inferred interaction.
+    pub interaction: Interaction,
+    /// Blind rate-limit token.
+    pub token: Token,
+    /// When the client releases this request into the network.
+    pub release_at: Timestamp,
 }
 
 /// Outcome of presenting a token to the redemption ledger.

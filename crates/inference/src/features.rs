@@ -17,7 +17,6 @@
 //! contains no identifiers — it is safe to contribute as training data.
 
 use orsp_types::{InteractionHistory, InteractionKind};
-use serde::{Deserialize, Serialize};
 
 /// Number of features.
 pub const FEATURE_COUNT: usize = 14;
@@ -41,7 +40,7 @@ pub const FEATURE_NAMES: [&str; FEATURE_COUNT] = [
 ];
 
 /// Cross-entity context the client computes for one (user, entity) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PairContext {
     /// How many *other* same-category entities this user has interacted
     /// with (feature family 2: exploration).
@@ -59,7 +58,7 @@ pub struct PairContext {
 }
 
 /// A fixed-length, identity-free feature vector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureVector {
     /// Values, index-aligned with [`FEATURE_NAMES`].
     pub values: [f64; FEATURE_COUNT],
@@ -161,7 +160,7 @@ impl FeatureVector {
 }
 
 /// Per-dimension normalization statistics (for k-NN and for reporting).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Normalizer {
     /// Per-dimension means.
     pub mean: [f64; FEATURE_COUNT],

@@ -8,7 +8,6 @@
 
 use crate::predictor::{AbstainReason, Prediction};
 use orsp_types::Rating;
-use serde::Serialize;
 
 /// One evaluation example: prediction vs. ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,7 +22,7 @@ pub struct LabeledExample {
 }
 
 /// Aggregated evaluation results.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Total examples.
     pub total: usize,

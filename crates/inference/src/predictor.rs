@@ -16,10 +16,9 @@ use crate::features::FeatureVector;
 use crate::knn::KnnRegressor;
 use crate::ridge::RidgeRegressor;
 use orsp_types::Rating;
-use serde::{Deserialize, Serialize};
 
 /// Why the predictor declined to predict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbstainReason {
     /// Too few interactions in the history.
     TooFewSignals,
@@ -30,7 +29,7 @@ pub enum AbstainReason {
 }
 
 /// A prediction or a principled refusal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Prediction {
     /// A numerical rating in `[0, 5]`.
     Rating(Rating),
@@ -49,7 +48,7 @@ impl Prediction {
 }
 
 /// Predictor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictorConfig {
     /// Ridge penalty.
     pub lambda: f64,

@@ -7,7 +7,6 @@
 
 use crate::features::{FeatureVector, FEATURE_COUNT};
 use orsp_types::Rating;
-use serde::{Deserialize, Serialize};
 
 const DIM: usize = FEATURE_COUNT + 1; // + intercept
 
@@ -15,7 +14,7 @@ const DIM: usize = FEATURE_COUNT + 1; // + intercept
 pub const MIN_EXAMPLES: usize = 10;
 
 /// A trained ridge model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RidgeRegressor {
     /// Weights; index 0 is the intercept.
     pub weights: [f64; DIM],

@@ -12,14 +12,13 @@ use crate::reviews::ReviewDistribution;
 use orsp_types::rng::rng_for;
 use orsp_types::{Category, EntityId, ServiceKind};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of query zipcodes ("the most populous zipcode in each of the 50
 /// states", §2).
 pub const QUERY_ZIPCODES: usize = 50;
 
 /// One listed entity in a catalog.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CatalogEntity {
     /// Id, unique within the catalog.
     pub id: EntityId,

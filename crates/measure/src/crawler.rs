@@ -5,14 +5,13 @@
 use crate::catalog::ServiceCatalog;
 use orsp_aggregate::EmpiricalCdf;
 use orsp_types::ServiceKind;
-use serde::Serialize;
 
 /// The review threshold Fig 1(b) uses ("number of matching entities with
 /// 50 or more reviews").
 pub const REVIEW_THRESHOLD: u32 = 50;
 
 /// Everything one crawl of one service produces.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CrawlReport {
     /// Which service was crawled.
     pub service: ServiceKind,

@@ -17,13 +17,12 @@ use orsp_aggregate::EmpiricalCdf;
 use orsp_types::rng::rng_for;
 use orsp_types::ServiceKind;
 use rand::Rng;
-use serde::Serialize;
 
 /// Sample size per platform, matching the paper.
 pub const SAMPLE_SIZE: usize = 1_000;
 
 /// One sampled app or video.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformEntity {
     /// Users who interacted (installed the app / viewed the video).
     pub implicit: u64,
@@ -39,7 +38,7 @@ impl PlatformEntity {
 }
 
 /// The generated study for one platform.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EngagementStudy {
     /// Which platform.
     pub platform: ServiceKind,

@@ -12,10 +12,9 @@
 
 use orsp_types::ServiceKind;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A discretized log-normal review-count generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReviewDistribution {
     /// Median review count (the log-normal's `exp(mu)`).
     pub median: f64,

@@ -22,9 +22,8 @@ use crate::error::NetError;
 use crate::stream::{read_message, write_message};
 use crate::transport::Transport;
 use crate::wire::{Request, Response, SearchHit};
-use orsp_client::UploadRequest;
 use orsp_obs::{TraceContext, TraceRecord};
-use orsp_crypto::{BlindSignature, BlindedMessage};
+use orsp_crypto::{BlindSignature, BlindedMessage, UploadRequest};
 use orsp_search::SearchQuery;
 use orsp_server::{EntityAggregate, RejectReason};
 use orsp_types::{DeviceId, EntityId, Timestamp};

@@ -757,7 +757,7 @@ mod tests {
     #[test]
     fn upload_rejects_forged_token() {
         let svc = service(4);
-        let upload = orsp_client::UploadRequest {
+        let upload = orsp_crypto::UploadRequest {
             record_id: orsp_types::RecordId::from_bytes([9; 32]),
             entity: EntityId::new(1),
             interaction: orsp_types::Interaction {
@@ -791,7 +791,7 @@ mod tests {
         let mut wallet = TokenWallet::new(DeviceId::new(4), public.clone());
         wallet.request_token(&mut rng, &mut ServiceIssuer(&svc), Timestamp::EPOCH).unwrap();
         let token = wallet.take_token().unwrap();
-        let upload = |token: Token| orsp_client::UploadRequest {
+        let upload = |token: Token| orsp_crypto::UploadRequest {
             record_id: orsp_types::RecordId::from_bytes([2; 32]),
             entity: EntityId::new(1),
             interaction: orsp_types::Interaction {
@@ -832,7 +832,7 @@ mod tests {
         // One upload: below the k-anonymity floor, so no aggregate.
         let mut issuer = ServiceIssuer(&svc);
         wallet.request_token(&mut rng, &mut issuer, Timestamp::EPOCH).unwrap();
-        let upload = orsp_client::UploadRequest {
+        let upload = orsp_crypto::UploadRequest {
             record_id: orsp_types::RecordId::from_bytes([1; 32]),
             entity,
             interaction: orsp_types::Interaction {
@@ -978,7 +978,7 @@ mod tests {
         start: Timestamp,
     ) {
         wallet.request_token(rng, &mut ServiceIssuer(svc), Timestamp::EPOCH).unwrap();
-        let upload = orsp_client::UploadRequest {
+        let upload = orsp_crypto::UploadRequest {
             record_id: orsp_types::RecordId::from_bytes([record; 32]),
             entity,
             interaction: orsp_types::Interaction {

@@ -21,8 +21,7 @@
 
 use crate::error::WireError;
 use bytes::{BufMut, BytesMut};
-use orsp_client::UploadRequest;
-use orsp_crypto::{BigUint, BlindSignature, BlindedMessage, Token};
+use orsp_crypto::{BigUint, BlindSignature, BlindedMessage, Token, UploadRequest};
 use orsp_obs::{
     EventSnapshot, HistogramSnapshot, SpanRecord, StatsSnapshot, TraceContext, TraceRecord,
 };

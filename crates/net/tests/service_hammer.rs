@@ -121,7 +121,7 @@ fn records_for_shard(service: &RspService, shard: usize, n: usize) -> Vec<Record
 
 fn upload_for(rid: RecordId, entity: EntityId, token: orsp_crypto::Token) -> Request {
     Request::Upload {
-        upload: orsp_client::UploadRequest {
+        upload: orsp_crypto::UploadRequest {
             record_id: rid,
             entity,
             interaction: Interaction::solo(
@@ -542,7 +542,7 @@ fn tcp_hammer_sheds_nothing_below_saturation() {
                 let mut client = NetClient::connect(addr, client_config).expect("connect");
                 let entity = EntityId::new(1 + (t as u64 % 2));
                 for (rid, token) in records.into_iter().zip(tokens) {
-                    let upload = orsp_client::UploadRequest {
+                    let upload = orsp_crypto::UploadRequest {
                         record_id: rid,
                         entity,
                         interaction: Interaction::solo(

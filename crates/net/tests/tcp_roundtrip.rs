@@ -89,7 +89,7 @@ fn full_rpc_round_trip_over_tcp() {
         .expect("token issued over TCP");
     assert_eq!(wallet.balance(), 1);
 
-    let upload = orsp_client::UploadRequest {
+    let upload = orsp_crypto::UploadRequest {
         record_id: RecordId::from_bytes([3; 32]),
         entity: EntityId::new(1),
         interaction: Interaction {

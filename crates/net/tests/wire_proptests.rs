@@ -2,8 +2,7 @@
 //! and hostile bytes — truncations, corrupted CRCs, oversized lengths,
 //! arbitrary flips — always come back as typed errors, never a panic.
 
-use orsp_client::UploadRequest;
-use orsp_crypto::{BigUint, BlindSignature, BlindedMessage, Token};
+use orsp_crypto::{BigUint, BlindSignature, BlindedMessage, Token, UploadRequest};
 use orsp_net::wire::{
     decode_frame, decode_frame_traced, frame, frame_traced, HEADER_LEN, MAX_PAYLOAD, TRACE_CTX_LEN,
 };

@@ -41,8 +41,7 @@
 use crate::merge::{self, MergeError};
 use orsp_net::{CallTrace, FrameService, NetError, NetPool, Request, Response, RetryStats};
 use orsp_obs::{trace, Counter, Gauge, Histogram, Registry, TraceContext};
-use orsp_replica::Topology;
-use orsp_server::shard_index;
+use orsp_server::{shard_index, Topology};
 use orsp_types::{DeviceId, EntityId, RecordId};
 use parking_lot::Mutex;
 use std::fmt;
@@ -469,10 +468,9 @@ impl ProxyService {
         &self.obs
     }
 
-    /// Which backend owns a record — the one shard-routing formula
-    /// ([`orsp_server::shard_index`], re-exported as
-    /// `orsp_core::shard_index`) applied to the backend count, exactly as
-    /// each backend applies it to its ingest-shard count.
+    /// Which backend owns a record — the one shard-routing formula,
+    /// [`orsp_server::shard_index`], applied to the backend count, exactly
+    /// as each backend applies it to its ingest-shard count.
     pub fn backend_for_record(&self, record_id: &RecordId) -> usize {
         shard_index(record_id.as_bytes(), self.backend_count())
     }
@@ -1303,7 +1301,7 @@ mod tests {
         assert_eq!(p.primary_of(range), 0, "route starts at the born owner");
         // Routing is what's under test; the upload payload itself is
         // opaque to the proxy, so a forged-token shell suffices.
-        let upload = orsp_client::UploadRequest {
+        let upload = orsp_crypto::UploadRequest {
             record_id: rid,
             entity: EntityId::new(7),
             interaction: orsp_types::Interaction {

@@ -36,9 +36,9 @@ use orsp_net::{
 };
 use orsp_replica::{
     catch_up_range, probe_range, PeerLink, RangeInit, ReplicaNode, ReplicatingSink,
-    ReplicationMode, Role, Topology,
+    ReplicationMode, Role,
 };
-use orsp_server::{GroupCommitConfig, IngestService, WalSink};
+use orsp_server::{GroupCommitConfig, IngestService, ShapeError, Topology, WalSink};
 use orsp_storage::{scan_source, Dir, FsDir, FsyncPolicy, StorageEngine, StorageOptions};
 use orsp_types::SimDuration;
 use orsp_world::{World, WorldConfig};
@@ -116,7 +116,15 @@ fn main() {
     // Peer addresses in node-index order ("-" or the own slot ignored).
     let peer_addrs: Vec<&str> = flags.all("--peer").collect();
 
-    let topology = Topology::new(node_index, cluster_size, replication_factor);
+    let topology =
+        Topology::try_new(node_index, cluster_size, replication_factor).unwrap_or_else(|e| {
+            let flag = match e {
+                ShapeError::EmptyCluster => "--cluster-size",
+                ShapeError::NodeOutsideCluster { .. } => "--node",
+                ShapeError::ReplicationFactor { .. } => "--replication-factor",
+            };
+            flags.usage_error(&format!("{flag}: {e}"))
+        });
     let peers: Vec<Option<Arc<dyn PeerLink>>> = (0..cluster_size)
         .map(|i| {
             if i == node_index {

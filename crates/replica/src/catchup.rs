@@ -23,7 +23,7 @@
 //! write path — catch-up never blocks uploads.
 
 use crate::node::ReplicaError;
-use crate::topology::PeerLink;
+use crate::peer::PeerLink;
 use orsp_net::{CatchRecord, NetError, Request, Response};
 use orsp_server::{IngestStats, WalEntry};
 use orsp_storage::{scan_source, state_digest, Dir, StorageEngine, StorageOptions};

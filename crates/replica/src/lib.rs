@@ -10,9 +10,12 @@
 //! nodes in ring order. The set's membership is static; which member is
 //! *primary* changes on failure.
 //!
-//! * [`Topology`] — the pure ring math: `range_of`, `replica_set`,
-//!   `held_ranges`. Shared verbatim by the proxy's failover routing so
-//!   both sides always agree on who may be promoted.
+//! * [`orsp_server::Topology`] — the pure ring math (`range_of`,
+//!   `replica_set`, `held_ranges`) lives in `orsp-server` beside
+//!   `shard_index`, so the proxy's failover routing shares it without
+//!   linking this crate and both sides agree on who may be promoted.
+//! * [`peer`] — [`PeerLink`], how a node calls its replica-set peers,
+//!   and [`ReplicationMode`], when a primary acks.
 //! * [`ReplicaNode`] — one node's replication state: a
 //!   [`StorageEngine`](orsp_storage::StorageEngine) per held range
 //!   (born range in the main data dir, each followed range in its own
@@ -46,10 +49,12 @@
 
 pub mod catchup;
 pub mod node;
+pub mod peer;
 pub mod sink;
-pub mod topology;
 
 pub use catchup::{catch_up_chunk, catch_up_range, probe_range, CatchUpReport, PeerStatus};
 pub use node::{RangeInit, ReplicaError, ReplicaNode, Role};
+pub use peer::{PeerLink, ReplicationMode};
 pub use sink::ReplicatingSink;
-pub use topology::{PeerLink, ReplicationMode, Topology};
+// Kept for `benchmark/src/topology.rs`; in-tree code names `orsp_server::Topology`.
+pub use orsp_server::Topology;

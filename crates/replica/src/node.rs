@@ -16,10 +16,10 @@
 //! first write under it is acked.
 
 use crate::catchup;
-use crate::topology::{PeerLink, ReplicationMode, Topology};
+use crate::peer::{PeerLink, ReplicationMode};
 use orsp_net::{NetError, ReplicaHook, ReplicateOutcome, Request, Response};
 use orsp_obs::{trace, Counter, Gauge, Registry};
-use orsp_server::{ShardedIngest, WalBatchItem};
+use orsp_server::{ShardedIngest, Topology, WalBatchItem};
 use orsp_storage::{scan_source, Dir, StorageEngine};
 use orsp_types::{OrspError, RecordId};
 use parking_lot::Mutex;

@@ -6,9 +6,8 @@
 mod common;
 
 use common::{fast_client, small_world, spawn_node, wait_ready};
-use orsp_client::UploadRequest;
 use orsp_core::{service_for_world, PipelineConfig};
-use orsp_crypto::TokenWallet;
+use orsp_crypto::{TokenWallet, UploadRequest};
 use orsp_net::{NetClient, RemoteIssuer, TcpTransport};
 use orsp_server::RejectReason;
 use orsp_types::rng::rng_for;
@@ -113,4 +112,33 @@ fn a_misspelt_flag_exits_2_before_binding() {
     assert!(stderr.starts_with("unknown flag --replication-factr\nusage: orsp-replicad "));
     assert!(output.stdout.is_empty(), "served anyway: {:?}", output.stdout);
     assert!(!dir.exists(), "opened a data directory before refusing the command line");
+}
+
+#[test]
+fn an_impossible_cluster_shape_exits_2_naming_its_flag() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["--node", "3", "--cluster-size", "3"], "--node: node 3 outside cluster of 3\n"),
+        (&["--cluster-size", "0"], "--cluster-size: a cluster has at least one node\n"),
+        (
+            &["--cluster-size", "3", "--replication-factor", "4"],
+            "--replication-factor: replication factor 4 not in 1..=3\n",
+        ),
+    ];
+    for (args, problem) in cases {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("single-node-bad-shape");
+        let output = Command::new(env!("CARGO_BIN_EXE_orsp-replicad"))
+            .arg("--data-dir")
+            .arg(&dir)
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run orsp-replicad");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(problem), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: orsp-replicad "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "served anyway: {:?}", output.stdout);
+        assert!(!dir.exists(), "opened a data directory before refusing the command line");
+    }
 }

@@ -6,11 +6,10 @@
 //! for that category.
 
 use orsp_types::{Category, EntityId, GeoPoint};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A listed entity, as the search tier sees it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Listing {
     /// Entity id.
     pub id: EntityId,
@@ -25,7 +24,7 @@ pub struct Listing {
 }
 
 /// A search query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SearchQuery {
     /// Zipcode to search in.
     pub zipcode: u32,

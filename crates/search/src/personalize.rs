@@ -11,11 +11,10 @@
 
 use crate::ranking::RankedResult;
 use orsp_types::{EntityId, Rating};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The device-local personal history used for re-ranking.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PersonalHistory {
     /// The user's own (inferred or explicit) opinion per entity.
     own_opinions: HashMap<EntityId, Rating>,

@@ -7,10 +7,9 @@
 //! entities with almost no reviews become rankable.
 
 use orsp_types::{EntityId, Rating, StarHistogram};
-use serde::{Deserialize, Serialize};
 
 /// Summary of explicit reviews for one entity.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReviewSummary {
     /// Star histogram of posted reviews.
     pub histogram: StarHistogram,
@@ -30,7 +29,7 @@ impl ReviewSummary {
 
 /// Summary of inferred opinions for one entity (the §4.2 egress:
 /// histograms only, no individuals).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InferredSummary {
     /// Star histogram of inferred ratings.
     pub histogram: StarHistogram,
@@ -62,7 +61,7 @@ impl InferredSummary {
 }
 
 /// One ranked search result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedResult {
     /// The entity.
     pub entity: EntityId,
@@ -75,7 +74,7 @@ pub struct RankedResult {
 }
 
 /// Ranking parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ranker {
     /// Prior (pseudo-count) rating toward which low-support means shrink.
     pub prior_rating: f64,

@@ -4,12 +4,11 @@
 
 use orsp_types::{SimDuration, Timestamp, UserId};
 use orsp_world::{ActivityKind, World};
-use serde::{Deserialize, Serialize};
 
 /// One call-log entry, exactly what a phone's call history exposes: the
 /// dialed number, when, and for how long. No entity id — the client must
 /// map the number to an entity itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CallRecord {
     /// When the call was placed.
     pub time: Timestamp,

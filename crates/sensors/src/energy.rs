@@ -7,10 +7,9 @@
 
 use crate::location::FixSource;
 use orsp_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Per-operation energy costs, millijoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// One GPS fix (including receiver warm-up amortization).
     pub gps_fix_mj: f64,
@@ -45,7 +44,7 @@ impl EnergyModel {
 }
 
 /// Accumulated energy usage for one rendered trace.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyReport {
     /// Number of GPS fixes taken.
     pub gps_fixes: u64,

@@ -17,10 +17,9 @@ use orsp_types::rng::rng_for_indexed;
 use orsp_types::{SimDuration, Timestamp, UserId};
 use orsp_world::{ActivityKind, World};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One heart-rate sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HrSample {
     /// Sample time.
     pub time: Timestamp,

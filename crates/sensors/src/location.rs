@@ -1,10 +1,9 @@
 //! Location fixes: what positioning hardware reports.
 
 use orsp_types::{GeoPoint, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// Which subsystem produced a fix (drives accuracy and energy cost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FixSource {
     /// GPS: accurate (~10 m), expensive.
     Gps,
@@ -26,7 +25,7 @@ impl FixSource {
 }
 
 /// One location fix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocationFix {
     /// When the fix was taken.
     pub time: Timestamp,

@@ -8,10 +8,9 @@
 
 use orsp_types::{EntityId, GeoPoint, SimDuration, Timestamp, UserId};
 use orsp_world::{ActivityKind, World};
-use serde::{Deserialize, Serialize};
 
 /// What the user is doing during a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SegmentKind {
     /// Stationary at home.
     AtHome,
@@ -32,7 +31,7 @@ impl SegmentKind {
 }
 
 /// One segment of a user's day.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Segment start.
     pub start: Timestamp,

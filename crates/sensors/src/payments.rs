@@ -3,11 +3,10 @@
 
 use orsp_types::{Timestamp, UserId};
 use orsp_world::{ActivityKind, World};
-use serde::{Deserialize, Serialize};
 
 /// One payment, as a wallet app would expose it: a merchant descriptor
 /// string and an amount. No entity id — mapping is the client's job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaymentRecord {
     /// When the payment cleared.
     pub time: Timestamp,

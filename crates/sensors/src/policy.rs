@@ -13,10 +13,9 @@
 //!   stationary spot.
 
 use orsp_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A location-sampling strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SamplingPolicy {
     /// Fixed-interval GPS, always on.
     PeriodicGps {

@@ -11,7 +11,6 @@
 
 use crate::store::{HistoryStore, StoredHistory};
 use orsp_types::{EntityId, InteractionKind, RecordId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Aggregate interaction statistics for one entity.
@@ -19,7 +18,7 @@ use std::collections::HashMap;
 /// "Per user" here means per anonymous history: the server cannot count
 /// users, only `hash(Ru, e)` records — which is one per (user, entity)
 /// pair, exactly the right unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntityAggregate {
     /// The entity.
     pub entity: EntityId,
@@ -57,7 +56,7 @@ const HISTOGRAM_CAP: usize = 20;
 /// [`AggregateParts::finalize`] still sorts, so concatenation order
 /// cannot show through, but on one node's parts or on N concatenated
 /// sorted legs it only merges already-sorted runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregateParts {
     /// The entity.
     pub entity: EntityId,

@@ -20,11 +20,10 @@
 use crate::profile::{CategoryProfile, HistoryStats};
 use crate::store::HistoryStore;
 use orsp_types::{Category, EntityId, RecordId};
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Verdict on one history.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FraudVerdict {
     /// Combined anomaly score in `[0, 1]`.
     pub score: f64,

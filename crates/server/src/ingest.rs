@@ -11,13 +11,11 @@
 //! ([`crate::ShardedIngest`]) against.
 
 use crate::store::HistoryStore;
-use orsp_client::UploadRequest;
-use orsp_crypto::{SpendOutcome, TokenMint};
+use orsp_crypto::{SpendOutcome, TokenMint, UploadRequest};
 use orsp_types::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// Why an upload was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RejectReason {
     /// Token signature invalid (forged).
     BadToken,
@@ -30,7 +28,7 @@ pub enum RejectReason {
 }
 
 /// Ingest counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Uploads accepted into the store.
     pub accepted: u64,

@@ -21,6 +21,9 @@
 //!   profile and discards outliers ("discarding interaction histories
 //!   that significantly deviate from the activity patterns of the typical
 //!   user").
+//! * [`topology`] — the placement ring: which hash range a record id
+//!   falls in ([`shard_index`]) and which nodes hold each range
+//!   ([`Topology`]), shared by the proxy and every replica node.
 //! * [`aggregates`] — the privacy-preserving egress: per-entity summaries
 //!   (visit counts, distinct-history counts, effort statistics) that
 //!   reveal "no information about any individual user".
@@ -37,6 +40,7 @@ pub mod profile;
 pub mod sharded;
 pub mod sharded_ingest;
 pub mod store;
+pub mod topology;
 pub mod wal;
 
 pub use aggregates::{
@@ -49,6 +53,7 @@ pub use profile::{CategoryProfile, HistoryStats, ProfileBuilder, Quantiles};
 pub use sharded::{deterministic_ingest, shard_index};
 pub use sharded_ingest::{GroupCommitConfig, IngestOutcome, ShardedIngest};
 pub use store::{HistoryStore, StoredHistory};
+pub use topology::{ShapeError, Topology};
 pub use wal::{
     crc32, encode_batch_item, encode_record, encode_token_spend, replay, wal_header, Replay,
     WalBatchItem, WalEntry, WalFault, WalSink, WAL_HEADER_LEN, WAL_RECORD_LEN,

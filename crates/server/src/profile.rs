@@ -15,11 +15,10 @@
 
 use crate::store::HistoryStore;
 use orsp_types::{Category, EntityId, InteractionHistory};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Empirical quantiles of one statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantiles {
     /// 1st percentile.
     pub p01: f64,
@@ -105,7 +104,7 @@ impl HistoryStats {
 }
 
 /// The typical-user profile for one category.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CategoryProfile {
     /// Quantiles of per-history minimum gaps (days).
     pub min_gap_days: Quantiles,

@@ -11,9 +11,8 @@
 use crate::ingest::IngestService;
 use crate::sharded_ingest::{IngestOutcome, ShardedIngest};
 use crate::wal::WalSink;
-use orsp_client::UploadRequest;
 use orsp_crypto::blind::verify_unblinded;
-use orsp_crypto::RsaPublicKey;
+use orsp_crypto::{RsaPublicKey, UploadRequest};
 use orsp_types::Timestamp;
 use std::sync::Arc;
 

@@ -39,9 +39,8 @@ use crate::lockorder::{self, rank};
 use crate::sharded::shard_index;
 use crate::store::{HistoryStore, StoredHistory};
 use crate::wal::{WalBatchItem, WalEntry, WalSink};
-use orsp_client::UploadRequest;
 use orsp_crypto::blind::verify_unblinded;
-use orsp_crypto::RsaPublicKey;
+use orsp_crypto::{RsaPublicKey, UploadRequest};
 use orsp_types::{EntityId, OrspError, RecordId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};

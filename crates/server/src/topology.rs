@@ -1,36 +1,48 @@
 //! The ring math every replication decision derives from.
 //!
-//! One formula places data everywhere in this repo: `shard_index` over
+//! One formula places data everywhere in this repo: [`shard_index`] over
 //! the record id. The proxy uses it with the backend count to pick a
 //! *hash range*; this module extends that to a replica set per range.
-//! Both the proxy's failover routing and each node's [`crate::node`]
-//! carry the same [`Topology`] value, so promotion decisions made at
-//! the front door always name a node the range's replicas expect.
+//! Both the proxy's failover routing and each `orsp-replica` node carry
+//! the same [`Topology`] value, so promotion decisions made at the front
+//! door always name a node the range's replicas expect.
 
-use orsp_net::{NetError, NetPool, Request, Response};
+use crate::sharded::shard_index;
 use orsp_types::RecordId;
+use std::fmt;
 
-/// When the primary acks a replicated write.
+/// Why a cluster shape is impossible. Each variant names the one value
+/// at fault, so a daemon can point at the flag that set it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationMode {
-    /// Forward to followers *before* acking the client: an acked write
-    /// survives the primary's loss (modulo followers that are
-    /// themselves down — counted as `replication_degraded_total`, not
-    /// blocked on, so one dead follower cannot take writes down).
-    Sync,
-    /// Ack after the local fsync; forward from a background queue.
-    /// Cheaper, but the queue depth (the `replication_lag` gauge) is
-    /// exactly the window of acked writes a primary loss can lose.
-    Async,
+pub enum ShapeError {
+    /// `cluster_size` is 0.
+    EmptyCluster,
+    /// `node` is not in `0..cluster_size`.
+    NodeOutsideCluster {
+        /// The node index asked for.
+        node: u32,
+        /// The ring size.
+        cluster_size: u32,
+    },
+    /// `replication_factor` is not in `1..=cluster_size`.
+    ReplicationFactor {
+        /// The copies per range asked for.
+        replication_factor: u32,
+        /// The ring size.
+        cluster_size: u32,
+    },
 }
 
-impl ReplicationMode {
-    /// Parse the `--replication` CLI value.
-    pub fn parse(s: &str) -> Option<ReplicationMode> {
-        match s {
-            "sync" => Some(ReplicationMode::Sync),
-            "async" => Some(ReplicationMode::Async),
-            _ => None,
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ShapeError::EmptyCluster => write!(f, "a cluster has at least one node"),
+            ShapeError::NodeOutsideCluster { node, cluster_size } => {
+                write!(f, "node {node} outside cluster of {cluster_size}")
+            }
+            ShapeError::ReplicationFactor { replication_factor, cluster_size } => {
+                write!(f, "replication factor {replication_factor} not in 1..={cluster_size}")
+            }
         }
     }
 }
@@ -49,20 +61,36 @@ pub struct Topology {
 
 impl Topology {
     /// Build a topology, validating the shape.
+    ///
+    /// # Panics
+    ///
+    /// On any shape [`Topology::try_new`] refuses.
     pub fn new(node: u32, cluster_size: u32, replication_factor: u32) -> Topology {
-        assert!(cluster_size >= 1, "a cluster has at least one node");
-        assert!(node < cluster_size, "node {node} outside cluster of {cluster_size}");
-        assert!(
-            (1..=cluster_size).contains(&replication_factor),
-            "replication factor {replication_factor} not in 1..={cluster_size}"
-        );
-        Topology { node, cluster_size, replication_factor }
+        Topology::try_new(node, cluster_size, replication_factor).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build a topology, or say which value makes the shape impossible.
+    pub fn try_new(
+        node: u32,
+        cluster_size: u32,
+        replication_factor: u32,
+    ) -> Result<Topology, ShapeError> {
+        if cluster_size == 0 {
+            return Err(ShapeError::EmptyCluster);
+        }
+        if node >= cluster_size {
+            return Err(ShapeError::NodeOutsideCluster { node, cluster_size });
+        }
+        if !(1..=cluster_size).contains(&replication_factor) {
+            return Err(ShapeError::ReplicationFactor { replication_factor, cluster_size });
+        }
+        Ok(Topology { node, cluster_size, replication_factor })
     }
 
     /// Which hash range a record belongs to — the proxy's routing
     /// formula, verbatim.
     pub fn range_of(&self, record_id: &RecordId) -> u32 {
-        orsp_server::shard_index(record_id.as_bytes(), self.cluster_size as usize) as u32
+        shard_index(record_id.as_bytes(), self.cluster_size as usize) as u32
     }
 
     /// The nodes holding `range`, in promotion order: the born owner
@@ -90,28 +118,6 @@ impl Topology {
     /// forwards `Replicate` batches to.
     pub fn peers_of(&self, range: u32) -> Vec<u32> {
         self.replica_set(range).into_iter().filter(|&n| n != self.node).collect()
-    }
-}
-
-/// One replica-set peer this node can call. [`NetPool`] is the
-/// production implementation; tests plug in in-process fakes (including
-/// deliberately stale or dead ones).
-pub trait PeerLink: Send + Sync {
-    /// Send one request and wait for the response.
-    fn call(&self, request: &Request) -> Result<Response, NetError>;
-    /// Human-readable identity (address) for logs and errors.
-    fn label(&self) -> String;
-}
-
-impl PeerLink for NetPool {
-    fn call(&self, request: &Request) -> Result<Response, NetError> {
-        // Propagate the ambient trace so a follower's `server/replicate`
-        // span parents under the primary's upload.
-        self.call_traced_with(request, orsp_obs::trace::current()).map(|(r, _)| r)
-    }
-
-    fn label(&self) -> String {
-        self.addr().to_string()
     }
 }
 
@@ -156,7 +162,25 @@ mod tests {
         let t = Topology::new(0, 7, 2);
         for i in 0..64u8 {
             let id = RecordId::from_bytes([i; 32]);
-            assert_eq!(t.range_of(&id) as usize, orsp_server::shard_index(id.as_bytes(), 7));
+            assert_eq!(t.range_of(&id) as usize, crate::shard_index(id.as_bytes(), 7));
         }
+    }
+
+    #[test]
+    fn impossible_shapes_are_refused_by_the_one_check() {
+        assert_eq!(Topology::try_new(0, 0, 0), Err(ShapeError::EmptyCluster));
+        assert_eq!(
+            Topology::try_new(3, 3, 2),
+            Err(ShapeError::NodeOutsideCluster { node: 3, cluster_size: 3 })
+        );
+        assert_eq!(
+            Topology::try_new(0, 3, 4),
+            Err(ShapeError::ReplicationFactor { replication_factor: 4, cluster_size: 3 })
+        );
+        assert_eq!(
+            Topology::try_new(0, 3, 0),
+            Err(ShapeError::ReplicationFactor { replication_factor: 0, cluster_size: 3 })
+        );
+        assert_eq!(Topology::try_new(2, 3, 3), Ok(Topology::new(2, 3, 3)));
     }
 }

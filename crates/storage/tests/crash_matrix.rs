@@ -457,7 +457,7 @@ fn crash_then_token_replay_is_still_rejected() {
     // seed the fresh ledger from the report, and re-present a token.
     use orsp_server::{GroupCommitConfig, IngestOutcome, RejectReason, ShardedIngest, WalSink};
 
-    let upload = |i: u16| orsp_client::UploadRequest {
+    let upload = |i: u16| orsp_crypto::UploadRequest {
         record_id: RecordId::from_bytes({
             let mut b = [0u8; 32];
             b[0] = i as u8;

@@ -13,11 +13,10 @@
 //! catalogs, the crawler, the search index, and the harnesses all agree on
 //! exactly the same query universe.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The recommendation services / platforms the paper measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ServiceKind {
     /// Yelp — restaurants.
     Yelp,
@@ -91,7 +90,7 @@ macro_rules! simple_enum {
         $name:ident { $($variant:ident => $label:expr),+ $(,)? }
     ) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub enum $name {
             $(
                 #[doc = $label]
@@ -181,7 +180,7 @@ simple_enum! {
 }
 
 /// A query/entity category across all services.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// A restaurant of a given cuisine (Yelp).
     Restaurant(Cuisine),

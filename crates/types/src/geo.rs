@@ -10,11 +10,10 @@
 //! mirroring the paper's measurement methodology ("the most populous zipcode
 //! in each of the 50 states" — §2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point on the simulation plane, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GeoPoint {
     /// East-west coordinate, meters.
     pub x: f64,
@@ -70,7 +69,7 @@ impl fmt::Display for GeoPoint {
 }
 
 /// An axis-aligned rectangle on the plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Minimum corner (south-west).
     pub min: GeoPoint,
@@ -139,7 +138,7 @@ impl BoundingBox {
 /// populous zipcode in each of the 50 US states; the world generator places
 /// one [`Zipcode`] per simulated region and scales entity density by
 /// `population`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipcode {
     /// Five-digit-style numeric code (unique within a world).
     pub code: u32,

@@ -6,15 +6,12 @@
 //! privacy design (§4.2) derives it as `hash(Ru, e)` — the server must not
 //! be able to recover either the user or the entity from it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_u64_id {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -91,7 +88,7 @@ define_u64_id!(
 ///   unlinkable,
 /// * the device need not store an `(entity, id)` map — the id is
 ///   recomputable from the locally-held secret `Ru`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId(pub [u8; 32]);
 
 impl RecordId {

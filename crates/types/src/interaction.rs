@@ -14,11 +14,10 @@
 //! absolute location, only the features the inference engine needs.
 
 use crate::time::{SimDuration, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the user interacted with the entity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum InteractionKind {
     /// A physical visit detected from location (restaurant, doctor's
     /// office).
@@ -63,7 +62,7 @@ impl fmt::Display for InteractionKind {
 /// The fields are exactly the per-interaction features §4.2 enumerates.
 /// Deliberately absent: user id, entity id (the history's opaque
 /// [`crate::RecordId`] stands for the pair), and absolute coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interaction {
     /// What kind of interaction.
     pub kind: InteractionKind,
@@ -125,7 +124,7 @@ impl Interaction {
 /// appends are rejected rather than silently reordered, because an
 /// out-of-order upload is exactly the kind of anomaly the fraud pipeline
 /// wants to see (§4.3).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InteractionHistory {
     records: Vec<Interaction>,
 }

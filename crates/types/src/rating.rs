@@ -6,12 +6,11 @@
 //! [`StarHistogram`] is the per-entity aggregate the RSP publishes so that
 //! "no information about any individual user is revealed" (§4.2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rating in `[0.0, 5.0]`. Construction clamps into range, so a `Rating`
 /// is always valid by construction.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Rating(f64);
 
 impl Rating {
@@ -72,7 +71,7 @@ impl fmt::Display for Rating {
 /// A histogram of ratings bucketed into whole stars 0–5: the
 /// privacy-preserving aggregate the RSP exports (§4.2 "histograms of
 /// inferred ratings").
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StarHistogram {
     counts: [u64; 6],
 }

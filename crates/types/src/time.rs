@@ -10,15 +10,12 @@
 //! plumbers", histories "span several years" — §4.2), so the representation
 //! comfortably covers multi-decade simulations at second resolution.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A span of simulated time, in seconds. May be negative (the difference of
 /// two timestamps).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(i64);
 
 impl SimDuration {
@@ -192,9 +189,7 @@ impl std::iter::Sum for SimDuration {
 }
 
 /// An instant of simulated time: seconds since the simulation epoch.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(i64);
 
 impl Timestamp {

@@ -17,10 +17,9 @@ use crate::sim::World;
 use orsp_types::rng::rng_for;
 use orsp_types::{EntityId, SimDuration, Timestamp, UserId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A fraud campaign to inject into a world's trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Attack {
     /// Back-to-back phone calls, "hanging up immediately after calling but
     /// resulting in a record in the phone's call history" (§4.3).

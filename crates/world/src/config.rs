@@ -1,11 +1,10 @@
 //! World-generation configuration.
 
 use orsp_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// All knobs for world generation, in one place. Defaults produce a small
 /// city suitable for unit tests; benches scale the counts up.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Master seed; every stream in the world derives from it.
     pub seed: u64,

@@ -7,10 +7,9 @@
 //! options" feature ("cuisine, price level, parking, etc.").
 
 use orsp_types::{Category, EntityId, GeoPoint};
-use serde::{Deserialize, Serialize};
 
 /// Comparable attributes used for similarity (§4.1 feature kind 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntityAttributes {
     /// Price level 1 (cheap) ..= 4 (expensive).
     pub price_level: u8,
@@ -38,7 +37,7 @@ impl EntityAttributes {
 }
 
 /// An entity listed on the recommendation service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entity {
     /// Unique id.
     pub id: EntityId,

@@ -7,10 +7,9 @@
 //! directly.
 
 use orsp_types::{EntityId, GroupId, Rating, ReviewId, SimDuration, Timestamp, UserId};
-use serde::{Deserialize, Serialize};
 
 /// What kind of activity occurred.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ActivityKind {
     /// The user physically visited the entity and dwelled there.
     Visit {
@@ -44,7 +43,7 @@ impl ActivityKind {
 }
 
 /// One ground-truth activity event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityEvent {
     /// Who.
     pub user: UserId,
@@ -71,7 +70,7 @@ impl ActivityEvent {
 
 /// An explicitly posted review (the minority signal existing services rely
 /// on).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Review {
     /// Unique id.
     pub id: ReviewId,

@@ -6,10 +6,9 @@
 //! the remaining traits shape how a user chooses, revisits, and travels.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How willing a user is to post explicit reviews.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReviewerClass {
     /// Never posts — the silent ~90%.
     Silent,
@@ -32,7 +31,7 @@ impl ReviewerClass {
 }
 
 /// Behavioural traits of one user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Persona {
     /// Review posting behaviour.
     pub reviewer: ReviewerClass,

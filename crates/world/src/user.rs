@@ -2,10 +2,9 @@
 
 use crate::persona::Persona;
 use orsp_types::{DeviceId, GeoPoint, UserId};
-use serde::{Deserialize, Serialize};
 
 /// A user of the recommendation service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct User {
     /// Unique id.
     pub id: UserId,

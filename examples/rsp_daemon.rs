@@ -64,7 +64,7 @@ fn main() {
     //    the token. The server can verify the token but not link it to
     //    the issuance above — that is the whole point of blind signatures.
     let entity = world.entities[0].id;
-    let upload = orsp_client::UploadRequest {
+    let upload = orsp_crypto::UploadRequest {
         record_id: RecordId::from_bytes([42u8; 32]),
         entity,
         interaction: Interaction::solo(

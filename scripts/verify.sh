@@ -7,6 +7,18 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release (workspace, -D warnings) =="
 RUSTFLAGS="-D warnings" cargo build --workspace --release
 
+echo "== serving tier links no simulator (cargo tree -e normal: no device, simulator or replica crate, no serde) =="
+for crate in orsp-server orsp-storage orsp-net orsp-search orsp-proxy orsp-top; do
+    tree=$(cargo tree --offline -e normal --prefix none -p "$crate")
+    linked=$(echo "$tree" | awk '{print $1}' | sort -u \
+        | grep -xE 'orsp-(client|world|sensors|anonet|inference|measure|aggregate|core|replica)|serde.*' \
+        || true)
+    if [ -n "$linked" ]; then
+        echo "$crate links:" $linked
+        exit 1
+    fi
+done
+
 echo "== cargo test -q =="
 cargo test -q --workspace
 

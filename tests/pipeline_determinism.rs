@@ -9,11 +9,11 @@
 //! through the served core over a decided order — so 1, 2, and 8 threads
 //! must agree on everything, down to float bit patterns.
 
-use orsp_client::UploadRequest;
 use orsp_core::{
     outcome_digest, run_client_side, service_for_world, PipelineConfig, PipelineOutcome,
     RspPipeline,
 };
+use orsp_crypto::UploadRequest;
 use orsp_net::{InMemoryTransport, NetError, Request, Response, Transport};
 use orsp_server::{IngestOutcome, RejectReason, ShardedIngest, WalEntry, WalSink};
 use orsp_types::{OrspError, SimDuration};

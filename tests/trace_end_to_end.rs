@@ -127,7 +127,7 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
     wallet.request_token(&mut rng, &mut issuer, Timestamp::EPOCH).expect("blind token");
 
     let mut client = NetClient::connect(addr, fast_client()).expect("connect");
-    let upload = orsp_client::UploadRequest {
+    let upload = orsp_crypto::UploadRequest {
         record_id: RecordId::from_bytes([7u8; 32]),
         entity: world.entities[0].id,
         interaction: Interaction::solo(
