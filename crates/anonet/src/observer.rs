@@ -106,16 +106,6 @@ impl NetworkObserver {
         self.truth.insert(record, truth_device);
     }
 
-    /// Number of observed entries.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of observed exits.
-    pub fn exit_count(&self) -> usize {
-        self.exits.len()
-    }
-
     /// Timing attack: for each exit, guess the device with the latest
     /// entry at or before the exit time (the classic
     /// first-in-first-out-correlation heuristic).

@@ -361,11 +361,6 @@ impl BigUint {
         self
     }
 
-    /// Modular addition.
-    pub fn add_mod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
-        self.add(other).rem(modulus)
-    }
-
     /// Modular multiplication.
     pub fn mul_mod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
         self.mul(other).rem(modulus)

@@ -10,13 +10,12 @@
 //!   pure and happens outside). The verifying key is cached at
 //!   construction, so upload-path signature checks and
 //!   [`RspService::mint_public_key`] take no lock at all.
-//! * **Read domain** — search index, ranker, explicit/inferred review
+//! * **Read domain** — search index, ranker, explicit review
 //!   histograms, *and the published entity aggregates*, immutable
 //!   behind an `Arc` snapshot. Readers clone the `Arc` (one brief cell
 //!   lock) and work lock-free: `FetchAggregate` and per-hit search
 //!   detail never touch a store-shard lock.
-//!   [`RspService::publish_inferred`] and
-//!   [`RspService::publish_aggregates`] each swap in a fresh snapshot.
+//!   [`RspService::publish_aggregates`] swaps in a fresh snapshot.
 //! * **Ingest domain** — [`ShardedIngest`]: spend ledger sharded by
 //!   token ledger key, history store sharded by `shard_index(record_id)`,
 //!   and per-shard group commit so concurrent uploads on a shard share
@@ -131,20 +130,19 @@ pub trait ReplicaHook: Send + Sync {
 }
 
 /// The read domain: everything search needs, immutable behind one `Arc`.
-/// Queries run against whichever snapshot they grabbed; publishing new
-/// inferences builds the next snapshot and swaps the cell.
+/// Queries run against whichever snapshot they grabbed; publishing
+/// aggregates builds the next snapshot and swaps the cell.
 struct ReadState {
     index: SearchIndex,
     ranker: Ranker,
     explicit: HashMap<EntityId, StarHistogram>,
-    inferred: HashMap<EntityId, StarHistogram>,
     /// Entity aggregates as of the last [`RspService::publish_aggregates`]
     /// call, floor-unfiltered (the k-anonymity floor is applied at read
     /// time, so retuning the floor needs no republish) and kept in the
     /// mergeable [`AggregateParts`] form so the cluster-internal
     /// `AggregateParts` RPC can export exact partials for a front-door
     /// proxy to merge. Empty until the first publish — aggregates are a
-    /// published product, like inferences, not a live view of the store.
+    /// published product, not a live view of the store.
     aggregates: HashMap<EntityId, AggregateParts>,
 }
 
@@ -272,7 +270,6 @@ impl RspService {
                 index,
                 ranker,
                 explicit,
-                inferred: HashMap::new(),
                 aggregates: HashMap::new(),
             })),
             ingest: ShardedIngest::from_service(ingest, config.ingest_shards),
@@ -312,8 +309,7 @@ impl RspService {
         self.ingest.set_wal(sink);
     }
 
-    /// [`Self::set_durability`] with explicit group-commit tuning — the
-    /// daemon threads its `--group-commit*` flags through here.
+    /// [`Self::set_durability`] with explicit group-commit tuning.
     pub fn set_durability_with(&self, sink: Arc<dyn WalSink>, config: GroupCommitConfig) {
         self.ingest.set_wal_with(sink, config);
     }
@@ -343,29 +339,12 @@ impl RspService {
         &self.obs
     }
 
-    /// Publish inferred-opinion histograms (e.g. after an inference pass)
-    /// so search ranking blends them in. Builds the next read snapshot
-    /// and swaps it; in-flight searches finish against the old one.
-    pub fn publish_inferred(&self, inferred: HashMap<EntityId, StarHistogram>) {
-        let _span = trace::child("publish_snapshot");
-        let mut cell = self.read.lock();
-        let next = ReadState {
-            index: cell.index.clone(),
-            ranker: cell.ranker,
-            explicit: cell.explicit.clone(),
-            inferred,
-            aggregates: cell.aggregates.clone(),
-        };
-        *cell = Arc::new(next);
-    }
-
     /// Rebuild every entity's aggregate from the ingest shards and swap
     /// it into the read snapshot. This is the only path that computes
     /// aggregates from the store: `FetchAggregate` and search hits read
     /// the snapshot, so serving them costs zero store-shard locks. Run
-    /// after ingest bursts (the daemon does, alongside inference) —
-    /// uploads between publishes are visible in stats but not in
-    /// aggregates, exactly like inferences.
+    /// after ingest bursts — uploads between publishes are visible in
+    /// stats but not in aggregates.
     ///
     /// Shard by shard the publish takes brief store locks, then one
     /// brief cell lock for the swap; in-flight reads finish against the
@@ -378,7 +357,6 @@ impl RspService {
             index: cell.index.clone(),
             ranker: cell.ranker,
             explicit: cell.explicit.clone(),
-            inferred: cell.inferred.clone(),
             aggregates,
         };
         *cell = Arc::new(next);
@@ -610,17 +588,8 @@ impl RspService {
             .query(query)
             .into_iter()
             .map(|listing| {
-                let histogram = |of: &HashMap<EntityId, StarHistogram>| {
-                    of.get(&listing.id).cloned().unwrap_or_default()
-                };
-                (
-                    listing.id,
-                    ReviewSummary { histogram: histogram(&snapshot.explicit) },
-                    InferredSummary {
-                        histogram: histogram(&snapshot.inferred),
-                        ..InferredSummary::default()
-                    },
-                )
+                let histogram = snapshot.explicit.get(&listing.id).cloned().unwrap_or_default();
+                (listing.id, ReviewSummary { histogram }, InferredSummary::default())
             })
             .collect();
         let mut ranked = snapshot.ranker.rank(candidates);

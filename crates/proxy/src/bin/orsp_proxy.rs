@@ -24,6 +24,7 @@ use orsp_net::{
     process_trace_seed, ClientConfig, FlagSpec, Flags, NetPool, NetServer, ServerConfig,
 };
 use orsp_proxy::{BackendLink, ProxyConfig, ProxyService};
+use orsp_server::Topology;
 use std::io::Read;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -57,7 +58,12 @@ fn main() {
     // Replication factor of the backend tier (see `orsp-replicad`):
     // above 1, the proxy fails reads and writes over to a range's
     // follower when its primary goes hard-down, promoting it in place.
-    let replication_factor: usize = flags.parsed("--replication-factor").unwrap_or(1);
+    // `orsp-replicad`'s shape check refuses a factor the backends cannot
+    // hold, before anything binds.
+    let replication_factor: u32 = flags.parsed("--replication-factor").unwrap_or(1);
+    if let Err(e) = Topology::try_new(0, backends.len() as u32, replication_factor) {
+        flags.usage_error(&format!("--replication-factor: {e}"));
+    }
     let pool: usize = flags.parsed("--pool").unwrap_or(4);
     // Connection slab size: the proxy is the tier that fronts the device
     // fleet, so this is where a raised ceiling matters most. 0 means
@@ -87,7 +93,11 @@ fn main() {
     }
     let service = Arc::new(ProxyService::new(
         links,
-        ProxyConfig { cluster_internal, replication_factor, ..ProxyConfig::default() },
+        ProxyConfig {
+            cluster_internal,
+            replication_factor: replication_factor as usize,
+            ..ProxyConfig::default()
+        },
     ));
     if replication_factor > 1 {
         println!("proxy: replication factor {replication_factor} — failover routing enabled");

@@ -64,8 +64,8 @@ pub struct ProxyConfig {
     /// exists to suppress. Enable only for a proxy that is itself a
     /// backend of another proxy, firewalled like the backends are.
     pub cluster_internal: bool,
-    /// Copies per hash range, including the primary (clamped to
-    /// `1..=backend_count`). 1 — the default — is the unreplicated PR 7
+    /// Copies per hash range, including the primary, in
+    /// `1..=backend_count`. 1 — the default — is the unreplicated
     /// cluster: every range has exactly its born owner and a backend
     /// loss makes that range's requests fail. Above 1 the proxy fails
     /// over: it promotes the next live member of a dead primary's
@@ -439,14 +439,15 @@ pub struct ProxyService {
 }
 
 impl ProxyService {
-    /// Build a proxy over the given backends (at least one).
+    /// Build a proxy over the given backends. Panics on a shape
+    /// [`Topology::new`] refuses: no backend, or a replication factor
+    /// outside `1..=backends`.
     pub fn new(backends: Vec<Arc<dyn BackendLink>>, config: ProxyConfig) -> ProxyService {
-        assert!(!backends.is_empty(), "a proxy needs at least one backend");
         let n = backends.len();
-        let rf = config.replication_factor.clamp(1, n);
         // The proxy's own ring index is irrelevant — it only uses the
         // replica-set math, which every node computes identically.
-        let topology = Topology::new(0, n as u32, rf as u32);
+        let rf = u32::try_from(config.replication_factor).unwrap_or(u32::MAX);
+        let topology = Topology::new(0, n as u32, rf);
         let routes =
             Mutex::new((0..n).map(|r| RangeRoute { primary: r, epoch: 0 }).collect());
         let obs = Arc::new(Registry::new());

@@ -38,7 +38,7 @@ use orsp_replica::{
     catch_up_range, probe_range, PeerLink, RangeInit, ReplicaNode, ReplicatingSink,
     ReplicationMode, Role,
 };
-use orsp_server::{GroupCommitConfig, IngestService, ShapeError, Topology, WalSink};
+use orsp_server::{IngestService, ShapeError, Topology, WalSink};
 use orsp_storage::{scan_source, Dir, FsDir, FsyncPolicy, StorageEngine, StorageOptions};
 use orsp_types::SimDuration;
 use orsp_world::{World, WorldConfig};
@@ -56,8 +56,6 @@ const FLAGS: &[FlagSpec] = &[
     ("--peer", "ADDR|-"),
     ("--fsync", "always|on-rotate|never"),
     ("--shards", "N"),
-    ("--group-commit", "N"),
-    ("--group-commit-window-us", "N"),
     ("--max-connections", "N"),
     ("--seed", "N"),
     ("--users-per-zipcode", "N"),
@@ -104,10 +102,6 @@ fn main() {
     };
     let defaults = StorageOptions::default();
     let shards: usize = flags.parsed("--shards").unwrap_or(defaults.shard_count as usize);
-    let group_commit: usize =
-        flags.parsed("--group-commit").unwrap_or(defaults.group_commit_batch_max);
-    let group_commit_window_us: u64 =
-        flags.parsed("--group-commit-window-us").unwrap_or(defaults.group_commit_window_us);
     // Connection slab size; 0 means workers + queue depth.
     let max_connections: usize = flags.parsed("--max-connections").unwrap_or(0);
     let seed: u64 = flags.parsed("--seed").unwrap_or(13);
@@ -149,13 +143,7 @@ fn main() {
     })
     .expect("world generation");
 
-    let options = StorageOptions {
-        fsync,
-        shard_count: shards as u32,
-        group_commit_batch_max: group_commit,
-        group_commit_window_us,
-        ..defaults
-    };
+    let options = StorageOptions { fsync, shard_count: shards as u32, ..defaults };
 
     // Born range: recover, then probe the replica set for a newer
     // primary. Finding one means this node was failed over while away;
@@ -248,13 +236,7 @@ fn main() {
     service.seed_spent_tokens(report.spent_tokens);
 
     let node = Arc::new(ReplicaNode::new(topology, mode, peers, inits, service.obs()));
-    service.set_durability_with(
-        Arc::new(ReplicatingSink::new(Arc::clone(&node))) as Arc<dyn WalSink>,
-        GroupCommitConfig {
-            batch_max: group_commit.max(1),
-            window_us: group_commit_window_us,
-        },
-    );
+    service.set_durability(Arc::new(ReplicatingSink::new(Arc::clone(&node))) as Arc<dyn WalSink>);
     service.set_replica(Arc::clone(&node) as Arc<dyn ReplicaHook>);
     // A follower's recovered records still sit in its serving store,
     // but the proxy scatters reads to current primaries only, so they

@@ -213,14 +213,6 @@ impl ReplicaNode {
         self.shared.topology
     }
 
-    /// Current (role, epoch) for a held range.
-    pub fn range_status(&self, range: u32) -> Option<(Role, u64)> {
-        self.shared.ranges.get(&range).map(|s| {
-            let st = s.lock();
-            (st.role, st.epoch)
-        })
-    }
-
     /// Drain the async queue (if any) and stop the worker. Idempotent;
     /// call before the final checkpoints so queued batches reach their
     /// followers.

@@ -80,11 +80,6 @@ impl EnergyReport {
         self.gps_fixes + self.wifi_scans + self.cell_lookups
     }
 
-    /// Total energy in joules.
-    pub fn total_joules(&self) -> f64 {
-        self.total_mj / 1_000.0
-    }
-
     /// Average power over a span, milliwatts.
     pub fn average_power_mw(&self, span: SimDuration) -> f64 {
         if span <= SimDuration::ZERO {

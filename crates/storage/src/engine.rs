@@ -48,7 +48,8 @@ use crate::segment::{
 };
 use orsp_obs::{Counter, Histogram};
 use orsp_server::{
-    replay, shard_index, HistoryStore, IngestStats, WalBatchItem, WalEntry, WalSink,
+    replay, shard_index, GroupCommitConfig, HistoryStore, IngestStats, WalBatchItem, WalEntry,
+    WalSink,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -79,12 +80,13 @@ pub struct StorageOptions {
     pub max_segment_bytes: u64,
     /// Segment fsync policy.
     pub fsync: FsyncPolicy,
-    /// Most uploads one group commit may cover (≥ 1). The serving tier
-    /// reads this off the engine to size its per-shard commit batches.
+    /// Most uploads one group commit may cover (≥ 1). The engine never
+    /// reads it; a caller wiring the serving tier copies it into a
+    /// [`GroupCommitConfig`], whose default it takes.
     pub group_commit_batch_max: usize,
     /// Microseconds a group-commit leader holds its window open before
-    /// draining, letting more concurrent uploaders join the batch.
-    /// 0 drains immediately.
+    /// draining (0 drains immediately). Like `group_commit_batch_max`,
+    /// the engine never reads it.
     pub group_commit_window_us: u64,
 }
 
@@ -94,8 +96,8 @@ impl Default for StorageOptions {
             shard_count: 8,
             max_segment_bytes: 4 * 1024 * 1024,
             fsync: FsyncPolicy::OnRotate,
-            group_commit_batch_max: 64,
-            group_commit_window_us: 0,
+            group_commit_batch_max: GroupCommitConfig::default().batch_max,
+            group_commit_window_us: GroupCommitConfig::default().window_us,
         }
     }
 }

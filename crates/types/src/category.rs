@@ -246,17 +246,6 @@ impl Category {
         }
     }
 
-    /// Typical dwell time for one interaction with this category.
-    pub fn typical_visit_minutes(self) -> f64 {
-        match self {
-            Category::Restaurant(_) => 55.0,
-            Category::Doctor(_) => 45.0,
-            Category::ServiceProvider(_) => 8.0, // phone call
-            Category::App => 15.0,
-            Category::Video => 12.0,
-        }
-    }
-
     /// Stable small integer for hashing/indexing across all categories.
     pub fn stable_index(self) -> usize {
         match self {

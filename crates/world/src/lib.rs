@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod attacks;
-pub mod codec;
 pub mod config;
 pub mod entity;
 pub mod events;
@@ -43,7 +42,6 @@ pub mod scenario;
 pub mod sim;
 pub mod user;
 
-pub use codec::{decode_trace, encode_trace, DecodedTrace};
 pub use config::WorldConfig;
 pub use entity::{Entity, EntityAttributes};
 pub use events::{ActivityEvent, ActivityKind, Review};

@@ -51,16 +51,19 @@ cargo test -q --release -p orsp-net --test service_hammer
 cargo test -q -p orsp-net --test service_hammer
 cargo test -q -p orsp-server lockorder
 
-echo "== storage test suites (engine units, crash matrix, group-commit equivalence, served-crash recovery) =="
+echo "== storage test suites (engine units, crash matrix, group-commit equivalence, served-crash recovery; 64 uploaders at fsync=always reach >= 20x the seed's one-fsync-per-record rate) =="
 cargo test -q --release -p orsp-storage
 cargo test -q --release -p orsp-storage --test crash_matrix
 # The mid-group power-cut sweep also runs in a debug build: overflow and
 # debug_assert checks cover the batch/boundary arithmetic release elides.
 cargo test -q -p orsp-storage --test crash_matrix
 cargo test -q --release -p orsp-storage --test group_commit
+# Re-measures on this machine; the rate bound (>= 93 120 rec/s) is
+# asserted in release only.
+cargo test -q --release -p orsp-storage --test group_commit_throughput
 cargo test -q --release -p orsp-core --test storage_recovery
 
-echo "== proxy test suites (merge rules, routing/failure semantics, 3-backend digest equality over TCP) =="
+echo "== proxy test suites (merge rules, routing/failure semantics, impossible replication factor refused, 3-backend digest equality over TCP) =="
 cargo test -q --release -p orsp-proxy
 cargo test -q --release -p orsp-proxy --test proxy_end_to_end
 
@@ -76,25 +79,16 @@ done
 echo "== trace causality (proxy + 2 backends over TCP: one connected span tree, proxy root to wal_fsync) =="
 cargo test -q --release -p orsp-proxy --test trace_end_to_end
 
-echo "== replica suites (topology/apply/catch-up units; SIGKILL-the-primary failover e2e; mid-catch-up power-cut matrix; single-node drain + restart, misspelt flag refused) =="
+echo "== replica suites (topology/apply/catch-up units; SIGKILL-the-primary failover e2e; mid-catch-up power-cut matrix; single-node drain + restart, misspelt flag refused; sync RF=2 under 2x single-copy, or the 1-core serial-fsync exception) =="
 cargo test -q --release -p orsp-replica --lib
 cargo test -q --release -p orsp-replica --test failover_e2e
 cargo test -q --release -p orsp-replica --test catchup_crash
 cargo test -q --release -p orsp-replica --test single_node
+# Re-measures on this machine; the ratio is asserted in release only.
+cargo test -q --release -p orsp-replica --test replication_overhead
 
 echo "== reshard 2->4 round trip (digest-verified, source untouched) =="
 cargo test -q --release -p orsp-storage --lib reshard
-
-echo "== group-commit bench meets the 20x durable-ingest gate =="
-# Re-measures on this machine: concurrent uploaders against fsync=always
-# must reach >= 20x the seed's one-fsync-per-record rate (~93k rec/s)
-# with at least 4 uploaders, one fsync per group.
-cargo run --release -p orsp-bench --bin group_commit
-grep -q '"meets_20x_gate": true' results/BENCH_group_commit.json
-
-echo "== replication overhead bench: sync RF=2 under 2x single-copy (or the documented 1-core serial-fsync exception) =="
-cargo run --release -p orsp-bench --bin replication_overhead
-grep -q '"overhead_gate_ok": true' results/BENCH_replication_overhead.json
 
 # Formatting is advisory: rustfmt may be absent in minimal toolchains.
 if command -v rustfmt >/dev/null 2>&1; then
