@@ -17,6 +17,12 @@
 //! to a fixed set of persistent connections picked round-robin, so
 //! concurrent callers (the proxy's worker threads) don't serialize on a
 //! single link.
+//!
+//! A call can also be split in two: [`NetClient::send`] puts the request
+//! on the wire and [`NetClient::collect`] reads the answer, through the
+//! same retry loop `call` runs, so one thread can have requests in
+//! flight to several servers at once — the proxy's scatter sends every
+//! leg before it reads any answer ([`NetPool::send`]).
 
 use crate::error::NetError;
 use crate::stream::{read_message, write_message};
@@ -27,10 +33,11 @@ use orsp_crypto::{BlindSignature, BlindedMessage, UploadRequest};
 use orsp_search::SearchQuery;
 use orsp_server::{EntityAggregate, RejectReason};
 use orsp_types::{DeviceId, EntityId, Timestamp};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Client tunables.
 #[derive(Debug, Clone, Copy)]
@@ -131,34 +138,70 @@ impl CallTrace {
     }
 }
 
+/// Read buffer of one client connection: a response frame of ordinary
+/// size (header, trace context and payload) arrives in one `read`.
+const READ_BUF: usize = 4096;
+
 /// A blocking connection to an RSP server.
 pub struct NetClient {
     addr: SocketAddr,
     config: ClientConfig,
-    stream: Option<TcpStream>,
+    /// The connection, read through a buffer it owns: bytes read past a
+    /// frame stay with this connection and are dropped with it on
+    /// reconnect. Writes go straight to the socket via `get_mut()`.
+    stream: Option<BufReader<TcpStream>>,
     /// True once the current stream has completed at least one call —
     /// i.e. it sat idle in keep-alive and the peer may have closed it.
     reused: bool,
+    /// True from a [`NetClient::send`] until its [`NetClient::collect`]
+    /// finishes. Still set at the next send means a call was abandoned
+    /// with its answer on the wire, so that connection is dropped.
+    awaiting: bool,
     retry_stats: RetryStats,
+}
+
+/// A request whose first attempt has been put on the wire by
+/// [`NetClient::send`]; [`NetClient::collect`] reads its answer, retrying
+/// as [`NetClient::call`] does. The call deadline counts from the send.
+#[must_use = "a sent request's answer stays on the wire until collected"]
+pub struct Sent {
+    frame: Vec<u8>,
+    deadline: Option<Instant>,
+    /// The first attempt, or the failure that kept it off the wire.
+    first: Result<Attempt, NetError>,
+}
+
+/// One attempt on the wire: whether it went out on a kept-alive stream,
+/// and how its write went.
+struct Attempt {
+    reused: bool,
+    written: Result<(), NetError>,
 }
 
 impl NetClient {
     /// Build a client without connecting; the first call dials. Lets a
     /// pool (or the proxy) come up before its backends do.
     pub fn new(addr: SocketAddr, config: ClientConfig) -> NetClient {
-        NetClient { addr, config, stream: None, reused: false, retry_stats: RetryStats::default() }
+        NetClient {
+            addr,
+            config,
+            stream: None,
+            reused: false,
+            awaiting: false,
+            retry_stats: RetryStats::default(),
+        }
     }
 
     /// Connect to `addr` (eagerly, so configuration errors surface here).
     pub fn connect(addr: SocketAddr, config: ClientConfig) -> Result<NetClient, NetError> {
         let mut client = NetClient::new(addr, config);
-        client.ensure_stream()?;
+        client.ensure_connected()?;
         Ok(client)
     }
 
     /// Dial now if not already connected.
     pub fn ensure_connected(&mut self) -> Result<(), NetError> {
-        self.ensure_stream().map(|_| ())
+        self.ensure_stream_within(self.config.connect_timeout).map(|_| ())
     }
 
     /// The address this client dials.
@@ -176,14 +219,10 @@ impl NetClient {
         self.retry_stats
     }
 
-    fn ensure_stream(&mut self) -> Result<&mut TcpStream, NetError> {
-        self.ensure_stream_within(self.config.connect_timeout)
-    }
-
     fn ensure_stream_within(
         &mut self,
         connect_timeout: Duration,
-    ) -> Result<&mut TcpStream, NetError> {
+    ) -> Result<&mut BufReader<TcpStream>, NetError> {
         if self.stream.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, connect_timeout)
                 .map_err(NetError::from_io)?;
@@ -194,24 +233,49 @@ impl NetClient {
             stream
                 .set_write_timeout(Some(self.config.write_timeout))
                 .map_err(NetError::from_io)?;
-            self.stream = Some(stream);
+            self.stream = Some(BufReader::with_capacity(READ_BUF, stream));
             self.reused = false;
         }
         Ok(self.stream.as_mut().expect("just set"))
     }
 
-    /// One write/read exchange. `Ok(None)` means the peer closed before
-    /// sending a single response byte — distinguishable from a mid-frame
-    /// drop or a failed write ([`NetError::Closed`]) so the caller can
-    /// treat a closed-while-idle keep-alive stream differently from a
-    /// peer that died with the request possibly in hand.
-    fn call_once(
+    /// Put one attempt of `frame` on the wire, dialing first if needed.
+    /// The call deadline clamps the dial: a black-holed peer (SYNs
+    /// silently dropped) blocks `connect()` only for what remains of the
+    /// call's budget, not the full `connect_timeout` per retry. `Err`
+    /// means the budget is spent and no attempt was made.
+    fn start_attempt(
         &mut self,
         frame: &[u8],
-        connect_timeout: Duration,
-    ) -> Result<Option<Response>, NetError> {
-        let stream = self.ensure_stream_within(connect_timeout)?;
-        write_message(stream, frame)?;
+        deadline: Option<Instant>,
+    ) -> Result<Attempt, NetError> {
+        let connect_timeout = match deadline {
+            Some(d) => {
+                let remaining = d.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    self.retry_stats.exhausted += 1;
+                    return Err(NetError::Timeout);
+                }
+                self.config.connect_timeout.min(remaining)
+            }
+            None => self.config.connect_timeout,
+        };
+        let reused = self.reused && self.stream.is_some();
+        self.retry_stats.attempts += 1;
+        let written = self
+            .ensure_stream_within(connect_timeout)
+            .and_then(|stream| write_message(stream.get_mut(), frame));
+        Ok(Attempt { reused, written })
+    }
+
+    /// Read the answer to the attempt on the wire. `Ok(None)` means the
+    /// peer closed before sending a single response byte —
+    /// distinguishable from a mid-frame drop ([`NetError::Closed`]) so
+    /// the caller can treat a closed-while-idle keep-alive stream
+    /// differently from a peer that died with the request possibly in
+    /// hand.
+    fn receive(&mut self) -> Result<Option<Response>, NetError> {
+        let stream = self.stream.as_mut().ok_or(NetError::Closed)?;
         match read_message(stream)? {
             Some((payload, _ctx)) => {
                 let response = Response::decode_payload(&payload)?;
@@ -237,38 +301,52 @@ impl NetClient {
     }
 
     /// [`NetClient::call_traced`] with an explicit trace context instead
-    /// of the thread's ambient one — for callers that fan work out to
-    /// scoped threads (thread-locals don't cross that boundary).
+    /// of the thread's ambient one: [`NetClient::send`] then
+    /// [`NetClient::collect`].
     pub fn call_traced_with(
         &mut self,
         request: &Request,
         ctx: Option<TraceContext>,
     ) -> Result<(Response, CallTrace), NetError> {
+        let sent = self.send(request, ctx);
+        self.collect(sent)
+    }
+
+    /// Put the first attempt of `request`, stamped with `ctx`, on the
+    /// wire and return without reading the answer, so one thread can
+    /// have requests in flight to several servers at once. Collect the
+    /// answer with [`NetClient::collect`] before this client's next send.
+    pub fn send(&mut self, request: &Request, ctx: Option<TraceContext>) -> Sent {
+        if self.awaiting {
+            // The previous call was abandoned mid-flight: its answer
+            // would be read as this one's.
+            self.stream = None;
+        }
+        self.awaiting = true;
         let frame = request.encode_traced(ctx.as_ref());
+        let deadline = self.config.call_deadline.map(|d| Instant::now() + d);
+        let first = self.start_attempt(&frame, deadline);
+        Sent { frame, deadline, first }
+    }
+
+    /// Read the answer to a [`NetClient::send`], with the full retry
+    /// behaviour of [`NetClient::call`]: a failed first attempt is
+    /// resent here, after the same backoff and within the same deadline.
+    pub fn collect(&mut self, sent: Sent) -> Result<(Response, CallTrace), NetError> {
+        let result = self.retry_loop(sent);
+        self.awaiting = false;
+        result
+    }
+
+    fn retry_loop(&mut self, sent: Sent) -> Result<(Response, CallTrace), NetError> {
+        let Sent { frame, deadline, first } = sent;
         let mut trace = CallTrace::default();
         let mut attempt: u32 = 0;
-        let deadline = self.config.call_deadline.map(|d| std::time::Instant::now() + d);
+        let mut on_wire = first?;
         loop {
-            // The call deadline clamps every dial: a black-holed peer
-            // (SYNs silently dropped) blocks `connect()` only for what
-            // remains of this call's budget, not the full
-            // `connect_timeout` per retry.
-            let connect_timeout = match deadline {
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(std::time::Instant::now());
-                    if remaining.is_zero() {
-                        self.retry_stats.exhausted += 1;
-                        return Err(NetError::Timeout);
-                    }
-                    self.config.connect_timeout.min(remaining)
-                }
-                None => self.config.connect_timeout,
-            };
-            let reused = self.reused && self.stream.is_some();
-            self.retry_stats.attempts += 1;
             trace.attempts += 1;
             let mut before_any_byte = false;
-            let failure = match self.call_once(&frame, connect_timeout) {
+            let failure = match on_wire.written.and_then(|()| self.receive()) {
                 Ok(Some(Response::Busy)) => NetError::Busy,
                 // A typed unavailability report is a fail-fast: the range
                 // is dead or demoted, retrying into it with backoff would
@@ -295,11 +373,12 @@ impl NetClient {
             // so it falls through to the bounded retry path and counts as
             // a disconnect. The fresh stream clears `reused`, so a
             // genuinely failing peer cannot loop here.
-            if reused && before_any_byte {
+            if on_wire.reused && before_any_byte {
                 self.stream = None;
                 self.retry_stats.stale_reconnects += 1;
                 trace.attempts -= 1;
                 trace.stale_reconnects += 1;
+                on_wire = self.start_attempt(&frame, deadline)?;
                 continue;
             }
             match failure {
@@ -322,7 +401,7 @@ impl NetClient {
                 // Sleeping through the deadline helps no one: if the
                 // backoff would overrun the budget, report the failure
                 // now.
-                let remaining = d.saturating_duration_since(std::time::Instant::now());
+                let remaining = d.saturating_duration_since(Instant::now());
                 if backoff >= remaining {
                     self.retry_stats.exhausted += 1;
                     return Err(failure);
@@ -331,6 +410,7 @@ impl NetClient {
             self.retry_stats.backoff_us += backoff.as_micros() as u64;
             std::thread::sleep(backoff);
             attempt += 1;
+            on_wire = self.start_attempt(&frame, deadline)?;
         }
     }
 
@@ -507,14 +587,23 @@ impl NetPool {
         self.slot().lock().call_traced(request)
     }
 
-    /// [`NetPool::call_traced`] with an explicit trace context (for
-    /// callers dispatching from scoped threads).
+    /// [`NetPool::call_traced`] with an explicit trace context.
     pub fn call_traced_with(
         &self,
         request: &Request,
         ctx: Option<TraceContext>,
     ) -> Result<(Response, CallTrace), NetError> {
         self.slot().lock().call_traced_with(request, ctx)
+    }
+
+    /// [`NetClient::send`] on the next slot. The returned call holds
+    /// that slot until [`PendingCall::collect`], so a caller with calls
+    /// pending to several pools must take them in one fixed pool order
+    /// (the proxy's scatter goes by ascending backend index).
+    pub fn send(&self, request: &Request, ctx: Option<TraceContext>) -> PendingCall<'_> {
+        let mut client = self.slot().lock();
+        let sent = client.send(request, ctx);
+        PendingCall { client, sent }
     }
 
     /// Retry/backoff accounting summed across every slot.
@@ -524,6 +613,22 @@ impl NetPool {
             total.absorb(&slot.lock().retry_stats());
         }
         total
+    }
+}
+
+/// A request on the wire from one [`NetPool`] slot, which it holds until
+/// its answer is collected.
+#[must_use = "a sent request's answer stays on the wire until collected"]
+pub struct PendingCall<'a> {
+    client: MutexGuard<'a, NetClient>,
+    sent: Sent,
+}
+
+impl PendingCall<'_> {
+    /// Read the answer (see [`NetClient::collect`]) and free the slot.
+    pub fn collect(self) -> Result<(Response, CallTrace), NetError> {
+        let PendingCall { mut client, sent } = self;
+        client.collect(sent)
     }
 }
 
@@ -544,36 +649,66 @@ mod tests {
         write_message(stream, &Response::Pong.encode()).expect("write");
     }
 
+    /// The two ways to make a call: `call` in one step, or `send` now and
+    /// `collect` later. Both run the one retry loop, so every retry test
+    /// below runs through each and must see the same accounting.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Call,
+        SendCollect,
+    }
+
+    const PATHS: [Path; 2] = [Path::Call, Path::SendCollect];
+
+    fn ping_via(client: &mut NetClient, path: Path) -> Result<(Response, CallTrace), NetError> {
+        match path {
+            Path::Call => client.call_traced(&Request::Ping),
+            Path::SendCollect => {
+                let sent = client.send(&Request::Ping, None);
+                client.collect(sent)
+            }
+        }
+    }
+
+    /// Run `case` once per path; every path must report what `call` did.
+    fn same_on_both_paths<T: PartialEq + std::fmt::Debug>(case: impl Fn(Path) -> T) {
+        let outcomes: Vec<T> = PATHS.iter().map(|&path| case(path)).collect();
+        assert_eq!(outcomes[0], outcomes[1], "call vs send/collect");
+    }
+
     #[test]
     fn stale_keepalive_connection_is_replaced_without_burning_retries() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
-        let server = std::thread::spawn(move || {
-            // Connection 1: answer one ping, then close while it idles.
-            let (mut s1, _) = listener.accept().expect("accept 1");
-            answer_ping(&mut s1);
-            drop(s1);
-            closed_tx.send(()).expect("signal");
-            // Connection 2: the transparent replacement.
-            let (mut s2, _) = listener.accept().expect("accept 2");
-            answer_ping(&mut s2);
+        same_on_both_paths(|path| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+            let server = std::thread::spawn(move || {
+                // Connection 1: answer one ping, then close while it idles.
+                let (mut s1, _) = listener.accept().expect("accept 1");
+                answer_ping(&mut s1);
+                drop(s1);
+                closed_tx.send(()).expect("signal");
+                // Connection 2: the transparent replacement.
+                let (mut s2, _) = listener.accept().expect("accept 2");
+                answer_ping(&mut s2);
+            });
+
+            let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
+            client.ping().expect("first ping");
+            closed_rx.recv().expect("server closed conn 1");
+            let (response, trace) = ping_via(&mut client, path).expect("second ping");
+            assert!(matches!(response, Response::Pong));
+            assert_eq!(trace.stale_reconnects, 1, "stale stream replaced once");
+            assert!(!trace.retried(), "replacement is not a retry");
+
+            let stats = client.retry_stats();
+            assert_eq!(stats.stale_reconnects, 1);
+            assert_eq!(stats.disconnects, 0, "idle close must not count as a disconnect");
+            assert_eq!(stats.retries(), 0, "no retry budget burned");
+            assert_eq!(stats.backoff_us, 0, "no backoff slept");
+            server.join().expect("server");
+            (trace, stats)
         });
-
-        let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
-        client.ping().expect("first ping");
-        closed_rx.recv().expect("server closed conn 1");
-        let (response, trace) = client.call_traced(&Request::Ping).expect("second ping");
-        assert!(matches!(response, Response::Pong));
-        assert_eq!(trace.stale_reconnects, 1, "stale stream replaced once");
-        assert!(!trace.retried(), "replacement is not a retry");
-
-        let stats = client.retry_stats();
-        assert_eq!(stats.stale_reconnects, 1);
-        assert_eq!(stats.disconnects, 0, "idle close must not count as a disconnect");
-        assert_eq!(stats.retries(), 0, "no retry budget burned");
-        assert_eq!(stats.backoff_us, 0, "no backoff slept");
-        server.join().expect("server");
     }
 
     #[test]
@@ -583,85 +718,86 @@ mod tests {
         // — it may have processed the request — so the resend must burn
         // retry budget and count as a disconnect, not ride the free
         // stale-replacement path.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn(move || {
-            let (mut s1, _) = listener.accept().expect("accept 1");
-            answer_ping(&mut s1);
-            let _ = read_message(&mut s1).expect("read request 2").expect("frame");
-            use std::io::Write;
-            let torn = &Response::Pong.encode()[..5];
-            s1.write_all(torn).expect("torn write");
-            drop(s1);
-            let (mut s2, _) = listener.accept().expect("accept 2");
-            answer_ping(&mut s2);
+        same_on_both_paths(|path| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let server = std::thread::spawn(move || {
+                let (mut s1, _) = listener.accept().expect("accept 1");
+                answer_ping(&mut s1);
+                let _ = read_message(&mut s1).expect("read request 2").expect("frame");
+                use std::io::Write;
+                let torn = &Response::Pong.encode()[..5];
+                s1.write_all(torn).expect("torn write");
+                drop(s1);
+                let (mut s2, _) = listener.accept().expect("accept 2");
+                answer_ping(&mut s2);
+            });
+
+            let config = ClientConfig {
+                max_retries: 2,
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(2),
+                ..ClientConfig::default()
+            };
+            let mut client = NetClient::connect(addr, config).expect("connect");
+            client.ping().expect("first ping");
+            let (response, trace) = ping_via(&mut client, path).expect("second ping");
+            assert!(matches!(response, Response::Pong));
+            assert_eq!(trace.stale_reconnects, 0, "mid-frame drop is not stale");
+            assert_eq!(trace.attempts, 2, "the resend burned a retry");
+
+            let stats = client.retry_stats();
+            assert_eq!(stats.stale_reconnects, 0);
+            assert_eq!(stats.disconnects, 1, "mid-frame drop is a disconnect");
+            assert_eq!(stats.retries(), 1);
+            server.join().expect("server");
+            (trace, stats)
         });
-
-        let config = ClientConfig {
-            max_retries: 2,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            ..ClientConfig::default()
-        };
-        let mut client = NetClient::connect(addr, config).expect("connect");
-        client.ping().expect("first ping");
-        let (response, trace) = client.call_traced(&Request::Ping).expect("second ping");
-        assert!(matches!(response, Response::Pong));
-        assert_eq!(trace.stale_reconnects, 0, "mid-frame drop is not stale");
-        assert_eq!(trace.attempts, 2, "the resend burned a retry");
-
-        let stats = client.retry_stats();
-        assert_eq!(stats.stale_reconnects, 0);
-        assert_eq!(stats.disconnects, 1, "mid-frame drop is a disconnect");
-        assert_eq!(stats.retries(), 1);
-        server.join().expect("server");
     }
 
     #[test]
     fn fresh_connection_eof_still_burns_the_retry_budget() {
         // A peer that closes every brand-new connection without answering
         // must exhaust retries, not loop forever in stale replacement.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn(move || {
-            let mut accepted = 0u32;
-            while let Ok((s, _)) = listener.accept() {
-                drop(s);
-                accepted += 1;
-                if accepted >= 8 {
-                    break;
+        same_on_both_paths(|path| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let server = std::thread::spawn(move || {
+                let mut accepted = 0u32;
+                while let Ok((s, _)) = listener.accept() {
+                    drop(s);
+                    accepted += 1;
+                    if accepted >= 8 {
+                        break;
+                    }
                 }
+            });
+            let config = ClientConfig {
+                max_retries: 2,
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(2),
+                ..ClientConfig::default()
+            };
+            let mut client = NetClient::new(addr, config);
+            let err = ping_via(&mut client, path).expect_err("must exhaust");
+            assert_eq!(err, NetError::Closed);
+            let stats = client.retry_stats();
+            assert_eq!(stats.attempts, 3, "first try + two retries");
+            assert_eq!(stats.stale_reconnects, 0);
+            assert_eq!(stats.exhausted, 1);
+            drop(client);
+            // Unblock the listener loop if it is still waiting.
+            for _ in 0..5 {
+                let _ = TcpStream::connect(addr);
             }
+            server.join().expect("server");
+            (err, stats)
         });
-        let config = ClientConfig {
-            max_retries: 2,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            ..ClientConfig::default()
-        };
-        let mut client = NetClient::new(addr, config);
-        let err = client.call(&Request::Ping).expect_err("must exhaust");
-        assert_eq!(err, NetError::Closed);
-        let stats = client.retry_stats();
-        assert_eq!(stats.attempts, 3, "first try + two retries");
-        assert_eq!(stats.stale_reconnects, 0);
-        assert_eq!(stats.exhausted, 1);
-        drop(client);
-        // Unblock the listener loop if it is still waiting.
-        let _ = TcpStream::connect(addr);
-        let _ = TcpStream::connect(addr);
-        let _ = TcpStream::connect(addr);
-        let _ = TcpStream::connect(addr);
-        let _ = TcpStream::connect(addr);
-        server.join().expect("server");
     }
 
-    #[test]
-    fn call_deadline_bounds_the_whole_retry_loop() {
-        // A server that sheds every request with `Busy` would normally
-        // hold this client for the full retry schedule (50 retries at
-        // 20–40ms backoff ≈ seconds). The call deadline cuts the loop
-        // the moment the next backoff would overrun the budget.
+    /// A server that answers every request on every connection with
+    /// `Busy`, until a connection closes without sending one.
+    fn always_busy() -> (SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let server = std::thread::spawn(move || loop {
@@ -673,50 +809,124 @@ mod tests {
                 _ => return, // the throwaway stop connection
             }
         });
+        (addr, server)
+    }
 
-        let config = ClientConfig {
-            max_retries: 50,
-            backoff_base: Duration::from_millis(20),
-            backoff_cap: Duration::from_millis(40),
-            call_deadline: Some(Duration::from_millis(150)),
-            ..ClientConfig::default()
-        };
-        let mut client = NetClient::connect(addr, config).expect("connect");
-        let started = std::time::Instant::now();
-        let err = client.call(&Request::Ping).expect_err("deadline must cut the loop");
-        let elapsed = started.elapsed();
-        assert_eq!(err, NetError::Busy, "the last real failure is reported");
-        assert!(elapsed < Duration::from_secs(1), "deadline ignored: took {elapsed:?}");
+    #[test]
+    fn call_deadline_bounds_the_whole_retry_loop() {
+        // A server that sheds every request with `Busy` would normally
+        // hold this client for the full retry schedule (50 retries at
+        // 20–40ms backoff ≈ seconds). The call deadline cuts the loop
+        // the moment the next backoff would overrun the budget: after
+        // sleeps of 20, 40 and 40 ms, the fifth attempt lands near
+        // 140 ms and the next 40 ms backoff would pass 160 ms. Each of
+        // those decisions has about 20 ms of slack, so both paths count
+        // the same attempts.
+        same_on_both_paths(|path| {
+            let (addr, server) = always_busy();
+            let config = ClientConfig {
+                max_retries: 50,
+                backoff_base: Duration::from_millis(20),
+                backoff_cap: Duration::from_millis(40),
+                call_deadline: Some(Duration::from_millis(160)),
+                ..ClientConfig::default()
+            };
+            let mut client = NetClient::connect(addr, config).expect("connect");
+            let started = Instant::now();
+            let err = ping_via(&mut client, path).expect_err("deadline must cut the loop");
+            let elapsed = started.elapsed();
+            assert_eq!(err, NetError::Busy, "the last real failure is reported");
+            assert!(elapsed < Duration::from_secs(1), "deadline ignored: took {elapsed:?}");
 
-        let stats = client.retry_stats();
-        assert_eq!(stats.exhausted, 1);
-        assert!(stats.attempts < 51, "far fewer attempts than the retry budget allows");
-        drop(client);
-        let _ = TcpStream::connect(addr); // unblock the accept loop
-        server.join().expect("server");
+            let stats = client.retry_stats();
+            assert_eq!(stats.exhausted, 1);
+            assert!(stats.attempts < 51, "far fewer attempts than the retry budget allows");
+            drop(client);
+            let _ = TcpStream::connect(addr); // unblock the accept loop
+            server.join().expect("server");
+            (err, stats)
+        });
+    }
+
+    #[test]
+    fn busy_is_retried_after_backoff_and_counted() {
+        same_on_both_paths(|path| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let server = std::thread::spawn(move || {
+                // Shed the first request, answer the resend (which
+                // arrives on a fresh connection).
+                let (mut s1, _) = listener.accept().expect("accept 1");
+                let _ = read_message(&mut s1).expect("read").expect("frame");
+                write_message(&mut s1, &Response::Busy.encode()).expect("write");
+                let (mut s2, _) = listener.accept().expect("accept 2");
+                answer_ping(&mut s2);
+            });
+            let config = ClientConfig {
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(2),
+                ..ClientConfig::default()
+            };
+            let mut client = NetClient::connect(addr, config).expect("connect");
+            let (response, trace) = ping_via(&mut client, path).expect("served on the retry");
+            assert!(matches!(response, Response::Pong));
+            assert_eq!(trace, CallTrace { attempts: 2, stale_reconnects: 0 });
+            let stats = client.retry_stats();
+            assert_eq!((stats.busy, stats.retries(), stats.exhausted), (1, 1, 0));
+            assert_eq!(stats.backoff_us, 1_000, "one base backoff slept");
+            server.join().expect("server");
+            (trace, stats)
+        });
     }
 
     #[test]
     fn unavailable_fails_fast_without_burning_retries() {
+        same_on_both_paths(|path| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let server = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().expect("accept");
+                let _ = read_message(&mut s).expect("read").expect("frame");
+                let resp = Response::Unavailable { detail: "range 2 down".into() };
+                write_message(&mut s, &resp.encode()).expect("write");
+            });
+            let config = ClientConfig {
+                max_retries: 3,
+                backoff_base: Duration::from_millis(50),
+                ..ClientConfig::default()
+            };
+            let mut client = NetClient::connect(addr, config).expect("connect");
+            let err = ping_via(&mut client, path).expect_err("must fail fast");
+            assert_eq!(err, NetError::Unavailable("range 2 down".into()));
+            let stats = client.retry_stats();
+            assert_eq!(stats.attempts, 1, "no retry attempted");
+            assert_eq!(stats.backoff_us, 0, "no backoff slept");
+            server.join().expect("server");
+            (err, stats)
+        });
+    }
+
+    #[test]
+    fn an_abandoned_send_never_answers_the_next_call() {
+        // A send whose answer is never collected leaves that answer on
+        // the wire. The next send must not read it as its own: it drops
+        // the connection and asks again on a fresh one.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().expect("accept");
-            let _ = read_message(&mut s).expect("read").expect("frame");
-            let resp = Response::Unavailable { detail: "range 2 down".into() };
-            write_message(&mut s, &resp.encode()).expect("write");
+            let (mut s1, _) = listener.accept().expect("accept 1");
+            let _ = read_message(&mut s1).expect("read").expect("frame");
+            let stale = Response::Error { detail: "answer to the abandoned call".into() };
+            write_message(&mut s1, &stale.encode()).expect("write");
+            let (mut s2, _) = listener.accept().expect("accept 2");
+            answer_ping(&mut s2);
         });
-        let config = ClientConfig {
-            max_retries: 3,
-            backoff_base: Duration::from_millis(50),
-            ..ClientConfig::default()
-        };
-        let mut client = NetClient::connect(addr, config).expect("connect");
-        let err = client.call(&Request::Ping).expect_err("must fail fast");
-        assert_eq!(err, NetError::Unavailable("range 2 down".into()));
-        let stats = client.retry_stats();
-        assert_eq!(stats.attempts, 1, "no retry attempted");
-        assert_eq!(stats.backoff_us, 0, "no backoff slept");
+        let mut client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
+        let abandoned = client.send(&Request::Stats, None);
+        drop(abandoned);
+        let (response, trace) = ping_via(&mut client, Path::SendCollect).expect("ping");
+        assert_eq!(response, Response::Pong);
+        assert_eq!(trace, CallTrace { attempts: 1, stale_reconnects: 0 });
         server.join().expect("server");
     }
 
@@ -748,8 +958,10 @@ mod tests {
 
         let pool = NetPool::connect(addr, ClientConfig::default(), 2).expect("pool");
         assert_eq!(pool.size(), 2);
-        for _ in 0..6 {
+        for _ in 0..3 {
             assert!(matches!(pool.call(&Request::Ping).expect("call"), Response::Pong));
+            let pending = pool.send(&Request::Ping, None);
+            assert!(matches!(pending.collect().expect("collect").0, Response::Pong));
         }
         let stats = pool.retry_stats();
         assert_eq!(stats.attempts, 6);

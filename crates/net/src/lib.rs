@@ -47,7 +47,9 @@ pub mod transport;
 pub mod wire;
 
 pub use assembler::{AssembledFrame, FrameAssembler};
-pub use client::{CallTrace, ClientConfig, NetClient, NetPool, RetryStats, TcpTransport};
+pub use client::{
+    CallTrace, ClientConfig, NetClient, NetPool, PendingCall, RetryStats, Sent, TcpTransport,
+};
 pub use error::{NetError, WireError};
 pub use flags::{process_trace_seed, FlagSpec, Flags};
 pub use router::{ReplicaHook, ReplicateOutcome, RspService, ServiceConfig};

@@ -7,8 +7,12 @@
 //! header validation, CRC check, and payload cap — here driven with
 //! exact-size blocking reads ([`FrameAssembler::need`]
 //! bytes at a time), so this reader never consumes past the end of a
-//! frame. Deadlines are the socket's read/write timeouts — a peer that
-//! stalls mid-frame surfaces as [`NetError::Timeout`], never as a hang.
+//! frame. That is one `read` per frame stage; the client hands it a
+//! `BufReader` its connection owns, which turns a response of ordinary
+//! size into one `read` on the socket and keeps any bytes past the frame
+//! with the connection. Deadlines are the socket's read/write timeouts —
+//! a peer that stalls mid-frame surfaces as [`NetError::Timeout`], never
+//! as a hang.
 
 use crate::assembler::FrameAssembler;
 use crate::error::NetError;
@@ -130,6 +134,37 @@ mod tests {
             read_message(&mut r),
             Err(NetError::Wire(WireError::BadCrc { .. }))
         ));
+    }
+
+    /// A reader that counts the `read` calls made on it.
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_buffered_frame_costs_one_read() {
+        for ctx in [None, Some(TraceContext { trace_id: 42, span_id: 7, sampled: true })] {
+            let framed = frame_traced(&[7u8; 300], ctx.as_ref());
+            // Unbuffered, each frame stage is a read of its own: first
+            // byte, prefix, header, trace context (if any), payload.
+            let mut bare = Counting { bytes: &framed, reads: 0 };
+            assert_eq!(read_message(&mut bare).unwrap(), Some((vec![7u8; 300], ctx)));
+            assert_eq!(bare.reads, 4 + usize::from(ctx.is_some()));
+            // Through the client's connection buffer: one read.
+            let mut counted = Counting { bytes: &framed, reads: 0 };
+            let mut buffered = std::io::BufReader::with_capacity(4096, &mut counted);
+            assert_eq!(read_message(&mut buffered).unwrap(), Some((vec![7u8; 300], ctx)));
+            drop(buffered);
+            assert_eq!(counted.reads, 1);
+        }
     }
 
     #[test]

@@ -299,10 +299,10 @@ impl Tracer {
         }
     }
 
-    /// Start a child of an explicit context — for worker threads that
-    /// don't inherit the request thread's ambient span (the proxy's
-    /// long-lived fan-out leg threads). No-op when `ctx` is `None` or
-    /// unsampled.
+    /// Start a child of an explicit context rather than of the ambient
+    /// span — for spans that are siblings, not nested (the proxy's
+    /// fan-out legs, each a child of the RPC span). No-op when `ctx` is
+    /// `None` or unsampled.
     pub fn child_of(&self, ctx: Option<TraceContext>, name: &'static str) -> SpanGuard {
         match ctx {
             Some(c) if c.sampled => {

@@ -35,4 +35,4 @@ pub mod merge;
 pub mod service;
 
 pub use merge::{floored_aggregate, merge_parts, namespaced_stats, search_consensus, MergeError};
-pub use service::{BackendLink, ProxyConfig, ProxyError, ProxyService};
+pub use service::{BackendLink, Pending, ProxyConfig, ProxyError, ProxyService};

@@ -18,9 +18,10 @@
 //!   (asserted end to end by `tests/proxy_end_to_end.rs`). Each costs
 //!   one fan-out round: a search scatters `SearchParts`, whose legs
 //!   carry the ranked hits plus each hit's integer support, and never
-//!   moves an effort point. The first leg runs on the dispatch thread;
-//!   the others go to long-lived `proxy-leg` threads the service owns
-//!   (see `LegPool`), so a read spawns nothing. The cluster-internal
+//!   moves an effort point. The thread that took the read sends every
+//!   leg's request first, then collects the answers in the same order
+//!   (see [`BackendLink::send`]): the backends work in parallel, and the
+//!   read spawns, parks and wakes no thread of its own. The cluster-internal
 //!   `AggregateParts`, `SearchParts`, `Replicate`, and `CatchUp` RPCs
 //!   are refused at the front door unless
 //!   [`ProxyConfig::cluster_internal`] is set.
@@ -39,15 +40,16 @@
 //!   partially (see [`crate::merge::namespaced_stats`]).
 
 use crate::merge::{self, MergeError};
-use orsp_net::{CallTrace, FrameService, NetError, NetPool, Request, Response, RetryStats};
+use orsp_net::{
+    CallTrace, FrameService, NetError, NetPool, PendingCall, Request, Response, RetryStats,
+};
 use orsp_obs::{trace, Counter, Gauge, Histogram, Registry, TraceContext};
 use orsp_server::{shard_index, Topology};
 use orsp_types::{DeviceId, EntityId, RecordId};
 use parking_lot::Mutex;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// Proxy tunables.
 #[derive(Debug, Clone, Copy)]
@@ -100,6 +102,21 @@ pub trait BackendLink: Send + Sync {
         request: &Request,
         ctx: Option<TraceContext>,
     ) -> Result<(Response, CallTrace), NetError>;
+    /// The first half of [`Self::call`]: put `request` on the wire and
+    /// return without waiting for the answer, which [`Self::collect`]
+    /// reads. A scatter sends every leg before it collects any, so the
+    /// backends work in parallel. The default makes the whole call here,
+    /// which is correct for any link but runs the legs one after another.
+    fn send(&self, request: &Request, ctx: Option<TraceContext>) -> Pending<'_> {
+        Pending::Answered(self.call(request, ctx))
+    }
+    /// The second half of [`Self::call`]: the answer to a [`Self::send`].
+    fn collect(&self, pending: Pending<'_>) -> Result<(Response, CallTrace), NetError> {
+        match pending {
+            Pending::Answered(result) => result,
+            Pending::OnTheWire(call) => call.collect(),
+        }
+    }
     /// Human-readable identity (address) for logs and errors.
     fn label(&self) -> String;
     /// Cumulative client-side retry/backoff accounting for this link, if
@@ -109,6 +126,15 @@ pub trait BackendLink: Send + Sync {
     }
 }
 
+/// A [`BackendLink::send`] whose answer has not been collected yet.
+pub enum Pending<'a> {
+    /// The answer is already in: the link made the whole call at send.
+    Answered(Result<(Response, CallTrace), NetError>),
+    /// The request is on a pooled connection, which it holds until
+    /// collected.
+    OnTheWire(PendingCall<'a>),
+}
+
 impl BackendLink for NetPool {
     fn call(
         &self,
@@ -116,6 +142,10 @@ impl BackendLink for NetPool {
         ctx: Option<TraceContext>,
     ) -> Result<(Response, CallTrace), NetError> {
         self.call_traced_with(request, ctx)
+    }
+
+    fn send(&self, request: &Request, ctx: Option<TraceContext>) -> Pending<'_> {
+        Pending::OnTheWire(NetPool::send(self, request, ctx))
     }
 
     fn label(&self) -> String {
@@ -263,7 +293,7 @@ struct RangeRoute {
 type Leg = (usize, Result<Response, ProxyError>);
 
 /// The backends and their outcome counters: everything one backend call
-/// touches, shared by the dispatch thread and the leg threads.
+/// touches.
 struct Links {
     backends: Vec<Arc<dyn BackendLink>>,
     counters: Vec<BackendCounters>,
@@ -284,40 +314,55 @@ impl Links {
     ) -> Result<Response, ProxyError> {
         let guard = self.obs.tracer().child_of(parent, "backend_call");
         let ctx = guard.context().or(parent);
-        let result = self.call_raw(i, request, ctx);
+        self.counters[i].forwarded.inc();
+        let result = self.outcome(i, self.backends[i].call(request, ctx));
         guard.end();
         result
     }
 
-    /// [`Self::call`] for a fan-out leg: a link that panics becomes a
-    /// typed `Unavailable` for its backend, so the read fails cleanly
-    /// and neither the dispatch thread nor a leg thread dies with it.
-    fn call_leg(&self, i: usize, request: &Request, parent: Option<TraceContext>) -> Leg {
-        let result = panic::catch_unwind(AssertUnwindSafe(|| self.call(i, request, parent)))
-            .unwrap_or_else(|payload| {
-                self.counters[i].unavailable.inc();
-                let what = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_default();
-                Err(ProxyError::Unavailable {
-                    backend: i,
-                    source: NetError::Unexpected(format!("backend call panicked: {what}")),
-                })
-            });
-        (i, result)
-    }
-
-    fn call_raw(
+    /// Put a fan-out leg on the wire (see [`BackendLink::send`]).
+    fn send_leg(
         &self,
         i: usize,
         request: &Request,
         ctx: Option<TraceContext>,
+    ) -> Result<Pending<'_>, ProxyError> {
+        self.counters[i].forwarded.inc();
+        self.unless_panicked(i, || self.backends[i].send(request, ctx))
+    }
+
+    /// Read a fan-out leg's answer.
+    fn collect_leg(&self, i: usize, pending: Pending<'_>) -> Result<Response, ProxyError> {
+        let answer = self.unless_panicked(i, || self.backends[i].collect(pending))?;
+        self.outcome(i, answer)
+    }
+
+    /// Run one half of a leg. A link that panics becomes a typed
+    /// `Unavailable` for its backend, so the read fails cleanly and the
+    /// worker that took it lives on.
+    fn unless_panicked<T>(&self, i: usize, half: impl FnOnce() -> T) -> Result<T, ProxyError> {
+        panic::catch_unwind(AssertUnwindSafe(half)).map_err(|payload| {
+            self.counters[i].unavailable.inc();
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            ProxyError::Unavailable {
+                backend: i,
+                source: NetError::Unexpected(format!("backend call panicked: {what}")),
+            }
+        })
+    }
+
+    /// Count and type one backend's answer.
+    fn outcome(
+        &self,
+        i: usize,
+        answer: Result<(Response, CallTrace), NetError>,
     ) -> Result<Response, ProxyError> {
         let counters = &self.counters[i];
-        counters.forwarded.inc();
-        match self.backends[i].call(request, ctx) {
+        match answer {
             Ok((Response::Busy, _)) => {
                 // A fake or a proxy-of-proxies can hand back `Busy` as a
                 // value; a `NetPool` retries it internally and surfaces
@@ -353,84 +398,12 @@ impl Links {
     }
 }
 
-type LegJob = Box<dyn FnOnce() + Send>;
-
-/// One parked `proxy-leg` thread and the channel that wakes it.
-struct LegThread {
-    jobs: mpsc::Sender<LegJob>,
-    handle: JoinHandle<()>,
-}
-
-/// The long-lived threads a scatter hands its second and later legs to.
-/// A scatter checks out one idle thread per leg and gives it back once
-/// that leg has answered; a thread is spawned only when none is idle.
-/// The pool therefore never holds more threads than concurrent scatters
-/// times (targets − 1), and has no size to configure. The live count is
-/// the `proxy_fanout_threads` gauge. Dropping the pool hangs up every
-/// thread's channel and joins the thread.
-struct LegPool {
-    idle: Mutex<Vec<LegThread>>,
-    threads: Gauge,
-}
-
-impl LegPool {
-    fn new(threads: Gauge) -> LegPool {
-        LegPool { idle: Mutex::new(Vec::new()), threads }
-    }
-
-    /// Run `job` on an idle leg thread, spawning one if none is idle.
-    /// Returns the thread, to [`Self::give_back`] once the job's answer
-    /// is in. Should the OS refuse a new thread, the job runs right here
-    /// and `None` comes back: slower, never lost.
-    fn run(&self, job: LegJob) -> Option<LegThread> {
-        let idle = self.idle.lock().pop();
-        let Some(thread) = idle.or_else(|| self.spawn()) else {
-            job();
-            return None;
-        };
-        // Jobs never unwind (each leg catches its link's panic), so a
-        // leg thread lives until this sender is dropped.
-        thread.jobs.send(job).expect("leg thread outlives its channel");
-        Some(thread)
-    }
-
-    fn give_back(&self, threads: impl IntoIterator<Item = LegThread>) {
-        self.idle.lock().extend(threads);
-    }
-
-    fn spawn(&self) -> Option<LegThread> {
-        let (jobs, inbox) = mpsc::channel::<LegJob>();
-        let threads = self.threads.clone();
-        let handle = std::thread::Builder::new()
-            .name("proxy-leg".into())
-            .spawn(move || {
-                for job in inbox {
-                    job();
-                }
-                threads.add(-1);
-            })
-            .ok()?;
-        self.threads.add(1);
-        Some(LegThread { jobs, handle })
-    }
-}
-
-impl Drop for LegPool {
-    fn drop(&mut self) {
-        for LegThread { jobs, handle } in self.idle.get_mut().drain(..) {
-            drop(jobs);
-            let _ = handle.join();
-        }
-    }
-}
-
 /// The front door over N backends. Almost stateless: the only state is
 /// the per-range routing table, which a restarted proxy relearns in one
 /// failed call + `StaleEpoch` exchange — restart at will, run several
 /// for availability.
 pub struct ProxyService {
-    links: Arc<Links>,
-    legs: LegPool,
+    links: Links,
     config: ProxyConfig,
     topology: Topology,
     routes: Mutex<Vec<RangeRoute>>,
@@ -454,9 +427,8 @@ impl ProxyService {
         obs.tracer().set_process("proxy");
         let metrics = ProxyMetrics::new(&obs, n);
         let counters = (0..n).map(|i| BackendCounters::new(&obs, i)).collect();
-        let links = Arc::new(Links { backends, counters, obs: Arc::clone(&obs) });
-        let legs = LegPool::new(obs.gauge("proxy_fanout_threads"));
-        ProxyService { links, legs, config, topology, routes, obs, metrics }
+        let links = Links { backends, counters, obs: Arc::clone(&obs) };
+        ProxyService { links, config, topology, routes, obs, metrics }
     }
 
     /// Number of backends.
@@ -588,42 +560,51 @@ impl ProxyService {
     /// primary or not.
     fn scatter(&self, request: Request) -> Vec<Leg> {
         let all: Vec<usize> = (0..self.backend_count()).collect();
-        self.scatter_to(&all, &Arc::new(request))
+        self.scatter_to(&all, &request)
     }
 
     /// Fan one request out to an explicit set of backends concurrently,
-    /// answers in target order. The first leg runs on the calling
-    /// thread, which would otherwise only wait; the rest go to the
-    /// [`LegPool`]. The dispatch thread's trace context is captured
-    /// here — leg threads don't inherit thread-locals, so each leg
-    /// re-parents its `backend_call` span explicitly.
-    fn scatter_to(&self, targets: &[usize], request: &Arc<Request>) -> Vec<Leg> {
-        let Some((&first, rest)) = targets.split_first() else {
-            return Vec::new();
-        };
+    /// answers in target order, all on the calling thread: every leg's
+    /// request is sent first, then every answer is collected in the same
+    /// order. The backends work in parallel, so the read waits for its
+    /// slowest leg, not for the sum of them.
+    ///
+    /// A pooled leg holds its connection from send to collect, so targets
+    /// must be strictly ascending: every scatter then takes its backends'
+    /// connections in one global order and no two scatters can deadlock
+    /// on them.
+    fn scatter_to(&self, targets: &[usize], request: &Request) -> Vec<Leg> {
+        debug_assert!(
+            targets.windows(2).all(|pair| pair[0] < pair[1]),
+            "scatter targets must be strictly ascending and distinct: {targets:?}"
+        );
         let parent = trace::current();
-        let (answers, inbox) = mpsc::channel();
-        let checked_out: Vec<LegThread> = rest
+        // Each leg's `backend_call` span runs from its send to its
+        // answer, so the spans end first-opened-first. A span restores
+        // the ambient context it replaced when it ends; opened in reverse
+        // target order, each ending span hands the thread to the next
+        // leg's span, and the last one back to `parent`.
+        let mut spans: Vec<_> = targets
             .iter()
-            .enumerate()
-            .filter_map(|(slot, &i)| {
-                let links = Arc::clone(&self.links);
-                let request = Arc::clone(request);
-                let answers = answers.clone();
-                self.legs.run(Box::new(move || {
-                    let _ = answers.send((slot + 1, links.call_leg(i, &request, parent)));
-                }))
-            })
+            .rev()
+            .map(|_| self.obs.tracer().child_of(parent, "backend_call"))
             .collect();
-        drop(answers);
-        let mut legs: Vec<Option<Leg>> = vec![None; targets.len()];
-        legs[0] = Some(self.links.call_leg(first, request, parent));
-        // Ends once every job has answered and dropped its sender.
-        for (slot, leg) in inbox {
-            legs[slot] = Some(leg);
-        }
-        self.legs.give_back(checked_out);
-        legs.into_iter().map(|leg| leg.expect("every leg answers")).collect()
+        spans.reverse();
+        let sent: Vec<_> = targets
+            .iter()
+            .zip(&spans)
+            .map(|(&i, span)| self.links.send_leg(i, request, span.context().or(parent)))
+            .collect();
+        targets
+            .iter()
+            .zip(sent)
+            .zip(spans)
+            .map(|((&i, sent), span)| {
+                let answer = sent.and_then(|pending| self.links.collect_leg(i, pending));
+                span.end();
+                (i, answer)
+            })
+            .collect()
     }
 
     /// The read fan: scatter to the current primaries, and — when
@@ -634,7 +615,6 @@ impl ProxyService {
     /// than a partial answer). If nothing could be promoted the original
     /// results — including the failure — stand.
     fn scatter_reads(&self, request: Request) -> Vec<Leg> {
-        let request = Arc::new(request);
         let legs = self.scatter_to(&self.read_targets(), &request);
         if self.topology.replication_factor == 1 {
             return legs;
@@ -1022,11 +1002,15 @@ mod tests {
     use super::*;
     use orsp_server::{AggregateParts, SupportParts};
     use orsp_types::{Rating, StarHistogram};
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::thread::ThreadId;
 
-    /// A scripted backend: counts calls, answers from a closure.
+    /// A scripted backend: counts calls and the threads that made them,
+    /// answers from a closure.
     struct Fake {
         calls: AtomicU64,
+        threads: Mutex<HashSet<ThreadId>>,
         respond: Box<dyn Fn(&Request) -> Result<(Response, CallTrace), NetError> + Send + Sync>,
     }
 
@@ -1037,7 +1021,11 @@ mod tests {
                 + Sync
                 + 'static,
         ) -> Arc<Fake> {
-            Arc::new(Fake { calls: AtomicU64::new(0), respond: Box::new(respond) })
+            Arc::new(Fake {
+                calls: AtomicU64::new(0),
+                threads: Mutex::new(HashSet::new()),
+                respond: Box::new(respond),
+            })
         }
 
         fn ok(respond: impl Fn(&Request) -> Response + Send + Sync + 'static) -> Arc<Fake> {
@@ -1052,6 +1040,7 @@ mod tests {
             _ctx: Option<TraceContext>,
         ) -> Result<(Response, CallTrace), NetError> {
             self.calls.fetch_add(1, Ordering::Relaxed);
+            self.threads.lock().insert(std::thread::current().id());
             (self.respond)(request)
         }
 
@@ -1569,11 +1558,6 @@ mod tests {
                     Some(1),
                     "proxy's own metrics ride along"
                 );
-                assert_eq!(
-                    snapshot.gauge("proxy_fanout_threads"),
-                    Some(1),
-                    "the second backend's leg ran on the one leg thread"
-                );
             }
             other => panic!("expected partial stats, got {other:?}"),
         }
@@ -1628,19 +1612,22 @@ mod tests {
         }
     }
 
-    /// The live leg-thread count, as `Stats` exports it.
-    fn leg_threads(p: &ProxyService) -> i64 {
-        p.obs().snapshot().gauge("proxy_fanout_threads").expect("fan-out gauge")
-    }
-
     fn three_hit_backend() -> Arc<Fake> {
         search_backend(vec![hit(1, 4.0, 0), hit(2, 3.0, 0), hit(3, 2.0, 0)], vec![(6, 3); 3])
     }
 
+    /// Names of this process's live threads, as the kernel reports them.
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .collect()
+    }
+
     #[test]
-    fn sequential_reads_reuse_one_leg_thread_per_extra_backend() {
+    fn sequential_reads_send_each_backend_one_leg_per_read() {
         let (p, fakes) = proxy(vec![three_hit_backend(), three_hit_backend(), three_hit_backend()]);
-        assert_eq!(leg_threads(&p), 0, "nothing spawned before the first read");
         let first = p.handle(Request::Search { query: dentists() });
         assert!(matches!(&first, Response::SearchResults { hits } if hits.len() == 3), "{first:?}");
         for _ in 1..1_000 {
@@ -1649,11 +1636,25 @@ mod tests {
         for f in &fakes {
             assert_eq!(f.calls.load(Ordering::Relaxed), 1_000, "one leg per backend per read");
         }
-        assert_eq!(leg_threads(&p), 2, "N - 1 legs leave the calling thread");
     }
 
     #[test]
-    fn concurrent_readers_get_the_sequential_answers_from_a_bounded_pool() {
+    fn every_leg_is_served_on_the_callers_thread() {
+        let (p, fakes) = proxy(vec![three_hit_backend(), three_hit_backend(), three_hit_backend()]);
+        for _ in 0..10 {
+            let answer = p.handle(Request::Search { query: dentists() });
+            assert!(matches!(answer, Response::SearchResults { .. }), "{answer:?}");
+        }
+        let me = std::thread::current().id();
+        for f in &fakes {
+            assert_eq!(*f.threads.lock(), HashSet::from([me]), "a leg left the caller's thread");
+        }
+        let names = thread_names();
+        assert!(!names.iter().any(|name| name == "proxy-leg"), "{names:?}");
+    }
+
+    #[test]
+    fn concurrent_readers_get_the_sequential_answers() {
         let (p, fakes) = proxy(vec![three_hit_backend(), three_hit_backend(), three_hit_backend()]);
         let expected = p.handle(Request::Search { query: dentists() });
         let p = Arc::new(p);
@@ -1663,41 +1664,105 @@ mod tests {
                 let (p, start) = (Arc::clone(&p), Arc::clone(&start));
                 std::thread::spawn(move || {
                     start.wait();
-                    (0..200).map(|_| p.handle(Request::Search { query: dentists() })).collect()
+                    let answers: Vec<Response> = (0..200)
+                        .map(|_| p.handle(Request::Search { query: dentists() }))
+                        .collect();
+                    (std::thread::current().id(), answers)
                 })
             })
             .collect();
+        let mut reader_threads = HashSet::from([std::thread::current().id()]);
         for reader in readers {
-            let answers: Vec<Response> = reader.join().expect("reader thread");
+            let (id, answers) = reader.join().expect("reader thread");
             assert!(answers.iter().all(|a| *a == expected));
+            reader_threads.insert(id);
         }
         for f in &fakes {
             assert_eq!(f.calls.load(Ordering::Relaxed), 1 + 8 * 200);
+            assert!(f.threads.lock().is_subset(&reader_threads), "a leg left its reader's thread");
         }
-        let threads = leg_threads(&p);
-        assert!((2..=16).contains(&threads), "8 readers x 2 extra legs at most, got {threads}");
+    }
+
+    #[test]
+    fn leg_spans_parent_under_the_rpc_and_hand_the_thread_back_to_it() {
+        let (p, _) = proxy(vec![three_hit_backend(), three_hit_backend(), three_hit_backend()]);
+        p.obs().tracer().set_sampling(10_000);
+        let answer = p.handle(Request::Search { query: dentists() });
+        assert!(matches!(answer, Response::SearchResults { .. }), "{answer:?}");
+        let traces = p.obs().tracer().drain_completed(16);
+        assert_eq!(traces.len(), 1);
+        let spans = &traces[0].spans;
+        let named = |name: &'static str| spans.iter().filter(move |s| s.name == name);
+        let root = named("proxy/search").next().expect("the RPC span");
+        let legs: Vec<_> = named("backend_call").collect();
+        assert_eq!(legs.len(), 3, "one span per leg");
+        assert!(legs.iter().all(|leg| leg.parent_span_id == root.span_id), "{spans:?}");
+        // Spans opened after the scatter parent under whatever it left
+        // ambient: that must be the RPC span again, not a leg's.
+        let merge = named("proxy_merge").next().expect("the merge span");
+        assert_eq!(merge.parent_span_id, root.span_id, "{spans:?}");
+        assert_eq!(trace::current(), None, "nothing left ambient after the RPC");
+    }
+
+    /// A healthy three-hit backend whose `send` or `collect` panics on
+    /// its `nth` use of that half (counting from 0).
+    struct PanicsIn {
+        collect: bool,
+        nth: u64,
+        uses: AtomicU64,
+        healthy: Arc<Fake>,
+    }
+
+    impl PanicsIn {
+        fn link(collect: bool, nth: u64) -> Arc<dyn BackendLink> {
+            let healthy = three_hit_backend();
+            Arc::new(PanicsIn { collect, nth, uses: AtomicU64::new(0), healthy })
+        }
+
+        fn maybe_panic(&self, in_collect: bool) {
+            if in_collect == self.collect && self.uses.fetch_add(1, Ordering::Relaxed) == self.nth {
+                panic!("link bug");
+            }
+        }
+    }
+
+    impl BackendLink for PanicsIn {
+        fn call(
+            &self,
+            request: &Request,
+            ctx: Option<TraceContext>,
+        ) -> Result<(Response, CallTrace), NetError> {
+            self.healthy.call(request, ctx)
+        }
+
+        fn send(&self, request: &Request, ctx: Option<TraceContext>) -> Pending<'_> {
+            self.maybe_panic(false);
+            Pending::Answered(self.call(request, ctx))
+        }
+
+        fn collect(&self, pending: Pending<'_>) -> Result<(Response, CallTrace), NetError> {
+            self.maybe_panic(true);
+            match pending {
+                Pending::Answered(answer) => answer,
+                Pending::OnTheWire(call) => call.collect(),
+            }
+        }
+
+        fn label(&self) -> String {
+            "panics".into()
+        }
     }
 
     #[test]
     fn a_panicking_leg_is_a_typed_error_and_the_next_read_is_served() {
-        // Backend 2's first call panics (on a leg thread); backend 0's
-        // second call panics (on the dispatch thread). Each read answers
-        // a typed error naming the backend, well inside its deadline, and
-        // the read after it is served by the same threads.
-        let panicky = |panic_on: u64| {
-            let calls = AtomicU64::new(0);
-            let healthy = three_hit_backend();
-            Fake::ok(move |r| {
-                if calls.fetch_add(1, Ordering::Relaxed) == panic_on {
-                    panic!("link bug");
-                }
-                healthy.call(r, None).expect("healthy fake").0
-            })
-        };
-        let (p, _) = proxy(vec![panicky(1), three_hit_backend(), panicky(0)]);
-        let p = Arc::new(p);
+        // Backend 2 panics in its first send; backend 0 panics in its
+        // second collect. Each read answers a typed error naming the
+        // backend, well inside its deadline, and the read after it is
+        // served.
+        let links = vec![PanicsIn::link(true, 1), three_hit_backend(), PanicsIn::link(false, 0)];
+        let p = Arc::new(ProxyService::new(links, ProxyConfig::default()));
         let read = |p: &Arc<ProxyService>| {
-            let (done, answer) = mpsc::channel();
+            let (done, answer) = std::sync::mpsc::channel();
             let p = Arc::clone(p);
             std::thread::spawn(move || {
                 let _ = done.send(p.handle(Request::Search { query: dentists() }));
@@ -1714,55 +1779,8 @@ mod tests {
             }
         }
         assert!(matches!(read(&p), Response::SearchResults { hits } if hits.len() == 3));
-        assert_eq!(leg_threads(&p), 2, "no leg thread died with its panic");
-        assert_eq!(p.obs().snapshot().counter("proxy_backend2_unavailable_total"), Some(1));
-    }
-
-    /// The kernel's id for the calling thread.
-    fn tid() -> String {
-        let link = std::fs::read_link("/proc/thread-self").expect("/proc/thread-self");
-        link.file_name().expect("task id").to_string_lossy().into_owned()
-    }
-
-    /// A thread's name as the kernel reports it, or None once it is gone.
-    fn comm(tid: &str) -> Option<String> {
-        std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
-            .ok()
-            .map(|name| name.trim_end().to_string())
-    }
-
-    #[test]
-    fn dropping_the_service_ends_its_leg_threads() {
-        // Each fake records which kernel thread served it, so the check
-        // below follows this service's threads only — other tests in the
-        // binary run proxies of their own in parallel.
-        let seen = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
-        let recording = || {
-            let seen = Arc::clone(&seen);
-            let healthy = three_hit_backend();
-            Fake::ok(move |r| {
-                seen.lock().insert(tid());
-                healthy.call(r, None).expect("healthy fake").0
-            })
-        };
-        let (p, _) = proxy(vec![recording(), recording(), recording()]);
-        for _ in 0..10 {
-            let answer = p.handle(Request::Search { query: dentists() });
-            assert!(matches!(answer, Response::SearchResults { .. }), "{answer:?}");
-        }
-        let mine = tid();
-        let legs: Vec<String> = seen.lock().iter().filter(|&t| *t != mine).cloned().collect();
-        assert_eq!(legs.len(), 2, "two leg threads served the extra legs: {legs:?}");
-        for t in &legs {
-            assert_eq!(comm(t).as_deref(), Some("proxy-leg"));
-        }
-        let obs = Arc::clone(p.obs());
-        drop(p);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while legs.iter().any(|t| comm(t).as_deref() == Some("proxy-leg")) {
-            assert!(std::time::Instant::now() < deadline, "leg threads outlived their service");
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(obs.snapshot().gauge("proxy_fanout_threads"), Some(0));
+        let snap = p.obs().snapshot();
+        assert_eq!(snap.counter("proxy_backend2_unavailable_total"), Some(1));
+        assert_eq!(snap.counter("proxy_backend0_unavailable_total"), Some(1));
     }
 }

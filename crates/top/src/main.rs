@@ -192,11 +192,6 @@ fn render(
                 lag,
             ));
         }
-        // The proxy's long-lived fan-out threads: flat under steady load
-        // (at most concurrent reads x (backends - 1)), never per request.
-        if let Some(threads) = stats.gauge("proxy_fanout_threads") {
-            out.push_str(&format!("  fan-out threads: {threads}\n"));
-        }
     }
 
     let ranges = range_rows(stats);

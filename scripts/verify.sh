@@ -23,7 +23,7 @@ echo "== cargo test -q =="
 cargo test -q --workspace
 
 echo "== obs test suites (registry unit tests, N-thread hammer) =="
-cargo test -q --release -p orsp-obs
+cargo test -q --release -p orsp-obs --lib
 cargo test -q --release -p orsp-obs --test concurrency
 # The snapshot-under-writers race only shows on >= 2 cores and then only
 # in some runs: one pass proves nothing, 200 consecutive ones do.
@@ -52,7 +52,9 @@ cargo test -q -p orsp-net --test service_hammer
 cargo test -q -p orsp-server lockorder
 
 echo "== storage test suites (engine units, crash matrix, group-commit equivalence, served-crash recovery; 64 uploaders at fsync=always reach >= 20x the seed's one-fsync-per-record rate) =="
-cargo test -q --release -p orsp-storage
+# Each release test binary runs once: the per-crate line runs the unit
+# tests only, and every integration test has its own line below.
+cargo test -q --release -p orsp-storage --lib
 cargo test -q --release -p orsp-storage --test crash_matrix
 # The mid-group power-cut sweep also runs in a debug build: overflow and
 # debug_assert checks cover the batch/boundary arithmetic release elides.
@@ -63,8 +65,10 @@ cargo test -q --release -p orsp-storage --test group_commit
 cargo test -q --release -p orsp-storage --test group_commit_throughput
 cargo test -q --release -p orsp-core --test storage_recovery
 
-echo "== proxy test suites (merge rules, routing/failure semantics, impossible replication factor refused, 3-backend digest equality over TCP) =="
-cargo test -q --release -p orsp-proxy
+echo "== proxy test suites (merge rules, routing/failure semantics, impossible replication factor refused, pipelined legs over one connection per backend, 3-backend digest equality over TCP) =="
+cargo test -q --release -p orsp-proxy --lib
+cargo test -q --release -p orsp-proxy --test cluster_shape
+cargo test -q --release -p orsp-proxy --test pipelined_legs
 cargo test -q --release -p orsp-proxy --test proxy_end_to_end
 
 echo "== benchmark smoke: every read answer equals the reference, no op fails, on all four workloads (the CRC sits on the upload, WAL and read paths) =="
