@@ -85,7 +85,8 @@ pub enum ReplicateOutcome {
     Applied {
         /// The hook's epoch for the range after applying.
         epoch: u64,
-        /// Entries applied from this batch.
+        /// Entries applied from this batch (a replayed entry the range
+        /// already held is not applied again).
         applied: u64,
         /// The node just became primary for the range — the router
         /// republishes aggregates so the absorbed range is servable.

@@ -378,7 +378,8 @@ pub enum Response {
     ReplicateAck {
         /// The follower's (possibly just-adopted) epoch for the range.
         epoch: u64,
-        /// Entries applied from this batch.
+        /// Entries applied from this batch; a replayed entry the
+        /// follower already held is acknowledged but not counted.
         applied: u64,
     },
     /// Cluster-internal: a [`Request::Replicate`] was refused because

@@ -462,6 +462,33 @@ impl SpanGuard {
 
     /// End the span now (equivalent to dropping it).
     pub fn end(self) {}
+
+    /// Hand the thread back to the span this one was opened under until
+    /// the returned guard drops, while this span stays open: for work
+    /// that runs *beside* the span rather than inside it. A primary's
+    /// own fsync, running while its `replicate` span waits on the
+    /// followers, is that span's sibling, not its child.
+    pub fn beside(&self) -> Beside {
+        let restore = self.inner.as_ref().map(|inner| {
+            AMBIENT.with(|a| std::mem::replace(&mut *a.borrow_mut(), inner.prev.clone()))
+        });
+        Beside { restore }
+    }
+}
+
+/// The scope [`SpanGuard::beside`] opens; its span is ambient again on
+/// drop.
+#[must_use = "the parent span is ambient only while this guard lives"]
+pub struct Beside {
+    restore: Option<Option<Ambient>>,
+}
+
+impl Drop for Beside {
+    fn drop(&mut self) {
+        if let Some(restore) = self.restore.take() {
+            AMBIENT.with(|a| *a.borrow_mut() = restore);
+        }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -756,6 +783,38 @@ mod tests {
         // Logical clock: children nest strictly inside parents.
         assert!(mid.start_us >= root.start_us && mid.end_us <= root.end_us);
         assert!(leaf.start_us >= mid.start_us && leaf.end_us <= mid.end_us);
+    }
+
+    #[test]
+    fn work_beside_an_open_span_parents_to_its_parent() {
+        let r = registry();
+        {
+            let root = r.tracer().start_root("wal_fsync");
+            let root_id = root.context().unwrap().span_id;
+            let leg = child("replicate");
+            let leg_id = leg.context().unwrap().span_id;
+            {
+                let _beside = leg.beside();
+                assert_eq!(current().unwrap().span_id, root_id);
+                let _local = child("storage_fsync");
+            }
+            assert_eq!(current().unwrap().span_id, leg_id, "the leg is ambient again");
+            leg.end();
+            assert_eq!(current().unwrap().span_id, root_id);
+        }
+        assert!(current().is_none());
+        let t = r.tracer().drain_completed(8).remove(0);
+        let root = t.root().unwrap();
+        for name in ["replicate", "storage_fsync"] {
+            let span = t.spans.iter().find(|s| s.name == name).unwrap();
+            assert_eq!(span.parent_span_id, root.span_id, "{name} is the root's child");
+        }
+        // Untraced, the guard is inert.
+        let idle = child("replicate");
+        let beside = idle.beside();
+        assert!(current().is_none());
+        drop((beside, idle));
+        assert!(current().is_none());
     }
 
     #[test]

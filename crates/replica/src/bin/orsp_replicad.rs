@@ -20,7 +20,8 @@
 //! ```
 //!
 //! `--replication sync` (default) forwards each group-commit batch to
-//! the range's followers before the batch's uploads are acked;
+//! the range's followers while its own fsync runs, and acks the batch's
+//! uploads once both are done;
 //! `--replication async` acks after the local fsync and forwards from a
 //! background queue (the `replication_lag` gauge is its depth).
 //!
@@ -193,8 +194,14 @@ fn main() {
     let born_engine = Arc::new(engine);
 
     // Followed ranges: a dormant engine each, in its own subdirectory.
+    // Every follower copy keeps its recovered spend keys, so a replayed
+    // `Replicate` is skipped without a scan of the range's directory.
     let mut inits = Vec::new();
     let mut handles: Vec<(u32, Arc<dyn Dir>, Arc<StorageEngine>)> = Vec::new();
+    let mut follower_keys = Vec::new();
+    if born_role == Role::Follower {
+        follower_keys.push((born, report.spent_tokens.clone()));
+    }
     inits.push(RangeInit {
         range: born,
         role: born_role,
@@ -222,6 +229,7 @@ fn main() {
             engine: Arc::clone(&follow_engine),
         });
         handles.push((range, dir, follow_engine));
+        follower_keys.push((range, follow_report.spent_tokens));
     }
 
     // The serving tier, resuming from the born range's recovered state.
@@ -236,6 +244,9 @@ fn main() {
     service.seed_spent_tokens(report.spent_tokens);
 
     let node = Arc::new(ReplicaNode::new(topology, mode, peers, inits, service.obs()));
+    for (range, keys) in follower_keys {
+        node.seed_spent_tokens(range, keys);
+    }
     service.set_durability(Arc::new(ReplicatingSink::new(Arc::clone(&node))) as Arc<dyn WalSink>);
     service.set_replica(Arc::clone(&node) as Arc<dyn ReplicaHook>);
     // A follower's recovered records still sit in its serving store,

@@ -25,10 +25,11 @@
 //!   promote-fold into the serving store, and the `CatchUp` stream.
 //! * [`ReplicatingSink`] — the primary's write path: a
 //!   [`WalSink`](orsp_server::WalSink) that rides the existing
-//!   group-commit batches, appends each batch to the range's own engine
-//!   (one fsync), then forwards it to the range's followers before the
-//!   client sees an ack (`sync` mode) or from a background queue whose
-//!   depth is the replication-lag gauge (`async` mode).
+//!   group-commit batches and appends each batch to the range's own
+//!   engine (one fsync). In `sync` mode it sends the batch to the
+//!   range's followers first and collects their answers after its own
+//!   fsync, before the client sees an ack; in `async` mode it forwards
+//!   from a background queue whose depth is the replication-lag gauge.
 //! * [`catchup`] — anti-entropy: a lagging replica pulls the range's
 //!   authoritative state in chunks, rebuilds through the normal engine
 //!   append path, and proves itself bit-identical by `state_digest`.
@@ -54,7 +55,7 @@ pub mod sink;
 
 pub use catchup::{catch_up_chunk, catch_up_range, probe_range, CatchUpReport, PeerStatus};
 pub use node::{RangeInit, ReplicaError, ReplicaNode, Role};
-pub use peer::{PeerLink, ReplicationMode};
+pub use peer::{Pending, PeerLink, ReplicationMode};
 pub use sink::ReplicatingSink;
 // Kept for `benchmark/src/topology.rs`; in-tree code names `orsp_server::Topology`.
 pub use orsp_server::Topology;

@@ -5,11 +5,17 @@
 //! existing group-commit batches unchanged. Each batch is bucketed by
 //! hash range (the same `shard_index` formula as everywhere else),
 //! appended to that range's own engine — one buffered write, one fsync,
-//! exactly as before — and then forwarded to the range's followers as
-//! one cluster-internal `Replicate` RPC carrying the batch verbatim.
-//! In `sync` mode the forward completes before this sink returns, so
-//! the group-commit leader's ack (and therefore every rider's
-//! `UploadAccepted`) implies the batch reached the followers.
+//! exactly as before — and forwarded to the range's followers as one
+//! cluster-internal `Replicate` RPC carrying the batch verbatim.
+//! In `sync` mode the `Replicate` goes out first, the engine's write
+//! and fsync run while the followers apply it, and every answer is in
+//! before this sink returns, so the group-commit leader's ack (and
+//! therefore every rider's `UploadAccepted`) implies the batch reached
+//! the followers. The write waits for the slower flush, not for both in
+//! a row. A follower may hold a batch the primary never made durable (a
+//! crash between the send and the fsync); it was never acked, and its
+//! retry reaches the follower as a replay the follower skips by spend
+//! key.
 //!
 //! The per-item spend keys ride inside [`WalBatchItem`], which is what
 //! makes per-range token attribution structural: a follower's range

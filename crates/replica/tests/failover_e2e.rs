@@ -10,13 +10,16 @@
 //! What "zero lost acked uploads" means here, precisely: every upload
 //! the cluster acknowledged is in the store afterwards. The one window
 //! sync replication leaves open is an *ack lost in flight* — a batch
-//! replicated to the follower whose `UploadAccepted` died with the
-//! primary; the client's retry then hits the duplicate ledger and
-//! counts a rejection instead. So accepted may dip below the single-node
-//! run by at most the in-flight window while accepted + rejected stays
-//! exactly equal — and every read (Search, FetchAggregate) must still
-//! answer bit-identically to a single node holding all the data,
-//! because the records themselves are all there.
+//! that reached the follower but whose `UploadAccepted` died with the
+//! primary. The primary sends its `Replicate` before its own fsync, so
+//! the window also holds batches the primary never made durable at
+//! all; either way the follower has the record. The client's retry
+//! then hits the promoted follower's duplicate ledger and counts a
+//! rejection instead. So accepted may dip below the single-node run by
+//! at most the in-flight window while accepted + rejected stays exactly
+//! equal — and every read (Search, FetchAggregate) must still answer
+//! bit-identically to a single node holding all the data, because the
+//! records themselves are all there.
 //!
 //! Afterwards the killed node restarts on the same directory, discovers
 //! the newer primary for its born range (epoch fencing), demotes itself

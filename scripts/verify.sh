@@ -51,7 +51,7 @@ cargo test -q --release -p orsp-net --test service_hammer
 cargo test -q -p orsp-net --test service_hammer
 cargo test -q -p orsp-server lockorder
 
-echo "== storage test suites (engine units, crash matrix, group-commit equivalence, served-crash recovery; 64 uploaders at fsync=always reach >= 20x the seed's one-fsync-per-record rate) =="
+echo "== storage test suites (engine and reshard 2->4 units, crash matrix, group-commit equivalence, served-crash recovery; 64 uploaders at fsync=always reach >= 20x the seed's one-fsync-per-record rate) =="
 # Each release test binary runs once: the per-crate line runs the unit
 # tests only, and every integration test has its own line below.
 cargo test -q --release -p orsp-storage --lib
@@ -83,16 +83,13 @@ done
 echo "== trace causality (proxy + 2 backends over TCP: one connected span tree, proxy root to wal_fsync) =="
 cargo test -q --release -p orsp-proxy --test trace_end_to_end
 
-echo "== replica suites (topology/apply/catch-up units; SIGKILL-the-primary failover e2e; mid-catch-up power-cut matrix; single-node drain + restart, misspelt flag refused; sync RF=2 under 2x single-copy, or the 1-core serial-fsync exception) =="
+echo "== replica suites (topology/apply/catch-up units, Replicate sent before the local fsync, replayed Replicate skipped; SIGKILL-the-primary failover e2e; mid-catch-up power-cut matrix; single-node drain + restart, misspelt flag refused; sync RF=2 under 2x single-copy, or the 1-core serial-fsync exception) =="
 cargo test -q --release -p orsp-replica --lib
 cargo test -q --release -p orsp-replica --test failover_e2e
 cargo test -q --release -p orsp-replica --test catchup_crash
 cargo test -q --release -p orsp-replica --test single_node
 # Re-measures on this machine; the ratio is asserted in release only.
 cargo test -q --release -p orsp-replica --test replication_overhead
-
-echo "== reshard 2->4 round trip (digest-verified, source untouched) =="
-cargo test -q --release -p orsp-storage --lib reshard
 
 # Formatting is advisory: rustfmt may be absent in minimal toolchains.
 if command -v rustfmt >/dev/null 2>&1; then

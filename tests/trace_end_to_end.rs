@@ -7,6 +7,13 @@
 //! the proxy, which drains its own spans, scatters to the backends, and
 //! stitches the parts by trace id.
 //!
+//! The two backends replicate each other's range (RF 2, sync) over
+//! TCP, so the upload's `wal_fsync` covers two children that run at
+//! once: the primary's own `storage_fsync` and the `replicate` span
+//! from the send to the follower's answer, under which the follower's
+//! `server/replicate` parents. The two must be siblings: the local
+//! flush runs beside the forward, not inside it.
+//!
 //! The sampling decision is made once, at the proxy (head-based,
 //! pinned to always-sample here); the backends inherit it from the
 //! trace context on the wire, never re-rolling. Clock domains differ
@@ -22,7 +29,9 @@ use orsp_net::{
 };
 use orsp_obs::TraceRecord;
 use orsp_proxy::{BackendLink, ProxyConfig, ProxyService};
-use orsp_server::{GroupCommitConfig, WalBatchItem, WalSink};
+use orsp_replica::{PeerLink, RangeInit, ReplicaNode, ReplicatingSink, ReplicationMode, Role};
+use orsp_server::{GroupCommitConfig, Topology, WalSink};
+use orsp_storage::{Dir, FsyncPolicy, SimDir, StorageEngine, StorageOptions};
 use orsp_types::rng::rng_for;
 use orsp_types::{
     DeviceId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp,
@@ -33,19 +42,31 @@ use std::time::Duration;
 
 const BACKENDS: usize = 2;
 
-/// Acknowledge-everything sink: enough durability plumbing to drive the
-/// whole group-commit path (leader election, batch drain, the covering
-/// "fsync" call) without a disk.
-struct AckSink;
-
-impl WalSink for AckSink {
-    fn log_append(&self, _entry: &orsp_server::WalEntry) -> orsp_types::Result<()> {
-        Ok(())
-    }
-
-    fn log_upload_batch(&self, _items: &[WalBatchItem]) -> orsp_types::Result<()> {
-        Ok(())
-    }
+/// Backend `node`'s replication: an in-memory engine per held range
+/// (its born range as primary, its neighbour's as follower) and a pool
+/// to the other backend.
+fn replica_node(node: usize, peer: std::net::SocketAddr) -> Arc<ReplicaNode> {
+    let topology = Topology::new(node as u32, BACKENDS as u32, 2);
+    let inits = topology
+        .held_ranges()
+        .into_iter()
+        .map(|range| {
+            let dir: Arc<dyn Dir> = Arc::new(SimDir::new());
+            let options = StorageOptions { fsync: FsyncPolicy::Always, ..StorageOptions::default() };
+            let (engine, _) = StorageEngine::open(Arc::clone(&dir), options).expect("engine");
+            let role = if range == node as u32 { Role::Primary } else { Role::Follower };
+            RangeInit { range, role, epoch: 0, dir, engine: Arc::new(engine) }
+        })
+        .collect();
+    let mut peers: Vec<Option<Arc<dyn PeerLink>>> = vec![None; BACKENDS];
+    peers[1 - node] = Some(Arc::new(NetPool::new(peer, fast_client(), 2)));
+    Arc::new(ReplicaNode::new(
+        topology,
+        ReplicationMode::Sync,
+        peers,
+        inits,
+        &orsp_obs::Registry::new(),
+    ))
 }
 
 fn fast_client() -> ClientConfig {
@@ -88,20 +109,28 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
     .unwrap();
     let config = PipelineConfig::default();
 
-    // Two durable backends, tracing pinned to always-sample with
-    // distinct deterministic id streams per process.
+    // Two backends replicating each other, tracing pinned to
+    // always-sample with distinct deterministic id streams per process.
     let backends: Vec<(NetServer, Arc<RspService>)> = (0..BACKENDS)
         .map(|i| {
             let (server, service) =
                 serve(&world, &config, "127.0.0.1:0", ServerConfig::default())
                     .expect("bind backend");
-            service.set_durability_with(
-                Arc::new(AckSink) as Arc<dyn WalSink>,
-                GroupCommitConfig { batch_max: 8, window_us: 0 },
-            );
             service.obs().tracer().set_seed(100 + i as u64);
             service.obs().tracer().set_sampling(10_000);
             (server, service)
+        })
+        .collect();
+    let nodes: Vec<Arc<ReplicaNode>> = (0..BACKENDS)
+        .map(|i| {
+            let node = replica_node(i, backends[1 - i].0.local_addr());
+            let service = &backends[i].1;
+            service.set_durability_with(
+                Arc::new(ReplicatingSink::new(Arc::clone(&node))) as Arc<dyn WalSink>,
+                GroupCommitConfig { batch_max: 8, window_us: 0 },
+            );
+            service.set_replica(Arc::clone(&node) as Arc<dyn orsp_net::ReplicaHook>);
+            node
         })
         .collect();
     let links: Vec<Arc<dyn BackendLink>> = backends
@@ -187,6 +216,26 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
         "shard handoff span missing"
     );
 
+    // The primary's flush and its forward are siblings under the
+    // covering fsync; the follower's apply parents under the forward.
+    let primary_span = |name: &str| {
+        trace
+            .spans
+            .iter()
+            .find(|s| s.name == name && s.process == server_upload.process)
+            .unwrap_or_else(|| panic!("no {name} span on the primary"))
+    };
+    let replicate = primary_span("replicate");
+    assert_eq!(replicate.parent_span_id, fsync.span_id, "replicate's parent");
+    assert_eq!(primary_span("storage_fsync").parent_span_id, fsync.span_id, "local flush's parent");
+    let applied = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "server/replicate")
+        .expect("no follower span");
+    assert_ne!(applied.process, server_upload.process, "the follower is the other backend");
+    assert_eq!(applied.parent_span_id, replicate.span_id);
+
     // Every child interval nests inside its parent — across the
     // process boundary too, which is the stitch/clamp contract.
     for span in &trace.spans {
@@ -214,5 +263,8 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
     proxy_server.shutdown();
     for (server, _) in backends {
         server.shutdown();
+    }
+    for node in nodes {
+        node.shutdown();
     }
 }
