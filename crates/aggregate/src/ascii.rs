@@ -37,12 +37,10 @@ pub fn ascii_scatter(title: &str, points: &[(f64, f64)], cols: usize, rows: usiz
         out.push_str("(no data)\n");
         return out;
     }
-    let (min_x, max_x) = points
-        .iter()
-        .fold((f64::MAX, f64::MIN), |(lo, hi), &(x, _)| (lo.min(x), hi.max(x)));
-    let (min_y, max_y) = points
-        .iter()
-        .fold((f64::MAX, f64::MIN), |(lo, hi), &(_, y)| (lo.min(y), hi.max(y)));
+    let (min_x, max_x) =
+        points.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &(x, _)| (lo.min(x), hi.max(x)));
+    let (min_y, max_y) =
+        points.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &(_, y)| (lo.min(y), hi.max(y)));
     let dx = (max_x - min_x).max(1e-12);
     let dy = (max_y - min_y).max(1e-12);
     let mut grid = vec![vec![' '; cols]; rows];

@@ -72,8 +72,7 @@ impl BatchMix {
                 break;
             }
             let take = self.pool.len().min(self.config.threshold);
-            let mut batch: Vec<AnonymousUpload> =
-                self.pool.drain(..take).map(|(_, u)| u).collect();
+            let mut batch: Vec<AnonymousUpload> = self.pool.drain(..take).map(|(_, u)| u).collect();
             // Fisher–Yates shuffle.
             for i in (1..batch.len()).rev() {
                 let j = self.rng.gen_range(0..=i);
@@ -107,9 +106,7 @@ mod tests {
     use super::*;
     use crate::channel::LinkageScheme;
     use orsp_crypto::{BigUint, Token, UploadRequest};
-    use orsp_types::{
-        DeviceId, EntityId, Interaction, InteractionKind, RecordId,
-    };
+    use orsp_types::{DeviceId, EntityId, Interaction, InteractionKind, RecordId};
 
     fn upload(entity: u64, t: i64) -> AnonymousUpload {
         let salt = [1u8; 32];

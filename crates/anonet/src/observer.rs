@@ -165,11 +165,7 @@ impl NetworkObserver {
                 for (record, _, t) in &self.exits {
                     by_time.entry(*t).or_default().push(*record);
                 }
-                by_time
-                    .into_values()
-                    .map(dedup)
-                    .filter(|v| v.len() > 1)
-                    .collect()
+                by_time.into_values().map(dedup).filter(|v| v.len() > 1).collect()
             }
         };
 

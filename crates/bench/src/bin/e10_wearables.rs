@@ -26,8 +26,7 @@ fn main() {
 
     println!("\n{:<28} {:>8} {:>10} {:>12}", "configuration", "MAE", "coverage", "within 1★");
     let mut maes = Vec::new();
-    for (label, wearables) in
-        [("behavioural features only", false), ("+ heart-rate arousal", true)]
+    for (label, wearables) in [("behavioural features only", false), ("+ heart-rate arousal", true)]
     {
         let cfg = PipelineConfig { use_wearables: wearables, ..Default::default() };
         let outcome = RspPipeline::new(cfg).run(&world);
@@ -50,11 +49,6 @@ fn main() {
     // The HR signal is built from ground-truth opinion (plus noise and an
     // exercise confound), so it should help — but the behavioural
     // features already carry most of the signal.
-    assert!(
-        maes[1] <= maes[0] + 0.05,
-        "wearables must not hurt: {} vs {}",
-        maes[1],
-        maes[0]
-    );
+    assert!(maes[1] <= maes[0] + 0.05, "wearables must not hurt: {} vs {}", maes[1], maes[0]);
     println!("  shape check: PASS");
 }

@@ -28,7 +28,12 @@ fn main() {
     let c = &outcome.coverage;
 
     println!("{:<38} {:>10} {:>10}", "", "explicit", "+inferred");
-    println!("{:<38} {:>10} {:>10}", "median opinions per entity", f(c.median_before), f(c.median_after));
+    println!(
+        "{:<38} {:>10} {:>10}",
+        "median opinions per entity",
+        f(c.median_before),
+        f(c.median_after)
+    );
     println!("{:<38} {:>10} {:>10}", "mean opinions per entity", f(c.mean_before), f(c.mean_after));
     println!(
         "{:<38} {:>9}% {:>9}%",

@@ -26,10 +26,7 @@ fn main() {
 
     let outcome = RspPipeline::new(PipelineConfig::default()).run(&world);
     println!("\nheld-out pairs: {}", outcome.eval.total);
-    println!(
-        "{:<26} {:>8} {:>8} {:>10} {:>12}",
-        "model", "MAE", "RMSE", "coverage", "within 1★"
-    );
+    println!("{:<26} {:>8} {:>8} {:>10} {:>12}", "model", "MAE", "RMSE", "coverage", "within 1★");
     println!(
         "{:<26} {:>8} {:>8} {:>9}% {:>11}%",
         "effort predictor",
@@ -51,7 +48,11 @@ fn main() {
         "forced MAE on abstained pairs: {} (vs {} on predicted — abstention is {})",
         f(outcome.eval.abstained_forced_mae),
         f(outcome.eval.mae),
-        if outcome.eval.abstained_forced_mae > outcome.eval.mae { "well-placed" } else { "miscalibrated" }
+        if outcome.eval.abstained_forced_mae > outcome.eval.mae {
+            "well-placed"
+        } else {
+            "miscalibrated"
+        }
     );
 
     // Per-category stratification (restaurants / doctors / trades learn

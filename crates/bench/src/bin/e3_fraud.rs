@@ -65,8 +65,7 @@ fn main() {
 
     let outcome = RspPipeline::new(PipelineConfig::default()).run(&world);
 
-    let flagged: std::collections::HashSet<_> =
-        outcome.fraud_flagged.iter().copied().collect();
+    let flagged: std::collections::HashSet<_> = outcome.fraud_flagged.iter().copied().collect();
     let fraud_records = &outcome.fraud_truth;
     let detected = fraud_records.iter().filter(|r| flagged.contains(*r)).count();
     let false_pos = flagged.iter().filter(|r| !fraud_records.contains(*r)).count();
@@ -94,9 +93,8 @@ fn main() {
     };
     let spam_caught = caught_pair(UserId::new(0), plumber);
     let employee_caught = caught_pair(UserId::new(1 % n), restaurant);
-    let sybil_caught: Vec<bool> = (2..7)
-        .filter_map(|i| caught_pair(UserId::new(i % n), plumber))
-        .collect();
+    let sybil_caught: Vec<bool> =
+        (2..7).filter_map(|i| caught_pair(UserId::new(i % n), plumber)).collect();
     println!("\nper campaign:");
     println!("  call spam (25 calls, 3 min apart):     {:?}", spam_caught);
     println!("  employee presence (120 daily shifts):  {:?}", employee_caught);
@@ -132,7 +130,11 @@ fn main() {
             employee_caught.unwrap_or(false)
         ),
     );
-    compare("honest users unaffected", "~0% FP", &format!("{}%", f(100.0 * false_pos as f64 / honest_total.max(1) as f64)));
+    compare(
+        "honest users unaffected",
+        "~0% FP",
+        &format!("{}%", f(100.0 * false_pos as f64 / honest_total.max(1) as f64)),
+    );
     compare(
         "concerted fraud costs real effort",
         "dissuade",

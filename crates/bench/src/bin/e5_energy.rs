@@ -55,22 +55,18 @@ fn main() {
             // Ground truth: entity dwells of at least the sessionizer's
             // min dwell.
             let timeline = MovementTimeline::build(&world, user.id);
-            let truths: Vec<_> = timeline
-                .visits()
-                .filter(|s| s.duration() >= SimDuration::minutes(20))
-                .collect();
+            let truths: Vec<_> =
+                timeline.visits().filter(|s| s.duration() >= SimDuration::minutes(20)).collect();
             true_visits += truths.len();
-            let detections = VisitSessionizer::sessionize(
-                &trace.fixes,
-                &mapper,
-                SessionizerConfig::default(),
-            );
+            let detections =
+                VisitSessionizer::sessionize(&trace.fixes, &mapper, SessionizerConfig::default());
             // A truth is detected if some entity-attributed detection
             // overlaps it.
             for t in &truths {
-                if detections.iter().any(|d| {
-                    d.entity.is_some() && d.start <= t.end && d.end >= t.start
-                }) {
+                if detections
+                    .iter()
+                    .any(|d| d.entity.is_some() && d.start <= t.end && d.end >= t.start)
+                {
                     detected += 1;
                 }
             }

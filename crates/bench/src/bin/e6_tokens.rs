@@ -60,7 +60,8 @@ fn main() {
     let (mut mint, tokens) = kept.expect("the 512-bit size is measured");
 
     // Double spend: every replay is caught.
-    let replays = tokens.iter().filter(|t| mint.redeem(t, now) == SpendOutcome::DoubleSpend).count();
+    let replays =
+        tokens.iter().filter(|t| mint.redeem(t, now) == SpendOutcome::DoubleSpend).count();
     println!("  double-spend replays rejected:           {replays}/{n_tokens}");
 
     // Forgery: random signatures never verify.
@@ -99,7 +100,11 @@ fn main() {
     println!("  Ru-guess collisions:                     {hits}/{guesses} (expected ~2^-256)");
 
     println!("\nPAPER vs MEASURED");
-    compare("forged/double-spent uploads rejected", "all", &format!("{}", replays as u64 + 200 - forged_accepted));
+    compare(
+        "forged/double-spent uploads rejected",
+        "all",
+        &format!("{}", replays as u64 + 200 - forged_accepted),
+    );
     compare("rate limit bounds token grants", "5", &got.to_string());
     assert_eq!(forged_accepted, 0);
     assert_eq!(replays, n_tokens as usize);

@@ -70,10 +70,8 @@ fn main() {
     println!("{:<34} {:>8} {:>10} {:>12}", "variant", "MAE", "coverage", "within 1★");
     let mut results: Vec<(String, f64)> = Vec::new();
     for (label, drop) in &variants {
-        let train: Vec<(FeatureVector, Rating)> = dataset
-            .iter()
-            .filter_map(|p| p.label.map(|l| (mask(&p.features, drop), l)))
-            .collect();
+        let train: Vec<(FeatureVector, Rating)> =
+            dataset.iter().filter_map(|p| p.label.map(|l| (mask(&p.features, drop), l))).collect();
         let Some(model) = OpinionPredictor::train(&train, PredictorConfig::default()) else {
             println!("{label:<34} (too little training data)");
             continue;
@@ -102,17 +100,12 @@ fn main() {
 
     println!("\nPAPER vs MEASURED");
     let full_mae = results[0].1;
-    let worst =
-        results[1..].iter().max_by(|a, b| a.1.total_cmp(&b.1)).expect("ablations ran");
+    let worst = results[1..].iter().max_by(|a, b| a.1.total_cmp(&b.1)).expect("ablations ran");
     compare(
         "each feature family carries signal",
         "MAE rises when dropped",
         &format!("worst ablation: {} (MAE {} vs {})", worst.0, f(worst.1), f(full_mae)),
     );
-    assert!(
-        worst.1 >= full_mae,
-        "some ablation should hurt: full {full_mae} vs worst {}",
-        worst.1
-    );
+    assert!(worst.1 >= full_mae, "some ablation should hurt: full {full_mae} vs worst {}", worst.1);
     println!("  shape check: PASS");
 }

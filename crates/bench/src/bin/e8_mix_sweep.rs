@@ -32,9 +32,7 @@ fn main() {
     );
     let mut first_acc = None;
     let mut last_acc = None;
-    for (threshold, deferral_h) in
-        [(1usize, 0i64), (1, 6), (8, 6), (32, 6), (32, 24), (128, 24)]
-    {
+    for (threshold, deferral_h) in [(1usize, 0i64), (1, 6), (8, 6), (32, 6), (32, 24), (128, 24)] {
         let cfg = PipelineConfig {
             client: ClientConfig {
                 upload_window: SimDuration::hours(deferral_h),

@@ -52,11 +52,7 @@ fn main() {
             f(gains.last().unwrap().1)
         ),
     );
-    compare(
-        "even partial adoption helps",
-        "yes",
-        &format!("{}x at 30%", f(gains[2].1)),
-    );
+    compare("even partial adoption helps", "yes", &format!("{}x at 30%", f(gains[2].1)));
     assert!(gains.last().unwrap().1 > gains.first().unwrap().1);
     assert!(gains[2].1 > 1.5, "30% adoption should already produce real gain");
     if gains[0].1 <= 1.05 {

@@ -31,9 +31,8 @@ fn main() {
     }
 
     println!("PAPER vs MEASURED (median reviews per entity)");
-    let median = |svc: ServiceKind| {
-        reports.iter().find(|r| r.service == svc).unwrap().median_reviews()
-    };
+    let median =
+        |svc: ServiceKind| reports.iter().find(|r| r.service == svc).unwrap().median_reviews();
     compare("Yelp median", "25", &f(median(ServiceKind::Yelp)));
     compare("Angie's List median", "8", &f(median(ServiceKind::AngiesList)));
     compare("Healthgrades median", "5", &f(median(ServiceKind::Healthgrades)));

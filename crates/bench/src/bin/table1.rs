@@ -32,11 +32,7 @@ fn main() {
     compare("Yelp entities", "24,417", &get(ServiceKind::Yelp).entities.to_string());
     compare("Angie's List categories", "24", &get(ServiceKind::AngiesList).categories.to_string());
     compare("Angie's List entities", "26,066", &get(ServiceKind::AngiesList).entities.to_string());
-    compare(
-        "Healthgrades categories",
-        "4",
-        &get(ServiceKind::Healthgrades).categories.to_string(),
-    );
+    compare("Healthgrades categories", "4", &get(ServiceKind::Healthgrades).categories.to_string());
     compare(
         "Healthgrades entities",
         "24,922",

@@ -10,10 +10,7 @@
 /// Parse `--seed N` from argv; default 42.
 pub fn seed_from_args() -> u64 {
     let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--seed")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(42)
+    args.windows(2).find(|w| w[0] == "--seed").and_then(|w| w[1].parse().ok()).unwrap_or(42)
 }
 
 /// Parse a `--flag value` u64 with a default.

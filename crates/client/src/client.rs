@@ -15,9 +15,7 @@ use crate::transparency::TransparencyLog;
 use crate::uploader::UploadScheduler;
 use orsp_crypto::{DeviceSecret, TokenIssuer, TokenWallet, UploadRequest};
 use orsp_sensors::SensorTrace;
-use orsp_types::{
-    DeviceId, EntityId, Interaction, InteractionKind, SimDuration, Timestamp,
-};
+use orsp_types::{DeviceId, EntityId, Interaction, InteractionKind, SimDuration, Timestamp};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -190,15 +188,7 @@ impl RspClient {
                 continue;
             }
             let record_id = LocalHistoryStore::record_id_for(&self.secret, *entity);
-            if self.scheduler.enqueue(
-                rng,
-                record_id,
-                *entity,
-                *interaction,
-                wallet,
-                mint,
-                now,
-            ) {
+            if self.scheduler.enqueue(rng, record_id, *entity, *interaction, wallet, mint, now) {
                 summary.uploads_queued += 1;
                 self.log.mark_uploaded(entry);
             } else {
@@ -235,8 +225,7 @@ impl RspClient {
                 continue;
             }
             let record_id = LocalHistoryStore::record_id_for(&self.secret, *entity);
-            if self.scheduler.enqueue(rng, record_id, *entity, *interaction, wallet, mint, now)
-            {
+            if self.scheduler.enqueue(rng, record_id, *entity, *interaction, wallet, mint, now) {
                 summary.uploads_queued += 1;
                 self.log.mark_uploaded(entry);
             } else {
@@ -257,12 +246,8 @@ impl RspClient {
         now: Timestamp,
     ) -> ProcessSummary {
         let inferred = self.infer_interactions(trace);
-        let dwells = VisitSessionizer::sessionize(
-            &trace.fixes,
-            &self.mapper,
-            self.config.sessionizer,
-        )
-        .len();
+        let dwells =
+            VisitSessionizer::sessionize(&trace.fixes, &self.mapper, self.config.sessionizer).len();
         let mut summary = self.submit(rng, &inferred, wallet, mint, now);
         summary.dwells_detected = dwells;
         summary
@@ -341,12 +326,8 @@ mod tests {
                 has_visit && has_call
             })
             .expect("user with visits and calls");
-        let trace = render_user_trace(
-            &world,
-            user,
-            SamplingPolicy::accel_gated(),
-            &EnergyModel::default(),
-        );
+        let trace =
+            render_user_trace(&world, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
         let mut client = RspClient::install(
             &mut rng,
             DeviceId::new(user.raw()),
@@ -376,18 +357,10 @@ mod tests {
                     && matches!(e.kind, orsp_world::ActivityKind::Visit { dwell, .. } if dwell >= SimDuration::minutes(20))
             })
             .count();
-        let trace = render_user_trace(
-            &world,
-            user,
-            SamplingPolicy::accel_gated(),
-            &EnergyModel::default(),
-        );
-        let client = RspClient::install(
-            &mut rng,
-            DeviceId::new(0),
-            mapper,
-            ClientConfig::default(),
-        );
+        let trace =
+            render_user_trace(&world, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
+        let client =
+            RspClient::install(&mut rng, DeviceId::new(0), mapper, ClientConfig::default());
         let inferred_visits = client
             .infer_interactions(&trace)
             .iter()
@@ -403,18 +376,10 @@ mod tests {
     fn uploads_carry_distinct_record_ids_per_entity() {
         let (world, mapper, mut mint, mut rng) = setup(63);
         let user = world.users[1].id;
-        let trace = render_user_trace(
-            &world,
-            user,
-            SamplingPolicy::accel_gated(),
-            &EnergyModel::default(),
-        );
-        let mut client = RspClient::install(
-            &mut rng,
-            DeviceId::new(1),
-            mapper,
-            ClientConfig::default(),
-        );
+        let trace =
+            render_user_trace(&world, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
+        let mut client =
+            RspClient::install(&mut rng, DeviceId::new(1), mapper, ClientConfig::default());
         let mut wallet = TokenWallet::new(client.device(), mint.public_key().clone());
         let end = Timestamp::EPOCH + world.config.horizon;
         client.process_trace(&mut rng, &trace, &mut wallet, &mut mint, end);
@@ -428,8 +393,7 @@ mod tests {
                 assert_eq!(prev, u.record_id, "stable per entity");
             }
         }
-        let distinct_ids: std::collections::HashSet<_> =
-            by_entity.values().copied().collect();
+        let distinct_ids: std::collections::HashSet<_> = by_entity.values().copied().collect();
         assert_eq!(distinct_ids.len(), by_entity.len(), "unlinkable across entities");
     }
 
@@ -437,12 +401,8 @@ mod tests {
     fn local_store_is_purged_to_retention() {
         let (world, mapper, mut mint, mut rng) = setup(64);
         let user = world.users[2].id;
-        let trace = render_user_trace(
-            &world,
-            user,
-            SamplingPolicy::accel_gated(),
-            &EnergyModel::default(),
-        );
+        let trace =
+            render_user_trace(&world, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
         let mut client = RspClient::install(
             &mut rng,
             DeviceId::new(2),
@@ -466,18 +426,10 @@ mod tests {
     fn forget_entity_purges_and_returns_record_id() {
         let (world, mapper, mut mint, mut rng) = setup(66);
         let user = world.users[4].id;
-        let trace = render_user_trace(
-            &world,
-            user,
-            SamplingPolicy::accel_gated(),
-            &EnergyModel::default(),
-        );
-        let mut client = RspClient::install(
-            &mut rng,
-            DeviceId::new(4),
-            mapper,
-            ClientConfig::default(),
-        );
+        let trace =
+            render_user_trace(&world, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
+        let mut client =
+            RspClient::install(&mut rng, DeviceId::new(4), mapper, ClientConfig::default());
         let mut wallet = TokenWallet::new(client.device(), mint.public_key().clone());
         let end = Timestamp::EPOCH + world.config.horizon;
         client.process_trace(&mut rng, &trace, &mut wallet, &mut mint, end);
@@ -495,18 +447,10 @@ mod tests {
     fn transparency_log_sees_every_inference() {
         let (world, mapper, mut mint, mut rng) = setup(65);
         let user = world.users[3].id;
-        let trace = render_user_trace(
-            &world,
-            user,
-            SamplingPolicy::accel_gated(),
-            &EnergyModel::default(),
-        );
-        let mut client = RspClient::install(
-            &mut rng,
-            DeviceId::new(3),
-            mapper,
-            ClientConfig::default(),
-        );
+        let trace =
+            render_user_trace(&world, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
+        let mut client =
+            RspClient::install(&mut rng, DeviceId::new(3), mapper, ClientConfig::default());
         let mut wallet = TokenWallet::new(client.device(), mint.public_key().clone());
         let end = Timestamp::EPOCH + world.config.horizon;
         let summary = client.process_trace(&mut rng, &trace, &mut wallet, &mut mint, end);

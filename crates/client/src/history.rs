@@ -11,9 +11,7 @@
 //! `leak_surface_is_bounded` quantifies it.
 
 use orsp_crypto::{derive_record_id, DeviceSecret};
-use orsp_types::{
-    EntityId, Interaction, InteractionHistory, RecordId, SimDuration, Timestamp,
-};
+use orsp_types::{EntityId, Interaction, InteractionHistory, RecordId, SimDuration, Timestamp};
 use std::collections::HashMap;
 
 /// Device-local, time-bounded interaction store.

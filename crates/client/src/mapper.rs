@@ -231,7 +231,10 @@ mod tests {
                     id,
                     name: format!("e{}", id.raw()),
                     category: Category::Restaurant(Cuisine::Thai),
-                    location: GeoPoint::new(rng.gen_range(0.0..5_000.0), rng.gen_range(0.0..5_000.0)),
+                    location: GeoPoint::new(
+                        rng.gen_range(0.0..5_000.0),
+                        rng.gen_range(0.0..5_000.0),
+                    ),
                     phone: 5_000_000 + id.raw(),
                 }
             })

@@ -82,13 +82,7 @@ pub struct VisitSessionizer {
 #[derive(Debug, Clone)]
 enum State {
     Idle,
-    Dwelling {
-        start: Timestamp,
-        last: Timestamp,
-        sum_x: f64,
-        sum_y: f64,
-        count: usize,
-    },
+    Dwelling { start: Timestamp, last: Timestamp, sum_x: f64, sum_y: f64, count: usize },
 }
 
 impl VisitSessionizer {
@@ -155,10 +149,7 @@ impl VisitSessionizer {
         count: usize,
         mapper: &EntityMapper,
     ) -> Option<DetectedVisit> {
-        let travel = self
-            .prev_centroid
-            .map(|p| p.distance_to(&centroid))
-            .unwrap_or(0.0);
+        let travel = self.prev_centroid.map(|p| p.distance_to(&centroid)).unwrap_or(0.0);
         self.prev_centroid = Some(centroid);
         if last - start < self.config.min_dwell {
             return None;
@@ -295,11 +286,7 @@ mod tests {
         let m = mapper();
         let fixes: Vec<LocationFix> = (0..8)
             .map(|i| {
-                fix(
-                    i * 600,
-                    1_000.0 + (i as f64 * 17.0) % 60.0,
-                    1_000.0 - (i as f64 * 13.0) % 60.0,
-                )
+                fix(i * 600, 1_000.0 + (i as f64 * 17.0) % 60.0, 1_000.0 - (i as f64 * 13.0) % 60.0)
             })
             .collect();
         let visits = VisitSessionizer::sessionize(&fixes, &m, SessionizerConfig::default());

@@ -51,7 +51,12 @@ impl TransparencyLog {
     }
 
     /// Log a new inference; returns its id.
-    pub fn log(&mut self, inferred_at: Timestamp, entity: EntityId, interaction: Interaction) -> u64 {
+    pub fn log(
+        &mut self,
+        inferred_at: Timestamp,
+        entity: EntityId,
+        interaction: Interaction,
+    ) -> u64 {
         let id = self.entries.len() as u64;
         self.entries.push(InferenceEntry {
             id,
@@ -113,12 +118,7 @@ mod tests {
     use orsp_types::{InteractionKind, SimDuration};
 
     fn interaction() -> Interaction {
-        Interaction::solo(
-            InteractionKind::Visit,
-            Timestamp::EPOCH,
-            SimDuration::minutes(30),
-            100.0,
-        )
+        Interaction::solo(InteractionKind::Visit, Timestamp::EPOCH, SimDuration::minutes(30), 100.0)
     }
 
     #[test]

@@ -24,11 +24,7 @@ impl Eq for Queued {}
 impl Ord for Queued {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reverse for a min-heap on release time.
-        other
-            .0
-            .release_at
-            .cmp(&self.0.release_at)
-            .then_with(|| other.0.entity.cmp(&self.0.entity))
+        other.0.release_at.cmp(&self.0.release_at).then_with(|| other.0.entity.cmp(&self.0.entity))
     }
 }
 impl PartialOrd for Queued {

@@ -12,7 +12,13 @@ fn main() {
     println!("reviews in world: {}", world.reviews.len());
     let outcome = RspPipeline::new(PipelineConfig::default()).run(&world);
     println!("uploads {} histories {}", outcome.uploads_delivered, outcome.ingest.store().len());
-    println!("eval: total {} predicted {} abstained {:?}", outcome.eval.total, outcome.eval.predicted, outcome.eval.abstained);
+    println!(
+        "eval: total {} predicted {} abstained {:?}",
+        outcome.eval.total, outcome.eval.predicted, outcome.eval.abstained
+    );
     println!("inferred hist entities: {}", outcome.inferred_histograms.len());
-    println!("coverage before {} after {}", outcome.coverage.mean_before, outcome.coverage.mean_after);
+    println!(
+        "coverage before {} after {}",
+        outcome.coverage.mean_before, outcome.coverage.mean_after
+    );
 }

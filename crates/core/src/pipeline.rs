@@ -17,11 +17,11 @@ use crate::directory::{category_map, directory_entries};
 use orsp_anonet::{AnonymousUpload, BatchMix, LinkageScheme, MixConfig, NetworkObserver};
 use orsp_client::{ClientConfig, EntityMapper, RspClient, SessionizerConfig, VisitSessionizer};
 use orsp_crypto::{RsaPublicKey, TokenIssuer, TokenMint, TokenWallet};
+use orsp_inference::predictor::PredictorConfig;
 use orsp_inference::{
     EvalReport, FeatureVector, GroupedPredictor, LabeledExample, OpinionPredictor, PairContext,
     Prediction, RepeatCountBaseline,
 };
-use orsp_inference::predictor::PredictorConfig;
 use orsp_sensors::{render_user_trace, EnergyModel, SamplingPolicy};
 use orsp_server::{
     deterministic_ingest, AggregatePublisher, CategoryProfile, EntityAggregate, FraudDetector,
@@ -229,22 +229,14 @@ impl RspPipeline {
     /// the outcome (and its digest) is bit-identical with or without a
     /// sink, at any thread count, which `tests/pipeline_determinism.rs`
     /// asserts.
-    pub fn run_logged(
-        &self,
-        world: &World,
-        sink: Option<Arc<dyn WalSink>>,
-    ) -> PipelineOutcome {
+    pub fn run_logged(&self, world: &World, sink: Option<Arc<dyn WalSink>>) -> PipelineOutcome {
         let obs = orsp_obs::global();
         let _run_span = obs.span("pipeline_run_us");
         let cfg = &self.config;
         let threads = self.threads();
         let mut rng = rng_for(world.config.seed, "pipeline");
-        let mint = TokenMint::new(
-            &mut rng,
-            cfg.modulus_bits,
-            cfg.tokens_per_window,
-            cfg.token_window,
-        );
+        let mint =
+            TokenMint::new(&mut rng, cfg.modulus_bits, cfg.tokens_per_window, cfg.token_window);
         let mint_public = mint.public_key().clone();
         let mapper = Arc::new(EntityMapper::new(directory_entries(world)));
 
@@ -293,13 +285,12 @@ impl RspPipeline {
             }
             let device = DeviceId::new(user.id.raw());
             let trace = render_user_trace(world, user.id, cfg.policy, &energy_model);
-            let mut client =
-                RspClient::install(&mut rng, device, Arc::clone(mapper), cfg.client);
+            let mut client = RspClient::install(&mut rng, device, Arc::clone(mapper), cfg.client);
             let mut wallet = TokenWallet::new(device, mint_public.clone());
 
             let inferred = client.infer_interactions(&trace);
-            let home_estimate = estimate_home(&trace, mapper, cfg.client.sessionizer)
-                .unwrap_or(GeoPoint::ORIGIN);
+            let home_estimate =
+                estimate_home(&trace, mapper, cfg.client.sessionizer).unwrap_or(GeoPoint::ORIGIN);
             let mut issuer = make_issuer();
             client.submit_streaming(&mut rng, &inferred, &mut wallet, &mut issuer, end);
 
@@ -311,38 +302,24 @@ impl RspPipeline {
             let mut owners = Vec::new();
             let mut entries = Vec::new();
             for request in client.drain_uploads() {
-                let channel =
-                    cfg.linkage_scheme.channel_id(device, &salt, request.entity);
+                let channel = cfg.linkage_scheme.channel_id(device, &salt, request.entity);
                 entries.push((device, request.release_at));
                 owners.push((request.record_id, (user.id, request.entity)));
                 uploads.push((
                     request.release_at,
-                    AnonymousUpload {
-                        channel,
-                        submitted_at: request.release_at,
-                        request,
-                    },
+                    AnonymousUpload { channel, submitted_at: request.release_at, request },
                 ));
             }
-            let hr_samples = if cfg.use_wearables {
-                orsp_sensors::hr_trace(world, user.id)
-            } else {
-                Vec::new()
-            };
+            let hr_samples =
+                if cfg.use_wearables { orsp_sensors::hr_trace(world, user.id) } else { Vec::new() };
             Some(ClientOutput {
-                view: UserView {
-                    user: user.id,
-                    home_estimate,
-                    interactions: inferred,
-                    hr_samples,
-                },
+                view: UserView { user: user.id, home_estimate, interactions: inferred, hr_samples },
                 uploads,
                 owners,
                 entries,
             })
         };
-        let outputs: Vec<Option<ClientOutput>> =
-            map_chunked(&world.users, threads, &run_user);
+        let outputs: Vec<Option<ClientOutput>> = map_chunked(&world.users, threads, &run_user);
 
         // Deterministic merge: user order, independent of worker timing.
         let mut observer = NetworkObserver::new();
@@ -366,20 +343,15 @@ impl RspPipeline {
         let mut deliveries: Vec<(Timestamp, orsp_crypto::UploadRequest)> =
             Vec::with_capacity(in_flight.len());
         let deliver = |batch: Vec<AnonymousUpload>,
-                           at: Timestamp,
-                           deliveries: &mut Vec<(Timestamp, orsp_crypto::UploadRequest)>,
-                           observer: &mut NetworkObserver| {
+                       at: Timestamp,
+                       deliveries: &mut Vec<(Timestamp, orsp_crypto::UploadRequest)>,
+                       observer: &mut NetworkObserver| {
             for upload in batch {
                 let truth_device = record_owner
                     .get(&upload.request.record_id)
                     .map(|(u, _)| DeviceId::new(u.raw()))
                     .unwrap_or(DeviceId::new(u64::MAX));
-                observer.observe_exit(
-                    upload.request.record_id,
-                    upload.channel,
-                    at,
-                    truth_device,
-                );
+                observer.observe_exit(upload.request.record_id, upload.channel, at, truth_device);
                 deliveries.push((at, upload.request));
             }
         };
@@ -429,12 +401,8 @@ impl RspPipeline {
 
         // Ground truth for fraud scoring: any (user, entity) pair with an
         // attack event in the world trace.
-        let fraud_pairs: HashSet<(UserId, EntityId)> = world
-            .events
-            .iter()
-            .filter(|e| e.is_fraud)
-            .map(|e| (e.user, e.entity))
-            .collect();
+        let fraud_pairs: HashSet<(UserId, EntityId)> =
+            world.events.iter().filter(|e| e.is_fraud).map(|e| (e.user, e.entity)).collect();
         let fraud_truth: HashSet<RecordId> = record_owner
             .iter()
             .filter(|(_, pair)| fraud_pairs.contains(pair))
@@ -445,13 +413,8 @@ impl RspPipeline {
         // ---- Inference stage. -----------------------------------------
         let inference_span = obs.span("pipeline_inference_us");
         let flagged_set: HashSet<RecordId> = fraud_flagged.iter().copied().collect();
-        let (dataset, test, inferred_histograms) = self.inference_stage(
-            world,
-            mapper,
-            &user_views,
-            &record_owner,
-            &flagged_set,
-        );
+        let (dataset, test, inferred_histograms) =
+            self.inference_stage(world, mapper, &user_views, &record_owner, &flagged_set);
         let eval = EvalReport::compute(&test.predictor_examples);
         let eval_baseline = EvalReport::compute(&test.baseline_examples);
         let eval_baseline_matched = EvalReport::compute(&test.baseline_matched);
@@ -536,9 +499,7 @@ impl RspPipeline {
             // the per-category counts are reused — previously this
             // re-scanned the grid for every (user, entity) pair.
             let mut near_by_category: HashMap<Category, usize> = HashMap::new();
-            for e in
-                mapper.entities_near(&view.home_estimate, self.config.choice_set_radius_m)
-            {
+            for e in mapper.entities_near(&view.home_estimate, self.config.choice_set_radius_m) {
                 if let Some(d) = mapper.entry(e) {
                     *near_by_category.entry(d.category).or_default() += 1;
                 }
@@ -557,11 +518,7 @@ impl RspPipeline {
                         .iter()
                         .filter(|i| i.kind == orsp_types::InteractionKind::Visit)
                         .filter_map(|i| {
-                            orsp_sensors::mean_delta_in(
-                                &view.hr_samples,
-                                i.start,
-                                i.end(),
-                            )
+                            orsp_sensors::mean_delta_in(&view.hr_samples, i.start, i.end())
                         })
                         .collect();
                     if deltas.is_empty() {
@@ -580,10 +537,9 @@ impl RspPipeline {
                     continue;
                 };
                 let features = FeatureVector::extract(&history, &context);
-                let truth = world.opinions.true_rating(
-                    world.user(view.user).unwrap(),
-                    world.entity(entity).unwrap(),
-                );
+                let truth = world
+                    .opinions
+                    .true_rating(world.user(view.user).unwrap(), world.entity(entity).unwrap());
                 out.push(PairExample {
                     user: view.user,
                     entity,
@@ -597,10 +553,7 @@ impl RspPipeline {
             out
         };
         let pairs: Vec<PairExample> =
-            map_chunked(user_views, self.threads(), &assemble_view)
-                .into_iter()
-                .flatten()
-                .collect();
+            map_chunked(user_views, self.threads(), &assemble_view).into_iter().flatten().collect();
 
         // Train on reviewer-labelled pairs; hold out silent users.
         // Coarse group key for per-category stratification.
@@ -612,10 +565,8 @@ impl RspPipeline {
                 Category::App | Category::Video => 3,
             }
         };
-        let train_examples: Vec<(FeatureVector, Rating)> = pairs
-            .iter()
-            .filter_map(|p| p.label.map(|r| (p.features, r)))
-            .collect();
+        let train_examples: Vec<(FeatureVector, Rating)> =
+            pairs.iter().filter_map(|p| p.label.map(|r| (p.features, r))).collect();
         let grouped: Option<GroupedPredictor<u8>> = if self.config.per_category_models {
             let triples: Vec<(u8, FeatureVector, Rating)> = pairs
                 .iter()
@@ -639,9 +590,7 @@ impl RspPipeline {
             let prediction = match (&grouped, &predictor) {
                 (Some(model), _) => model.predict(&group_of(p.category), &p.features, p.count),
                 (None, Some(model)) => model.predict(&p.features, p.count),
-                (None, None) => {
-                    Prediction::Abstain(orsp_inference::AbstainReason::TooFewSignals)
-                }
+                (None, None) => Prediction::Abstain(orsp_inference::AbstainReason::TooFewSignals),
             };
             // Held-out evaluation: pairs whose user never reviews.
             let is_held_out = !labels.contains_key(&(p.user, p.entity));
@@ -660,10 +609,8 @@ impl RspPipeline {
             }
             // Publish the inference unless the record was discarded as
             // fraud (or never delivered).
-            let discarded = record_of
-                .get(&(p.user, p.entity))
-                .map(|rid| flagged.contains(rid))
-                .unwrap_or(true);
+            let discarded =
+                record_of.get(&(p.user, p.entity)).map(|rid| flagged.contains(rid)).unwrap_or(true);
             if !discarded {
                 if let Prediction::Rating(r) = prediction {
                     inferred_histograms.entry(p.entity).or_default().add(r);
@@ -671,7 +618,11 @@ impl RspPipeline {
             }
         }
 
-        (pairs, TestSets { predictor_examples, baseline_examples, baseline_matched }, inferred_histograms)
+        (
+            pairs,
+            TestSets { predictor_examples, baseline_examples, baseline_matched },
+            inferred_histograms,
+        )
     }
 }
 

@@ -19,8 +19,8 @@ use crate::pipeline::{PipelineConfig, PipelineOutcome, RspPipeline};
 use orsp_client::EntityMapper;
 use orsp_crypto::{RsaPublicKey, TokenMint};
 use orsp_net::{
-    NetError, NetServer, RemoteIssuer, Request, Response, RspService, ServerConfig,
-    ServiceConfig, Transport,
+    NetError, NetServer, RemoteIssuer, Request, Response, RspService, ServerConfig, ServiceConfig,
+    Transport,
 };
 use orsp_search::{Ranker, SearchIndex};
 use orsp_types::rng::rng_for;
@@ -52,13 +52,7 @@ pub fn service_for_world_recovered(
     ingest: orsp_server::IngestService,
     sink: Option<Arc<dyn orsp_server::WalSink>>,
 ) -> RspService {
-    service_for_world_sharded(
-        world,
-        config,
-        ingest,
-        sink,
-        ServiceConfig::default().ingest_shards,
-    )
+    service_for_world_sharded(world, config, ingest, sink, ServiceConfig::default().ingest_shards)
 }
 
 /// [`service_for_world_recovered`] with an explicit ingest-shard count.
@@ -149,8 +143,7 @@ pub fn run_client_side<T: Transport>(
     transport: &T,
 ) -> Result<ServedRun, NetError> {
     let mapper = Arc::new(EntityMapper::new(directory_entries(world)));
-    let front =
-        pipeline.front_half(world, &mapper, mint_public, &|| RemoteIssuer::new(transport));
+    let front = pipeline.front_half(world, &mapper, mint_public, &|| RemoteIssuer::new(transport));
     let mut accepted = 0u64;
     let mut rejected = 0u64;
     for (at, request) in &front.deliveries {

@@ -303,9 +303,7 @@ impl BigUint {
             let top = ((u[j + n] as u128) << 64) | u[j + n - 1] as u128;
             let mut qhat = top / v_top;
             let mut rhat = top % v_top;
-            while qhat >> 64 != 0
-                || qhat * v_next > ((rhat << 64) | u[j + n - 2] as u128)
-            {
+            while qhat >> 64 != 0 || qhat * v_next > ((rhat << 64) | u[j + n - 2] as u128) {
                 qhat -= 1;
                 rhat += v_top;
                 if rhat >> 64 != 0 {
@@ -854,10 +852,7 @@ mod tests {
         // (2^64 - 1)^2 = 2^128 - 2^65 + 1
         let m = BigUint::from_u64(u64::MAX);
         let sq = m.mul(&m);
-        let expected = BigUint::one()
-            .shl(128)
-            .sub(&BigUint::one().shl(65))
-            .add(&BigUint::one());
+        let expected = BigUint::one().shl(128).sub(&BigUint::one().shl(65)).add(&BigUint::one());
         assert_eq!(sq, expected);
     }
 
@@ -934,10 +929,7 @@ mod tests {
         // 2^64 = 18446744073709551616
         assert_eq!(big(1).shl(64).to_string(), "18446744073709551616");
         // 2^128
-        assert_eq!(
-            big(1).shl(128).to_string(),
-            "340282366920938463463374607431768211456"
-        );
+        assert_eq!(big(1).shl(128).to_string(), "340282366920938463463374607431768211456");
     }
 
     #[test]

@@ -42,19 +42,13 @@ mod tests {
     fn rfc4231_case_1() {
         let key = [0x0bu8; 20];
         let out = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            hex(&out),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
+        assert_eq!(hex(&out), "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
     }
 
     #[test]
     fn rfc4231_case_2() {
         let out = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex(&out),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+        assert_eq!(hex(&out), "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
     }
 
     #[test]
@@ -62,20 +56,14 @@ mod tests {
         let key = [0xaau8; 20];
         let msg = [0xddu8; 50];
         let out = hmac_sha256(&key, &msg);
-        assert_eq!(
-            hex(&out),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
+        assert_eq!(hex(&out), "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
     }
 
     #[test]
     fn rfc4231_case_6_long_key() {
         let key = [0xaau8; 131];
         let out = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
-        assert_eq!(
-            hex(&out),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+        assert_eq!(hex(&out), "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
     }
 
     #[test]

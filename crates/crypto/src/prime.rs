@@ -5,9 +5,9 @@ use rand::Rng;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
 const SMALL_PRIMES: [u64; 46] = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
-    97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
-    191, 193, 197, 199,
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
+    197, 199,
 ];
 
 /// Miller–Rabin probabilistic primality test with `rounds` random bases.
@@ -45,8 +45,7 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut 
     let n_minus_2 = n.sub(&two);
     'witness: for _ in 0..rounds {
         // a in [2, n-2]
-        let a = BigUint::random_below(rng, &n_minus_2.sub(&BigUint::one()))
-            .add(&two);
+        let a = BigUint::random_below(rng, &n_minus_2.sub(&BigUint::one())).add(&two);
         let mut x = a.mod_pow(&d, n);
         if x.is_one() || x == n_minus_1 {
             continue 'witness;
@@ -90,10 +89,7 @@ mod tests {
     fn small_primes_are_prime() {
         let mut rng = StdRng::seed_from_u64(1);
         for p in [2u64, 3, 5, 7, 97, 199, 211, 65_537, 1_000_003] {
-            assert!(
-                is_probable_prime(&BigUint::from_u64(p), 16, &mut rng),
-                "{p} should be prime"
-            );
+            assert!(is_probable_prime(&BigUint::from_u64(p), 16, &mut rng), "{p} should be prime");
         }
     }
 

@@ -126,9 +126,7 @@ impl RsaKeyPair {
         };
         let s = m_q.add(&diff.mul_mod(&self.q_inv, p).mul(q));
         if self.mont_n.pow(&s, &self.public.e) != m.rem(&self.public.n) {
-            return Err(OrspError::Crypto(
-                "CRT signature failed its self-check; withheld".into(),
-            ));
+            return Err(OrspError::Crypto("CRT signature failed its self-check; withheld".into()));
         }
         Ok(s)
     }
@@ -268,9 +266,8 @@ pub(crate) mod tests {
     fn debug_shows_only_the_public_half() {
         let kp = test_keypair(12);
         let shown = format!("{kp:?}");
-        let hex = |v: &BigUint| {
-            v.to_bytes_be().iter().map(|b| format!("{b:02x}")).collect::<String>()
-        };
+        let hex =
+            |v: &BigUint| v.to_bytes_be().iter().map(|b| format!("{b:02x}")).collect::<String>();
         for secret in [kp.mont_p.modulus(), kp.mont_q.modulus(), &kp.dp, &kp.dq] {
             let secret = hex(secret);
             assert!(!shown.contains(secret.trim_start_matches('0')), "{shown}");

@@ -446,10 +446,7 @@ mod tests {
         wallet.request_token(&mut rng, &mut mint, Timestamp::EPOCH).unwrap();
         let token = wallet.take_token().unwrap();
         // Trusted verdict path agrees with the verifying path.
-        assert_eq!(
-            mint.redeem_preverified(&token, Timestamp::EPOCH, true),
-            SpendOutcome::Accepted
-        );
+        assert_eq!(mint.redeem_preverified(&token, Timestamp::EPOCH, true), SpendOutcome::Accepted);
         assert_eq!(
             mint.redeem_preverified(&token, Timestamp::EPOCH, true),
             SpendOutcome::DoubleSpend

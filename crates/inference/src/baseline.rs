@@ -38,8 +38,7 @@ impl RepeatCountBaseline {
 
     /// Predict directly from a count (convenience for tests/benches).
     pub fn predict_from_count(&self, count: usize) -> Rating {
-        let doublings =
-            if count <= 1 { 0.0 } else { (count as f64).ln() / std::f64::consts::LN_2 };
+        let doublings = if count <= 1 { 0.0 } else { (count as f64).ln() / std::f64::consts::LN_2 };
         Rating::new(self.base + self.per_doubling * doublings)
     }
 }
@@ -85,10 +84,7 @@ mod tests {
             )
             .unwrap();
             let f = FeatureVector::extract(&h, &PairContext::default());
-            assert!(
-                b.predict(&f).abs_error(b.predict_from_count(n)) < 1e-6,
-                "n = {n}"
-            );
+            assert!(b.predict(&f).abs_error(b.predict_from_count(n)) < 1e-6, "n = {n}");
         }
     }
 

@@ -98,8 +98,7 @@ impl FeatureVector {
             gap_days.iter().filter(|&&g| g < 7.0).count() as f64 / gap_days.len() as f64
         };
 
-        let visits: Vec<_> =
-            history.iter().filter(|r| r.kind == InteractionKind::Visit).collect();
+        let visits: Vec<_> = history.iter().filter(|r| r.kind == InteractionKind::Visit).collect();
         let mean_dwell_min = if visits.is_empty() {
             // Calls: use call duration instead.
             let calls: Vec<_> =
@@ -107,12 +106,10 @@ impl FeatureVector {
             if calls.is_empty() {
                 0.0
             } else {
-                calls.iter().map(|r| r.duration.as_minutes_f64()).sum::<f64>()
-                    / calls.len() as f64
+                calls.iter().map(|r| r.duration.as_minutes_f64()).sum::<f64>() / calls.len() as f64
             }
         } else {
-            visits.iter().map(|r| r.duration.as_minutes_f64()).sum::<f64>()
-                / visits.len() as f64
+            visits.iter().map(|r| r.duration.as_minutes_f64()).sum::<f64>() / visits.len() as f64
         };
 
         let distances: Vec<f64> = history.iter().map(|r| r.distance_travelled_m).collect();
@@ -120,8 +117,7 @@ impl FeatureVector {
             if distances.is_empty() { 0.0 } else { distances.iter().sum::<f64>() / n };
         let max_distance = distances.iter().copied().fold(0.0, f64::max);
         let visit_fraction = visits.len() as f64 / n.max(1.0);
-        let payments =
-            history.iter().filter(|r| r.kind == InteractionKind::Payment).count() as f64;
+        let payments = history.iter().filter(|r| r.kind == InteractionKind::Payment).count() as f64;
 
         FeatureVector {
             values: [
@@ -146,11 +142,7 @@ impl FeatureVector {
     /// Squared Euclidean distance between vectors (after caller-side
     /// normalization).
     pub fn distance_sq(&self, other: &FeatureVector) -> f64 {
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum()
+        self.values.iter().zip(other.values.iter()).map(|(a, b)| (a - b) * (a - b)).sum()
     }
 
     /// All values finite?
@@ -233,13 +225,15 @@ mod tests {
 
     #[test]
     fn regular_cadence_scores_high_regularity() {
-        let regular = InteractionHistory::from_records(
-            (0..6).map(|i| visit(i * 30, 45, 500.0)).collect(),
-        )
-        .unwrap();
-        let bursty = InteractionHistory::from_records(
-            vec![visit(0, 45, 500.0), visit(1, 45, 500.0), visit(2, 45, 500.0), visit(300, 45, 500.0)],
-        )
+        let regular =
+            InteractionHistory::from_records((0..6).map(|i| visit(i * 30, 45, 500.0)).collect())
+                .unwrap();
+        let bursty = InteractionHistory::from_records(vec![
+            visit(0, 45, 500.0),
+            visit(1, 45, 500.0),
+            visit(2, 45, 500.0),
+            visit(300, 45, 500.0),
+        ])
         .unwrap();
         let ctx = PairContext::default();
         let fr = FeatureVector::extract(&regular, &ctx);
@@ -250,15 +244,11 @@ mod tests {
 
     #[test]
     fn burst_fraction_catches_callbacks() {
-        let callbacks = InteractionHistory::from_records(vec![
-            call(0, 8),
-            call(2, 4),
-            call(4, 3),
-            call(6, 2),
-        ])
-        .unwrap();
-        let spaced = InteractionHistory::from_records(vec![call(0, 8), call(90, 7), call(200, 9)])
-            .unwrap();
+        let callbacks =
+            InteractionHistory::from_records(vec![call(0, 8), call(2, 4), call(4, 3), call(6, 2)])
+                .unwrap();
+        let spaced =
+            InteractionHistory::from_records(vec![call(0, 8), call(90, 7), call(200, 9)]).unwrap();
         let ctx = PairContext::default();
         let idx = FEATURE_NAMES.iter().position(|n| *n == "burst_fraction").unwrap();
         assert_eq!(FeatureVector::extract(&callbacks, &ctx).values[idx], 1.0);
@@ -267,14 +257,12 @@ mod tests {
 
     #[test]
     fn distance_features_are_monotone_in_effort() {
-        let near = InteractionHistory::from_records(
-            (0..4).map(|i| visit(i * 30, 45, 200.0)).collect(),
-        )
-        .unwrap();
-        let far = InteractionHistory::from_records(
-            (0..4).map(|i| visit(i * 30, 45, 6_000.0)).collect(),
-        )
-        .unwrap();
+        let near =
+            InteractionHistory::from_records((0..4).map(|i| visit(i * 30, 45, 200.0)).collect())
+                .unwrap();
+        let far =
+            InteractionHistory::from_records((0..4).map(|i| visit(i * 30, 45, 6_000.0)).collect())
+                .unwrap();
         let ctx = PairContext::default();
         let idx = FEATURE_NAMES.iter().position(|n| *n == "log_mean_distance_m").unwrap();
         assert!(
@@ -296,10 +284,14 @@ mod tests {
     #[test]
     fn context_features_pass_through() {
         let h = InteractionHistory::from_records(vec![visit(0, 45, 100.0)]).unwrap();
-        let ctx = PairContext { alternatives_tried: 6, settled_share: 0.8, choice_set_size: 12, mean_hr_delta: 0.0 };
+        let ctx = PairContext {
+            alternatives_tried: 6,
+            settled_share: 0.8,
+            choice_set_size: 12,
+            mean_hr_delta: 0.0,
+        };
         let f = FeatureVector::extract(&h, &ctx);
-        let alt_idx =
-            FEATURE_NAMES.iter().position(|n| *n == "log_alternatives_tried").unwrap();
+        let alt_idx = FEATURE_NAMES.iter().position(|n| *n == "log_alternatives_tried").unwrap();
         let settle_idx = FEATURE_NAMES.iter().position(|n| *n == "settled_share").unwrap();
         assert!((f.values[alt_idx] - (7.0f64).ln()).abs() < 1e-9);
         assert_eq!(f.values[settle_idx], 0.8);
@@ -318,7 +310,9 @@ mod tests {
         let vs: Vec<FeatureVector> = (0..100)
             .map(|i| {
                 let h = InteractionHistory::from_records(
-                    (0..(1 + i % 7)).map(|k| visit(k as i64 * 20, 30 + i, 100.0 * i as f64)).collect(),
+                    (0..(1 + i % 7))
+                        .map(|k| visit(k as i64 * 20, 30 + i, 100.0 * i as f64))
+                        .collect(),
                 )
                 .unwrap();
                 FeatureVector::extract(&h, &PairContext::default())
@@ -328,8 +322,7 @@ mod tests {
         let applied: Vec<FeatureVector> = vs.iter().map(|v| norm.apply(v)).collect();
         // Column 0 (log_count) should now have ~zero mean, ~unit std.
         let mean0: f64 = applied.iter().map(|v| v.values[0]).sum::<f64>() / 100.0;
-        let var0: f64 =
-            applied.iter().map(|v| (v.values[0] - mean0).powi(2)).sum::<f64>() / 100.0;
+        let var0: f64 = applied.iter().map(|v| (v.values[0] - mean0).powi(2)).sum::<f64>() / 100.0;
         assert!(mean0.abs() < 1e-9);
         assert!((var0 - 1.0).abs() < 1e-6);
     }

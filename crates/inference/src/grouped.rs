@@ -30,8 +30,7 @@ impl<K: Eq + Hash + Clone> GroupedPredictor<K> {
         examples: &[(K, FeatureVector, Rating)],
         config: PredictorConfig,
     ) -> Option<GroupedPredictor<K>> {
-        let all: Vec<(FeatureVector, Rating)> =
-            examples.iter().map(|(_, f, r)| (*f, *r)).collect();
+        let all: Vec<(FeatureVector, Rating)> = examples.iter().map(|(_, f, r)| (*f, *r)).collect();
         let global = OpinionPredictor::train(&all, config)?;
 
         let mut by_group: HashMap<K, Vec<(FeatureVector, Rating)>> = HashMap::new();

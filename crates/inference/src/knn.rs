@@ -21,10 +21,7 @@ impl KnnRegressor {
         }
         let vectors: Vec<FeatureVector> = examples.iter().map(|(f, _)| *f).collect();
         let normalizer = Normalizer::fit(&vectors);
-        let points = examples
-            .iter()
-            .map(|(f, r)| (normalizer.apply(f), r.value()))
-            .collect();
+        let points = examples.iter().map(|(f, r)| (normalizer.apply(f), r.value())).collect();
         Some(KnnRegressor { k, normalizer, points })
     }
 
@@ -34,16 +31,12 @@ impl KnnRegressor {
     pub fn predict_with_support(&self, features: &FeatureVector) -> (Rating, f64) {
         let q = self.normalizer.apply(features);
         // Partial selection of the k smallest distances.
-        let mut dists: Vec<(f64, f64)> = self
-            .points
-            .iter()
-            .map(|(p, y)| (p.distance_sq(&q), *y))
-            .collect();
+        let mut dists: Vec<(f64, f64)> =
+            self.points.iter().map(|(p, y)| (p.distance_sq(&q), *y)).collect();
         dists.select_nth_unstable_by(self.k - 1, |a, b| a.0.total_cmp(&b.0));
         let neighbours = &dists[..self.k];
         let mean_rating = neighbours.iter().map(|(_, y)| y).sum::<f64>() / self.k as f64;
-        let mean_dist =
-            neighbours.iter().map(|(d, _)| d.sqrt()).sum::<f64>() / self.k as f64;
+        let mean_dist = neighbours.iter().map(|(d, _)| d.sqrt()).sum::<f64>() / self.k as f64;
         (Rating::new(mean_rating), mean_dist)
     }
 

@@ -168,11 +168,8 @@ mod tests {
     #[test]
     fn good_abstention_shows_higher_forced_error() {
         // The property the report is designed to surface.
-        let examples = vec![
-            pred(4.0, 4.2),
-            pred(2.0, 1.9),
-            abstain(AbstainReason::OffManifold, 5.0, 1.0),
-        ];
+        let examples =
+            vec![pred(4.0, 4.2), pred(2.0, 1.9), abstain(AbstainReason::OffManifold, 5.0, 1.0)];
         let r = EvalReport::compute(&examples);
         assert!(r.abstained_forced_mae > r.mae);
     }

@@ -173,10 +173,7 @@ mod tests {
     #[test]
     fn abstains_on_too_few_interactions() {
         let p = OpinionPredictor::train(&dataset(), PredictorConfig::default()).unwrap();
-        assert_eq!(
-            p.predict(&fv(2.0, 2.0), 1),
-            Prediction::Abstain(AbstainReason::TooFewSignals)
-        );
+        assert_eq!(p.predict(&fv(2.0, 2.0), 1), Prediction::Abstain(AbstainReason::TooFewSignals));
     }
 
     #[test]

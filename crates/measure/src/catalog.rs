@@ -91,10 +91,7 @@ impl ServiceCatalog {
 
     /// Entities matching one (zipcode, category) query.
     pub fn query(&self, zipcode: u32, category: Category) -> Vec<&CatalogEntity> {
-        self.entities
-            .iter()
-            .filter(|e| e.zipcode == zipcode && e.category == category)
-            .collect()
+        self.entities.iter().filter(|e| e.zipcode == zipcode && e.category == category).collect()
     }
 
     /// Total entities (Table 1's rightmost column).
@@ -161,12 +158,7 @@ mod tests {
         let sizes: Vec<usize> = catalog
             .zipcodes
             .iter()
-            .flat_map(|&z| {
-                ServiceKind::Yelp
-                    .categories()
-                    .into_iter()
-                    .map(move |c| (z, c))
-            })
+            .flat_map(|&z| ServiceKind::Yelp.categories().into_iter().map(move |c| (z, c)))
             .map(|(z, c)| catalog.query(z, c).len())
             .collect();
         let min = *sizes.iter().min().unwrap();
@@ -179,8 +171,7 @@ mod tests {
     fn fifty_zipcodes() {
         let catalog = ServiceCatalog::generate(ServiceKind::AngiesList, 2);
         assert_eq!(catalog.zipcodes.len(), 50);
-        let distinct: std::collections::HashSet<u32> =
-            catalog.zipcodes.iter().copied().collect();
+        let distinct: std::collections::HashSet<u32> = catalog.zipcodes.iter().copied().collect();
         assert_eq!(distinct.len(), 50);
     }
 }

@@ -53,9 +53,7 @@ impl CrawlReport {
     /// Fraction of the median query's results that have ≥50 reviews.
     pub fn median_rich_fraction(&self) -> f64 {
         let rich = self.median_rich_results();
-        let total = EmpiricalCdf::new(self.results_per_query.clone())
-            .median()
-            .unwrap_or(f64::NAN);
+        let total = EmpiricalCdf::new(self.results_per_query.clone()).median().unwrap_or(f64::NAN);
         rich / total
     }
 }
@@ -77,10 +75,9 @@ impl Crawler {
             for &category in &categories {
                 let results = catalog.query(zip, category);
                 results_per_query.push(results.len() as f64);
-                rich_results_per_query.push(
-                    results.iter().filter(|e| e.review_count >= REVIEW_THRESHOLD).count()
-                        as f64,
-                );
+                rich_results_per_query
+                    .push(results.iter().filter(|e| e.review_count >= REVIEW_THRESHOLD).count()
+                        as f64);
                 for entity in results {
                     if seen.insert(entity.id) {
                         reviews_per_entity.push(entity.review_count as f64);
@@ -129,9 +126,8 @@ mod tests {
     fn fig1a_medians_match_paper_shape() {
         // Paper: medians 25 (Yelp), 8 (Angie's), 5 (Healthgrades).
         let reports = Crawler::crawl_all(17);
-        let median = |svc: ServiceKind| {
-            reports.iter().find(|r| r.service == svc).unwrap().median_reviews()
-        };
+        let median =
+            |svc: ServiceKind| reports.iter().find(|r| r.service == svc).unwrap().median_reviews();
         let yelp = median(ServiceKind::Yelp);
         let angies = median(ServiceKind::AngiesList);
         let hg = median(ServiceKind::Healthgrades);

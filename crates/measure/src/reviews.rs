@@ -123,13 +123,9 @@ mod tests {
         let dist = ReviewDistribution::for_service(ServiceKind::Yelp);
         let mut rng = StdRng::seed_from_u64(9);
         let n = 50_000;
-        let empirical =
-            (0..n).filter(|_| dist.sample(&mut rng) >= 50).count() as f64 / n as f64;
+        let empirical = (0..n).filter(|_| dist.sample(&mut rng) >= 50).count() as f64 / n as f64;
         let theory = dist.fraction_at_least(50.0);
-        assert!(
-            (empirical - theory).abs() < 0.02,
-            "empirical {empirical} vs theory {theory}"
-        );
+        assert!((empirical - theory).abs() < 0.02, "empirical {empirical} vs theory {theory}");
     }
 
     #[test]

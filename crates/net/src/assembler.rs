@@ -93,10 +93,7 @@ impl FrameAssembler {
     /// Framing errors are terminal for the stream: after an `Err` the
     /// assembler stays poisoned and every further feed returns
     /// [`WireError::Malformed`].
-    pub fn feed(
-        &mut self,
-        input: &[u8],
-    ) -> Result<(usize, Option<AssembledFrame>), WireError> {
+    pub fn feed(&mut self, input: &[u8]) -> Result<(usize, Option<AssembledFrame>), WireError> {
         let mut at = 0usize;
         loop {
             match &mut self.state {
@@ -131,12 +128,7 @@ impl FrameAssembler {
                     self.state = if traced {
                         State::TraceCtx { len, crc, have: 0, buf: [0; TRACE_CTX_LEN] }
                     } else {
-                        State::Payload {
-                            crc,
-                            ctx: None,
-                            buf: Vec::with_capacity(len),
-                            len,
-                        }
+                        State::Payload { crc, ctx: None, buf: Vec::with_capacity(len), len }
                     };
                 }
                 State::TraceCtx { len, crc, have, buf } => {
@@ -165,8 +157,7 @@ impl FrameAssembler {
                     if let Err(e) = check_crc(buf, *crc) {
                         return self.poison(e);
                     }
-                    let frame =
-                        AssembledFrame { payload: std::mem::take(buf), ctx: ctx.take() };
+                    let frame = AssembledFrame { payload: std::mem::take(buf), ctx: ctx.take() };
                     self.state = State::Prefix { have: 0, buf: [0; PREFIX_LEN] };
                     return Ok((at, Some(frame)));
                 }
@@ -268,14 +259,10 @@ mod tests {
         let n = framed.len();
         framed[n - 1] ^= 0x01;
         let mut asm = FrameAssembler::new();
-        let (_, msg) = asm
-            .feed(&framed[..n - 1])
-            .expect("everything before the corrupt byte is plausible");
+        let (_, msg) =
+            asm.feed(&framed[..n - 1]).expect("everything before the corrupt byte is plausible");
         assert!(msg.is_none());
-        assert!(matches!(
-            asm.feed(&framed[n - 1..]).expect_err("crc"),
-            WireError::BadCrc { .. }
-        ));
+        assert!(matches!(asm.feed(&framed[n - 1..]).expect_err("crc"), WireError::BadCrc { .. }));
     }
 
     #[test]

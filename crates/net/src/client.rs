@@ -28,8 +28,8 @@ use crate::error::NetError;
 use crate::stream::{read_message, write_message};
 use crate::transport::Transport;
 use crate::wire::{Request, Response, SearchHit};
-use orsp_obs::{TraceContext, TraceRecord};
 use orsp_crypto::{BlindSignature, BlindedMessage, UploadRequest};
+use orsp_obs::{TraceContext, TraceRecord};
 use orsp_search::SearchQuery;
 use orsp_server::{EntityAggregate, RejectReason};
 use orsp_types::{DeviceId, EntityId, Timestamp};
@@ -227,12 +227,8 @@ impl NetClient {
             let stream = TcpStream::connect_timeout(&self.addr, connect_timeout)
                 .map_err(NetError::from_io)?;
             let _ = stream.set_nodelay(true);
-            stream
-                .set_read_timeout(Some(self.config.read_timeout))
-                .map_err(NetError::from_io)?;
-            stream
-                .set_write_timeout(Some(self.config.write_timeout))
-                .map_err(NetError::from_io)?;
+            stream.set_read_timeout(Some(self.config.read_timeout)).map_err(NetError::from_io)?;
+            stream.set_write_timeout(Some(self.config.write_timeout)).map_err(NetError::from_io)?;
             self.stream = Some(BufReader::with_capacity(READ_BUF, stream));
             self.reused = false;
         }
@@ -542,8 +538,7 @@ pub struct NetPool {
 impl NetPool {
     /// Build a pool of `size` lazily-dialed connections (minimum 1).
     pub fn new(addr: SocketAddr, config: ClientConfig, size: usize) -> NetPool {
-        let slots =
-            (0..size.max(1)).map(|_| Mutex::new(NetClient::new(addr, config))).collect();
+        let slots = (0..size.max(1)).map(|_| Mutex::new(NetClient::new(addr, config))).collect();
         NetPool { slots, next: AtomicUsize::new(0) }
     }
 

@@ -38,8 +38,7 @@ impl Flags {
         let mut given = Vec::new();
         let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {
-            let Some(&(name, placeholder)) = defined.iter().find(|(name, _)| *name == arg)
-            else {
+            let Some(&(name, placeholder)) = defined.iter().find(|(name, _)| *name == arg) else {
                 return Err(format!("unknown flag {arg}\n{usage}"));
             };
             let value = if placeholder.is_empty() {

@@ -32,9 +32,7 @@
 use crate::assembler::FrameAssembler;
 use crate::server::{FrameService, ProtoErrorKind, ServerConfig, ServerMetrics};
 use crate::stream::write_message;
-use crate::sys::{
-    Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLLRDHUP,
-};
+use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLLRDHUP};
 use crate::wire::{Request, Response};
 use crossbeam::channel::{Receiver, Sender};
 use orsp_obs::{Registry, TraceContext};
@@ -279,8 +277,7 @@ impl Wheel {
     fn new(read_timeout: Duration, write_timeout: Duration) -> Wheel {
         let shortest = read_timeout.min(write_timeout).max(Duration::from_millis(1));
         let longest = read_timeout.max(write_timeout).max(Duration::from_millis(1));
-        let tick = (shortest / 8)
-            .clamp(Duration::from_millis(1), Duration::from_millis(200));
+        let tick = (shortest / 8).clamp(Duration::from_millis(1), Duration::from_millis(200));
         let slots = (longest.as_micros() / tick.as_micros()) as usize + 2;
         Wheel {
             tick,
@@ -449,11 +446,7 @@ impl Reactor {
             }
         }
         if let Some(listener) = self.listener.as_ref() {
-            let _ = self.epoll.modify(
-                listener.as_raw_fd(),
-                EPOLLIN | EPOLLONESHOT,
-                TOKEN_LISTENER,
-            );
+            let _ = self.epoll.modify(listener.as_raw_fd(), EPOLLIN | EPOLLONESHOT, TOKEN_LISTENER);
         }
     }
 
@@ -696,13 +689,8 @@ impl Reactor {
                 conn.state = ConnState::Executing;
                 conn.timer_gen += 1; // no deadline while executing
                 self.inflight += 1;
-                let job = Job {
-                    token,
-                    gen: conn.gen,
-                    stream: Arc::clone(&conn.stream),
-                    request,
-                    ctx,
-                };
+                let job =
+                    Job { token, gen: conn.gen, stream: Arc::clone(&conn.stream), request, ctx };
                 if self.job_tx.send(job).is_err() {
                     self.inflight -= 1;
                     self.close(token);
@@ -784,11 +772,7 @@ impl Reactor {
         let fd = conn.stream.as_raw_fd();
         let gen_entry = token as u64;
         self.wheel.arm(token, conn, timeout);
-        if self
-            .epoll
-            .modify(fd, EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, gen_entry)
-            .is_err()
-        {
+        if self.epoll.modify(fd, EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, gen_entry).is_err() {
             // First arm for this fd.
             if self.epoll.add(fd, EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, gen_entry).is_err() {
                 self.close(token);
@@ -851,9 +835,7 @@ impl Reactor {
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| {
-                slot.as_ref()
-                    .filter(|c| matches!(c.state, ConnState::Reading))
-                    .map(|_| i)
+                slot.as_ref().filter(|c| matches!(c.state, ConnState::Reading)).map(|_| i)
             })
             .collect();
         for token in reading {

@@ -40,9 +40,8 @@ use orsp_obs::{trace, Counter, Histogram, Registry, TraceContext};
 use orsp_search::{InferredSummary, Ranker, ReviewSummary, SearchIndex, SearchQuery};
 use orsp_server::{
     lockorder::{self, rank},
-    AggregateParts, EntityAggregate, GroupCommitConfig, IngestOutcome, IngestService,
-    IngestStats, RejectReason, ShardedIngest, SupportParts, WalBatchItem, WalSink,
-    MIN_AGGREGATE_SUPPORT,
+    AggregateParts, EntityAggregate, GroupCommitConfig, IngestOutcome, IngestService, IngestStats,
+    RejectReason, ShardedIngest, SupportParts, WalBatchItem, WalSink, MIN_AGGREGATE_SUPPORT,
 };
 use orsp_types::{EntityId, RecordId, StarHistogram};
 use parking_lot::Mutex;
@@ -376,9 +375,7 @@ impl RspService {
     pub fn handle_traced(&self, request: Request, ctx: Option<TraceContext>) -> Response {
         let (hist, name) = match &request {
             Request::Ping => (&self.metrics.rpc_ping_us, "server/ping"),
-            Request::IssueToken { .. } => {
-                (&self.metrics.rpc_issue_token_us, "server/issue_token")
-            }
+            Request::IssueToken { .. } => (&self.metrics.rpc_issue_token_us, "server/issue_token"),
             Request::Upload { .. } => (&self.metrics.rpc_upload_us, "server/upload"),
             Request::FetchAggregate { .. } => {
                 (&self.metrics.rpc_fetch_aggregate_us, "server/fetch_aggregate")
@@ -510,9 +507,9 @@ impl RspService {
                 Response::SearchParts { hits, support }
             }
             Request::Stats => Response::Stats { snapshot: self.obs.snapshot() },
-            Request::Traces => Response::Traces {
-                traces: self.obs.tracer().drain_completed(TRACES_RPC_LIMIT),
-            },
+            Request::Traces => {
+                Response::Traces { traces: self.obs.tracer().drain_completed(TRACES_RPC_LIMIT) }
+            }
             Request::AggregateParts { entity } => {
                 // Cluster-internal scatter-gather leg: deliberately
                 // floor-unfiltered — the proxy applies the k-anonymity
@@ -520,9 +517,7 @@ impl RspService {
                 // total is known. Deployments restrict this RPC to the
                 // proxy tier.
                 let snapshot = self.read_snapshot();
-                Response::AggregateParts {
-                    parts: snapshot.aggregates.get(&entity).cloned(),
-                }
+                Response::AggregateParts { parts: snapshot.aggregates.get(&entity).cloned() }
             }
             Request::AggregatePartsBatch { entities } => {
                 // One snapshot for the whole batch: every answered
@@ -549,9 +544,7 @@ impl RspService {
                         }
                         Response::ReplicateAck { epoch, applied }
                     }
-                    ReplicateOutcome::Stale { current } => {
-                        Response::StaleEpoch { range, current }
-                    }
+                    ReplicateOutcome::Stale { current } => Response::StaleEpoch { range, current },
                     ReplicateOutcome::Failed(detail) => Response::Error { detail },
                 }
             }
@@ -621,11 +614,7 @@ impl RspService {
     /// snapshot were accumulated in record-id order at publish time, so
     /// they are bit-identical to computing over a merged store. Clones
     /// and sorts every effort point: `FetchAggregate` only.
-    fn aggregate_from(
-        &self,
-        snapshot: &ReadState,
-        entity: EntityId,
-    ) -> Option<EntityAggregate> {
+    fn aggregate_from(&self, snapshot: &ReadState, entity: EntityId) -> Option<EntityAggregate> {
         snapshot
             .aggregates
             .get(&entity)
@@ -677,8 +666,8 @@ mod tests {
     use super::*;
     use orsp_crypto::{BlindingSession, Token, TokenWallet};
     use orsp_types::rng::rng_for;
-    use rand::Rng;
     use orsp_types::{DeviceId, SimDuration, Timestamp};
+    use rand::Rng;
 
     fn service(tokens_per_window: u32) -> RspService {
         let mut rng = rng_for(7, "router-test");
@@ -708,11 +697,8 @@ mod tests {
             let mut message = [0u8; 32];
             rng.fill(&mut message);
             let (session, blinded) = BlindingSession::blind(&mut rng, &public, &message);
-            let response = svc.handle(Request::IssueToken {
-                device,
-                blinded,
-                now: Timestamp::EPOCH,
-            });
+            let response =
+                svc.handle(Request::IssueToken { device, blinded, now: Timestamp::EPOCH });
             match response {
                 Response::TokenIssued { signature } if attempt < 2 => {
                     session.unblind(&signature).expect("signature verifies");
@@ -737,10 +723,7 @@ mod tests {
                 distance_travelled_m: 100.0,
                 group_size: 1,
             },
-            token: Token {
-                message: [0; 32],
-                signature: orsp_crypto::BigUint::from_u64(12345),
-            },
+            token: Token { message: [0; 32], signature: orsp_crypto::BigUint::from_u64(12345) },
             release_at: Timestamp::EPOCH,
         };
         assert_eq!(
@@ -977,18 +960,14 @@ mod tests {
             blinded: &orsp_crypto::BlindedMessage,
             now: Timestamp,
         ) -> orsp_types::Result<orsp_crypto::BlindSignature> {
-            match self.0.handle(Request::IssueToken {
-                device,
-                blinded: blinded.clone(),
-                now,
-            }) {
+            match self.0.handle(Request::IssueToken { device, blinded: blinded.clone(), now }) {
                 Response::TokenIssued { signature } => Ok(signature),
                 Response::TokenDenied { reason } => {
                     Err(orsp_types::OrspError::InvalidToken(reason))
                 }
-                other => Err(orsp_types::OrspError::Crypto(format!(
-                    "unexpected response: {other:?}"
-                ))),
+                other => {
+                    Err(orsp_types::OrspError::Crypto(format!("unexpected response: {other:?}")))
+                }
             }
         }
     }

@@ -71,10 +71,7 @@ pub fn read_message<R: Read>(
 /// Errors a dead peer's teardown produces at the *first* byte of a
 /// message boundary.
 fn reset_kind(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
-    )
+    matches!(e.kind(), std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted)
 }
 
 #[cfg(test)]
@@ -130,10 +127,7 @@ mod tests {
         let n = framed.len();
         framed[n - 1] ^= 0x01;
         let mut r = &framed[..];
-        assert!(matches!(
-            read_message(&mut r),
-            Err(NetError::Wire(WireError::BadCrc { .. }))
-        ));
+        assert!(matches!(read_message(&mut r), Err(NetError::Wire(WireError::BadCrc { .. }))));
     }
 
     /// A reader that counts the `read` calls made on it.
@@ -172,9 +166,6 @@ mod tests {
         let mut framed = frame(b"x");
         framed[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut r = &framed[..];
-        assert!(matches!(
-            read_message(&mut r),
-            Err(NetError::Wire(WireError::Oversized { .. }))
-        ));
+        assert!(matches!(read_message(&mut r), Err(NetError::Wire(WireError::Oversized { .. }))));
     }
 }

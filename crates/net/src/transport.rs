@@ -52,8 +52,7 @@ impl InMemoryTransport {
     /// Recover the service (fails if clones of the internal handle are
     /// still alive; the base transport holds the only one).
     pub fn into_service(self) -> RspService {
-        Arc::try_unwrap(self.service)
-            .unwrap_or_else(|_| panic!("service handle still shared"))
+        Arc::try_unwrap(self.service).unwrap_or_else(|_| panic!("service handle still shared"))
     }
 }
 

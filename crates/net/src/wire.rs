@@ -145,9 +145,7 @@ pub fn check_crc(payload: &[u8], stored: u32) -> Result<(), WireError> {
 /// Decode one frame from a complete buffer: returns the payload slice,
 /// the trace context if the sender stamped one, and the total bytes
 /// consumed. Typed errors for every malformation.
-pub fn decode_frame_traced(
-    buf: &[u8],
-) -> Result<(&[u8], Option<TraceContext>, usize), WireError> {
+pub fn decode_frame_traced(buf: &[u8]) -> Result<(&[u8], Option<TraceContext>, usize), WireError> {
     if buf.len() < PREFIX_LEN {
         return Err(WireError::Truncated { have: buf.len(), need: PREFIX_LEN });
     }
@@ -592,10 +590,9 @@ impl Request {
                 blinded: BlindedMessage(r.biguint()?),
                 now: Timestamp::from_seconds(r.i64()?),
             },
-            T_UPLOAD => Request::Upload {
-                upload: r.upload()?,
-                now: Timestamp::from_seconds(r.i64()?),
-            },
+            T_UPLOAD => {
+                Request::Upload { upload: r.upload()?, now: Timestamp::from_seconds(r.i64()?) }
+            }
             T_AGGREGATE => Request::FetchAggregate { entity: EntityId::new(r.u64()?) },
             T_SEARCH => Request::Search { query: r.query()? },
             T_SEARCH_PARTS => Request::SearchParts { query: r.query()? },
@@ -895,9 +892,7 @@ impl Response {
                     let entity = EntityId::new(r.u64()?);
                     let m = r.u32()? as usize;
                     if m.saturating_mul(27) > r.remaining() {
-                        return Err(WireError::Malformed(
-                            "interaction list exceeds payload",
-                        ));
+                        return Err(WireError::Malformed("interaction list exceeds payload"));
                     }
                     let mut interactions = Vec::with_capacity(m);
                     for _ in 0..m {
@@ -1204,8 +1199,8 @@ impl<'a> Reader<'a> {
     }
 
     fn interaction(&mut self) -> Result<Interaction, WireError> {
-        let kind = kind_from_u8(self.u8()?)
-            .ok_or(WireError::Malformed("unknown interaction kind"))?;
+        let kind =
+            kind_from_u8(self.u8()?).ok_or(WireError::Malformed("unknown interaction kind"))?;
         Ok(Interaction {
             kind,
             start: Timestamp::from_seconds(self.i64()?),
@@ -1407,7 +1402,11 @@ mod tests {
     use super::*;
 
     fn ctx() -> TraceContext {
-        TraceContext { trace_id: 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233, span_id: 77, sampled: true }
+        TraceContext {
+            trace_id: 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233,
+            span_id: 77,
+            sampled: true,
+        }
     }
 
     #[test]
@@ -1435,10 +1434,7 @@ mod tests {
         for framed in [frame(b"hello"), frame_traced(b"hello", Some(&ctx()))] {
             let payload_start = framed.len() - b"hello".len();
             for cut in 0..payload_start {
-                assert!(matches!(
-                    decode_frame(&framed[..cut]),
-                    Err(WireError::Truncated { .. })
-                ));
+                assert!(matches!(decode_frame(&framed[..cut]), Err(WireError::Truncated { .. })));
             }
         }
     }

@@ -15,10 +15,9 @@
 //!   go backwards;
 //! * shard routing identical to the seed formula (proptest).
 
-use orsp_crypto::{BlindedMessage, BlindSignature, TokenIssuer, TokenMint, TokenWallet};
+use orsp_crypto::{BlindSignature, BlindedMessage, TokenIssuer, TokenMint, TokenWallet};
 use orsp_net::{
-    ClientConfig, NetClient, NetServer, Request, Response, RspService, ServerConfig,
-    ServiceConfig,
+    ClientConfig, NetClient, NetServer, Request, Response, RspService, ServerConfig, ServiceConfig,
 };
 use orsp_search::{Listing, Ranker, SearchIndex, SearchQuery};
 use orsp_server::{shard_index, wal::WalEntry, GroupCommitConfig, WalBatchItem, WalSink};
@@ -78,12 +77,8 @@ impl TokenIssuer for ServiceIssuer<'_> {
     ) -> orsp_types::Result<BlindSignature> {
         match self.0.handle(Request::IssueToken { device, blinded: blinded.clone(), now }) {
             Response::TokenIssued { signature } => Ok(signature),
-            Response::TokenDenied { reason } => {
-                Err(orsp_types::OrspError::InvalidToken(reason))
-            }
-            other => {
-                Err(orsp_types::OrspError::Crypto(format!("unexpected response: {other:?}")))
-            }
+            Response::TokenDenied { reason } => Err(orsp_types::OrspError::InvalidToken(reason)),
+            other => Err(orsp_types::OrspError::Crypto(format!("unexpected response: {other:?}"))),
         }
     }
 }
@@ -200,10 +195,7 @@ fn concurrent_uploads_keep_exact_counters_and_snapshots_monotonic() {
                     let (accepted, searches) = match service.handle(Request::Stats) {
                         Response::Stats { snapshot } => (
                             snapshot.counter("ingest_accepted_total").unwrap_or(0),
-                            snapshot
-                                .histogram("rpc_search_us")
-                                .map(|h| h.count)
-                                .unwrap_or(0),
+                            snapshot.histogram("rpc_search_us").map(|h| h.count).unwrap_or(0),
                         ),
                         other => panic!("stats: {other:?}"),
                     };
@@ -260,10 +252,7 @@ fn concurrent_uploads_keep_exact_counters_and_snapshots_monotonic() {
     for _ in 0..25 {
         service.handle(Request::FetchAggregate { entity: EntityId::new(1) });
         service.handle(Request::Search {
-            query: SearchQuery {
-                zipcode: ZIP,
-                category: Category::Restaurant(Cuisine::Mexican),
-            },
+            query: SearchQuery { zipcode: ZIP, category: Category::Restaurant(Cuisine::Mexican) },
         });
         service.handle(Request::Stats);
     }
@@ -402,10 +391,7 @@ impl WalSink for SlowBatchSink {
             std::thread::sleep(self.stall);
             self.in_flight.store(false, Ordering::Release);
         }
-        self.batches
-            .lock()
-            .unwrap()
-            .push(items.iter().map(|i| i.entry.record_id).collect());
+        self.batches.lock().unwrap().push(items.iter().map(|i| i.entry.record_id).collect());
         Ok(())
     }
 }
@@ -522,8 +508,7 @@ fn tcp_hammer_sheds_nothing_below_saturation() {
         write_timeout: Duration::from_secs(5),
         ..ServerConfig::default()
     };
-    let server =
-        NetServer::bind("127.0.0.1:0", service.clone(), config).expect("bind");
+    let server = NetServer::bind("127.0.0.1:0", service.clone(), config).expect("bind");
     let addr = server.local_addr();
     let client_config = ClientConfig {
         connect_timeout: Duration::from_secs(5),
@@ -554,8 +539,7 @@ fn tcp_hammer_sheds_nothing_below_saturation() {
                         token,
                         release_at: Timestamp::EPOCH,
                     };
-                    let verdict =
-                        client.upload(upload, Timestamp::EPOCH).expect("upload rpc");
+                    let verdict = client.upload(upload, Timestamp::EPOCH).expect("upload rpc");
                     assert_eq!(verdict, Ok(()), "uploader {t}");
                 }
             });

@@ -71,8 +71,8 @@ fn fast_client() -> ClientConfig {
 #[test]
 fn full_rpc_round_trip_over_tcp() {
     let service = test_service();
-    let server = NetServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default())
-        .expect("bind");
+    let server =
+        NetServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
     let mut client = NetClient::connect(addr, fast_client()).expect("connect");
@@ -84,9 +84,7 @@ fn full_rpc_round_trip_over_tcp() {
     let transport = TcpTransport::connect(addr, fast_client()).expect("transport");
     let mut wallet = TokenWallet::new(device, service.mint_public_key());
     let mut issuer = RemoteIssuer::new(&transport);
-    wallet
-        .request_token(&mut rng, &mut issuer, Timestamp::EPOCH)
-        .expect("token issued over TCP");
+    wallet.request_token(&mut rng, &mut issuer, Timestamp::EPOCH).expect("token issued over TCP");
     assert_eq!(wallet.balance(), 1);
 
     let upload = orsp_crypto::UploadRequest {
@@ -215,8 +213,7 @@ fn malformed_bytes_get_a_typed_error_response() {
 fn corrupted_crc_is_rejected_not_executed() {
     let service = test_service();
     let server =
-        NetServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default())
-            .expect("bind");
+        NetServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
     // A real IssueToken frame with one payload byte flipped: the CRC
@@ -226,12 +223,8 @@ fn corrupted_crc_is_rejected_not_executed() {
     let mut message = [0u8; 32];
     rng.fill(&mut message);
     let (_, blinded) = BlindingSession::blind(&mut rng, &public, &message);
-    let mut frame = Request::IssueToken {
-        device: DeviceId::new(9),
-        blinded,
-        now: Timestamp::EPOCH,
-    }
-    .encode();
+    let mut frame =
+        Request::IssueToken { device: DeviceId::new(9), blinded, now: Timestamp::EPOCH }.encode();
     let last = frame.len() - 1;
     frame[last] ^= 0xFF;
 
@@ -280,8 +273,8 @@ fn shutdown_drains_and_joins() {
 #[test]
 fn stats_rpc_reports_live_counters() {
     let service = test_service();
-    let server = NetServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default())
-        .expect("bind");
+    let server =
+        NetServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
     let mut client = NetClient::connect(addr, fast_client()).expect("connect");

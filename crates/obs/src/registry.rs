@@ -100,20 +100,12 @@ impl Registry {
     /// Start a span over a pre-resolved histogram handle (no lock).
     #[inline]
     pub fn span_into(&self, hist: &Histogram) -> Span {
-        Span {
-            start: self.clock.now_micros(),
-            hist: hist.clone(),
-            clock: Arc::clone(&self.clock),
-        }
+        Span { start: self.clock.now_micros(), hist: hist.clone(), clock: Arc::clone(&self.clock) }
     }
 
     /// Record a structured event.
     pub fn event(&self, kind: &'static str, detail: impl Into<String>) {
-        self.events.push(Event {
-            at_micros: self.clock.now_micros(),
-            kind,
-            detail: detail.into(),
-        });
+        self.events.push(Event { at_micros: self.clock.now_micros(), kind, detail: detail.into() });
     }
 
     /// The most recent events, oldest first (bounded; see
@@ -146,11 +138,7 @@ impl Registry {
             counters: m.counters.iter().map(|(n, c)| (n.clone(), c.get())).collect(),
             gauges: m.gauges.iter().map(|(n, g)| (n.clone(), g.get())).collect(),
             events,
-            histograms: m
-                .histograms
-                .iter()
-                .map(|(n, h)| h.snapshot(n.clone()))
-                .collect(),
+            histograms: m.histograms.iter().map(|(n, h)| h.snapshot(n.clone())).collect(),
         }
     }
 }
@@ -212,10 +200,7 @@ mod tests {
         r.gauge("depth").set(-2);
         r.histogram("lat_us").record(8);
         let snap = r.snapshot();
-        assert_eq!(
-            snap.counters,
-            vec![("a_total".to_string(), 5), ("b_total".to_string(), 1)]
-        );
+        assert_eq!(snap.counters, vec![("a_total".to_string(), 5), ("b_total".to_string(), 1)]);
         assert_eq!(snap.gauge("depth"), Some(-2));
         let h = snap.histogram("lat_us").unwrap();
         assert_eq!((h.count, h.sum, h.max), (1, 8, 8));

@@ -93,9 +93,7 @@ impl TraceRecord {
     /// The root span: no parent, or a parent recorded by no span here.
     pub fn root(&self) -> Option<&SpanRecord> {
         let ids: Vec<u64> = self.spans.iter().map(|s| s.span_id).collect();
-        self.spans
-            .iter()
-            .find(|s| s.parent_span_id == 0 || !ids.contains(&s.parent_span_id))
+        self.spans.iter().find(|s| s.parent_span_id == 0 || !ids.contains(&s.parent_span_id))
     }
 
     /// Root duration (µs), 0 for an empty trace.
@@ -194,9 +192,7 @@ impl Tracer {
                 counter: AtomicU64::new(0),
                 sample_per_10k: AtomicU32::new(DEFAULT_SAMPLE_PER_10K),
                 slow_threshold_us: AtomicU64::new(0),
-                shards: (0..SPAN_SHARDS)
-                    .map(|_| Mutex::new(VecDeque::with_capacity(16)))
-                    .collect(),
+                shards: (0..SPAN_SHARDS).map(|_| Mutex::new(VecDeque::with_capacity(16))).collect(),
                 completed: Mutex::new(VecDeque::new()),
                 process: Mutex::new(String::from("proc")),
                 sealed_total: AtomicU64::new(0),
@@ -280,14 +276,7 @@ impl Tracer {
             // propagating the (unsampled) context.
             return SpanGuard::passthrough(self.shared.clone(), ctx);
         }
-        SpanGuard::open(
-            self.shared.clone(),
-            ctx.trace_id,
-            ctx.span_id,
-            true,
-            name,
-            Kind::LocalRoot,
-        )
+        SpanGuard::open(self.shared.clone(), ctx.trace_id, ctx.span_id, true, name, Kind::LocalRoot)
     }
 
     /// [`Tracer::start_remote`] when a context may be absent: starts a
@@ -419,9 +408,8 @@ impl SpanGuard {
     ) -> SpanGuard {
         let ctx = TraceContext { trace_id, span_id, sampled };
         let start_us = shared.clock.now_micros();
-        let prev = AMBIENT.with(|a| {
-            a.borrow_mut().replace(Ambient { shared: shared.clone(), ctx })
-        });
+        let prev =
+            AMBIENT.with(|a| a.borrow_mut().replace(Ambient { shared: shared.clone(), ctx }));
         SpanGuard {
             inner: Some(GuardInner {
                 shared,
@@ -437,9 +425,8 @@ impl SpanGuard {
     }
 
     fn passthrough(shared: Arc<Shared>, ctx: TraceContext) -> SpanGuard {
-        let prev = AMBIENT.with(|a| {
-            a.borrow_mut().replace(Ambient { shared: shared.clone(), ctx })
-        });
+        let prev =
+            AMBIENT.with(|a| a.borrow_mut().replace(Ambient { shared: shared.clone(), ctx }));
         SpanGuard {
             inner: Some(GuardInner {
                 shared,
@@ -749,10 +736,8 @@ mod tests {
         assert_eq!(ra.context(), rb.context());
         assert_ne!(ra.context().unwrap().span_id, 0);
         drop((ra, rb));
-        let (ta, tb) = (
-            a.tracer().drain_completed(8).remove(0),
-            b.tracer().drain_completed(8).remove(0),
-        );
+        let (ta, tb) =
+            (a.tracer().drain_completed(8).remove(0), b.tracer().drain_completed(8).remove(0));
         assert_eq!(ta, tb);
     }
 
@@ -1013,7 +998,8 @@ mod tests {
                 process: process.into(),
             }],
         };
-        let merged = merge_traces(vec![part(1, 10, "proxy"), part(2, 20, "proxy"), part(1, 11, "backend0")]);
+        let merged =
+            merge_traces(vec![part(1, 10, "proxy"), part(2, 20, "proxy"), part(1, 11, "backend0")]);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].spans.len(), 2);
         assert_eq!(merged[1].spans.len(), 1);

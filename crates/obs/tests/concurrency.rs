@@ -80,10 +80,7 @@ fn same_name_resolves_to_the_same_metric_across_threads() {
     for handle in handles {
         handle.join().expect("register thread");
     }
-    assert_eq!(
-        registry.snapshot().counter("shared_total"),
-        Some(THREADS as u64 * INCREMENTS)
-    );
+    assert_eq!(registry.snapshot().counter("shared_total"), Some(THREADS as u64 * INCREMENTS));
 }
 
 #[test]

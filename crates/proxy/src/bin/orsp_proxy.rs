@@ -81,9 +81,7 @@ fn main() {
         ClientConfig { call_deadline: Some(Duration::from_secs(10)), ..ClientConfig::default() };
     let links: Vec<Arc<dyn BackendLink>> = backends
         .iter()
-        .map(|&addr| {
-            Arc::new(NetPool::new(addr, backend_client, pool)) as Arc<dyn BackendLink>
-        })
+        .map(|&addr| Arc::new(NetPool::new(addr, backend_client, pool)) as Arc<dyn BackendLink>)
         .collect();
     for (i, addr) in backends.iter().enumerate() {
         println!("proxy: backend {i} -> {addr} ({pool} pooled connections)");

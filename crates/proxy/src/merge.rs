@@ -159,8 +159,7 @@ pub fn search_consensus(lists: &[Vec<SearchHit>]) -> Result<Vec<SearchHit>, Merg
 pub fn merge_search_parts(
     legs: Vec<(Vec<SearchHit>, Vec<SupportParts>)>,
 ) -> Result<(Vec<SearchHit>, Vec<SupportParts>), MergeError> {
-    if let Some((hits, support)) = legs.iter().find(|(hits, support)| hits.len() != support.len())
-    {
+    if let Some((hits, support)) = legs.iter().find(|(hits, support)| hits.len() != support.len()) {
         return Err(MergeError::SupportMismatch { hits: hits.len(), support: support.len() });
     }
     let (lists, supports): (Vec<_>, Vec<_>) = legs.into_iter().unzip();
@@ -259,10 +258,12 @@ mod tests {
 
     #[test]
     fn merge_skips_absent_backends_and_sums_the_rest() {
-        let merged =
-            merge_parts(EntityId::new(7), vec![Some(parts(7, 3, 900)), None, Some(parts(7, 2, 600))])
-                .expect("merge")
-                .expect("some");
+        let merged = merge_parts(
+            EntityId::new(7),
+            vec![Some(parts(7, 3, 900)), None, Some(parts(7, 2, 600))],
+        )
+        .expect("merge")
+        .expect("some");
         assert_eq!(merged.histories, 5);
         assert_eq!(merged.dwell_secs, 1500);
         assert_eq!(merged.effort_points.len(), 2);
@@ -286,11 +287,9 @@ mod tests {
     fn floor_applies_to_the_merged_total_not_per_backend() {
         // 3 + 2 histories: neither backend clears a floor of 5 alone,
         // the union does. Per-backend flooring would lose this entity.
-        let merged = merge_parts(
-            EntityId::new(7),
-            vec![Some(parts(7, 3, 900)), Some(parts(7, 2, 600))],
-        )
-        .expect("merge");
+        let merged =
+            merge_parts(EntityId::new(7), vec![Some(parts(7, 3, 900)), Some(parts(7, 2, 600))])
+                .expect("merge");
         assert!(floored_aggregate(merged.clone(), 5).is_some());
         assert!(floored_aggregate(merged, 6).is_none());
         assert!(floored_aggregate(None, 0).is_none());

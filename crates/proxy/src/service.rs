@@ -421,8 +421,7 @@ impl ProxyService {
         // replica-set math, which every node computes identically.
         let rf = u32::try_from(config.replication_factor).unwrap_or(u32::MAX);
         let topology = Topology::new(0, n as u32, rf);
-        let routes =
-            Mutex::new((0..n).map(|r| RangeRoute { primary: r, epoch: 0 }).collect());
+        let routes = Mutex::new((0..n).map(|r| RangeRoute { primary: r, epoch: 0 }).collect());
         let obs = Arc::new(Registry::new());
         obs.tracer().set_process("proxy");
         let metrics = ProxyMetrics::new(&obs, n);
@@ -508,12 +507,8 @@ impl ProxyService {
                 continue;
             }
             for _ in 0..2 {
-                let promote = Request::Replicate {
-                    range: range as u32,
-                    epoch,
-                    promote: true,
-                    items: vec![],
-                };
+                let promote =
+                    Request::Replicate { range: range as u32, epoch, promote: true, items: vec![] };
                 match self.call_backend(candidate, &promote) {
                     Ok(Response::ReplicateAck { epoch: adopted, .. }) => {
                         self.set_route(range, candidate, adopted);
@@ -878,9 +873,7 @@ impl ProxyService {
                 if !self.config.cluster_internal {
                     return Ok(self.refuse_internal("AggregatePartsBatch"));
                 }
-                Ok(Response::AggregatePartsBatch {
-                    parts: self.merged_parts_batch(&entities)?,
-                })
+                Ok(Response::AggregatePartsBatch { parts: self.merged_parts_batch(&entities)? })
             }
             Request::Search { query } => self.do_search(query),
             Request::SearchParts { query } => {
@@ -981,10 +974,7 @@ impl ProxyService {
 /// A leg answered with a response of the wrong kind: an error naming
 /// the backend that sent it.
 fn unexpected(backend: usize, what: &str, got: Response) -> ProxyError {
-    ProxyError::Unavailable {
-        backend,
-        source: NetError::Unexpected(format!("{what} got {got:?}")),
-    }
+    ProxyError::Unavailable { backend, source: NetError::Unexpected(format!("{what} got {got:?}")) }
 }
 
 impl FrameService for ProxyService {
@@ -1053,10 +1043,7 @@ mod tests {
         proxy_with(backends, ProxyConfig::default())
     }
 
-    fn proxy_with(
-        backends: Vec<Arc<Fake>>,
-        config: ProxyConfig,
-    ) -> (ProxyService, Vec<Arc<Fake>>) {
+    fn proxy_with(backends: Vec<Arc<Fake>>, config: ProxyConfig) -> (ProxyService, Vec<Arc<Fake>>) {
         let links: Vec<Arc<dyn BackendLink>> =
             backends.iter().map(|f| Arc::clone(f) as Arc<dyn BackendLink>).collect();
         (ProxyService::new(links, config), backends)
@@ -1235,9 +1222,7 @@ mod tests {
             Request::Replicate { epoch, promote: true, .. } => {
                 Response::ReplicateAck { epoch: *epoch, applied: 0 }
             }
-            Request::AggregateParts { .. } => {
-                Response::AggregateParts { parts: Some(parts(7, 9)) }
-            }
+            Request::AggregateParts { .. } => Response::AggregateParts { parts: Some(parts(7, 9)) },
             Request::AggregatePartsBatch { entities } => Response::AggregatePartsBatch {
                 parts: entities.iter().map(|_| Some(parts(7, 9))).collect(),
             },
@@ -1334,9 +1319,7 @@ mod tests {
                     Response::ReplicateAck { epoch: *epoch, applied: 0 }
                 }
             }
-            Request::AggregateParts { .. } => {
-                Response::AggregateParts { parts: Some(parts(7, 9)) }
-            }
+            Request::AggregateParts { .. } => Response::AggregateParts { parts: Some(parts(7, 9)) },
             _ => Response::Pong,
         });
         let (p, _) = proxy_with(
@@ -1367,9 +1350,7 @@ mod tests {
             Request::Replicate { epoch, promote: true, .. } => {
                 Response::ReplicateAck { epoch: *epoch, applied: 0 }
             }
-            Request::AggregateParts { .. } => {
-                Response::AggregateParts { parts: Some(parts(7, 3)) }
-            }
+            Request::AggregateParts { .. } => Response::AggregateParts { parts: Some(parts(7, 3)) },
             _ => Response::Pong,
         });
         let (p, _) = proxy_with(
@@ -1439,10 +1420,8 @@ mod tests {
 
     #[test]
     fn duplicate_entities_in_a_backend_hit_list_are_rejected() {
-        let (p, _) = proxy(vec![search_backend(
-            vec![hit(1, 4.0, 0), hit(1, 4.0, 0)],
-            vec![(9, 1), (9, 1)],
-        )]);
+        let (p, _) =
+            proxy(vec![search_backend(vec![hit(1, 4.0, 0), hit(1, 4.0, 0)], vec![(9, 1), (9, 1)])]);
         match p.handle(Request::Search { query: dentists() }) {
             Response::Error { detail } => assert!(detail.contains("twice"), "{detail}"),
             other => panic!("expected typed error, got {other:?}"),
@@ -1476,10 +1455,7 @@ mod tests {
         // Hits and their support ride the same leg: three hits, one
         // round, and no follow-up RPC of any kind.
         let backend = || {
-            search_backend(
-                vec![hit(1, 4.0, 0), hit(2, 3.0, 0), hit(3, 2.0, 0)],
-                vec![(6, 3); 3],
-            )
+            search_backend(vec![hit(1, 4.0, 0), hit(2, 3.0, 0), hit(3, 2.0, 0)], vec![(6, 3); 3])
         };
         let (p, fakes) = proxy(vec![backend(), backend(), backend()]);
         match p.handle(Request::Search { query: dentists() }) {
@@ -1565,9 +1541,8 @@ mod tests {
 
     #[test]
     fn retried_calls_are_attributed_to_their_backend() {
-        let flaky = Fake::new(|_| {
-            Ok((Response::Pong, CallTrace { attempts: 3, stale_reconnects: 1 }))
-        });
+        let flaky =
+            Fake::new(|_| Ok((Response::Pong, CallTrace { attempts: 3, stale_reconnects: 1 })));
         let (p, _) = proxy(vec![flaky]);
         assert_eq!(p.handle(Request::Ping), Response::Pong);
         let snap = p.obs().snapshot();
@@ -1600,10 +1575,8 @@ mod tests {
                 other => panic!("expected typed unavailable, got {other:?}"),
             }
         }
-        let (p, _) = proxy(vec![
-            Fake::ok(|_| Response::Pong),
-            Fake::ok(|_| Response::UploadAccepted),
-        ]);
+        let (p, _) =
+            proxy(vec![Fake::ok(|_| Response::Pong), Fake::ok(|_| Response::UploadAccepted)]);
         match p.handle(Request::Ping) {
             Response::Unavailable { detail } => {
                 assert!(detail.starts_with("backend 1 unavailable"), "{detail}")
@@ -1664,9 +1637,8 @@ mod tests {
                 let (p, start) = (Arc::clone(&p), Arc::clone(&start));
                 std::thread::spawn(move || {
                     start.wait();
-                    let answers: Vec<Response> = (0..200)
-                        .map(|_| p.handle(Request::Search { query: dentists() }))
-                        .collect();
+                    let answers: Vec<Response> =
+                        (0..200).map(|_| p.handle(Request::Search { query: dentists() })).collect();
                     (std::thread::current().id(), answers)
                 })
             })

@@ -80,9 +80,8 @@ fn peer_client() -> ClientConfig {
 
 fn main() {
     let flags = Flags::from_env("orsp-replicad", FLAGS);
-    let data_dir = flags
-        .value("--data-dir")
-        .unwrap_or_else(|| flags.usage_error("--data-dir is required"));
+    let data_dir =
+        flags.value("--data-dir").unwrap_or_else(|| flags.usage_error("--data-dir is required"));
     let listen = flags.value("--listen").unwrap_or("127.0.0.1:0");
     let node_index: u32 = flags.parsed("--node").unwrap_or(0);
     let cluster_size: u32 = flags.parsed("--cluster-size").unwrap_or(1);
@@ -98,8 +97,9 @@ fn main() {
         None | Some("always") => FsyncPolicy::Always,
         Some("on-rotate") => FsyncPolicy::OnRotate,
         Some("never") => FsyncPolicy::Never,
-        Some(other) => flags
-            .usage_error(&format!("--fsync must be always|on-rotate|never, got {other}")),
+        Some(other) => {
+            flags.usage_error(&format!("--fsync must be always|on-rotate|never, got {other}"))
+        }
     };
     let defaults = StorageOptions::default();
     let shards: usize = flags.parsed("--shards").unwrap_or(defaults.shard_count as usize);
@@ -175,8 +175,8 @@ fn main() {
                 rep.digest,
                 if rep.rebuilt { " (rebuilt)" } else { " (already identical)" }
             );
-            let reopened = StorageEngine::open(Arc::clone(&born_dir), options)
-                .expect("reopen after catch-up");
+            let reopened =
+                StorageEngine::open(Arc::clone(&born_dir), options).expect("reopen after catch-up");
             engine = reopened.0;
             report = reopened.1;
             born_role = Role::Follower;

@@ -208,8 +208,7 @@ fn attempt(
     // checkpoint. Recovery (not a bare scan) so a virgin directory is
     // initialized instead of rejected for its missing manifest.
     let (engine, report) = StorageEngine::open(Arc::clone(&dir), options)?;
-    let local_digest =
-        state_digest(&report.store, &IngestStats::default(), &report.spent_tokens);
+    let local_digest = state_digest(&report.store, &IngestStats::default(), &report.spent_tokens);
     if local_digest == digest {
         engine.set_epoch(epoch);
         engine.checkpoint(&report.store, &report.stats, &report.spent_tokens)?;
@@ -337,8 +336,7 @@ mod tests {
             *self.calls.lock().unwrap() += 1;
             match request {
                 Request::CatchUp { cursor, .. } => {
-                    Ok(catch_up_chunk(&self.dir, self.epoch, true, *cursor)
-                        .expect("serve chunk"))
+                    Ok(catch_up_chunk(&self.dir, self.epoch, true, *cursor).expect("serve chunk"))
                 }
                 other => panic!("unexpected request {other:?}"),
             }
@@ -368,13 +366,8 @@ mod tests {
     fn empty_follower_rebuilds_bit_identically() {
         let peer = DirPeer { dir: primary_dir(12), epoch: 7, calls: Mutex::new(0) };
         let follower = SimDir::new();
-        let report = catch_up_range(
-            &peer,
-            0,
-            Arc::new(follower.clone()) as Arc<dyn Dir>,
-            opts(),
-        )
-        .unwrap();
+        let report =
+            catch_up_range(&peer, 0, Arc::new(follower.clone()) as Arc<dyn Dir>, opts()).unwrap();
         assert!(report.rebuilt);
         assert_eq!(report.records, 12);
         assert_eq!(report.tokens, 12);
@@ -393,8 +386,7 @@ mod tests {
         // the same simulated disk).
         let follower = peer.dir.reopen();
         let report =
-            catch_up_range(&peer, 0, Arc::new(follower.clone()) as Arc<dyn Dir>, opts())
-                .unwrap();
+            catch_up_range(&peer, 0, Arc::new(follower.clone()) as Arc<dyn Dir>, opts()).unwrap();
         assert!(!report.rebuilt, "identical state must not be wiped");
         assert_eq!(report.epoch, 3);
         let (_, recovered) =
@@ -410,8 +402,7 @@ mod tests {
         let follower = SimDir::new();
         {
             let (engine, _) =
-                StorageEngine::open(Arc::new(follower.clone()) as Arc<dyn Dir>, opts())
-                    .unwrap();
+                StorageEngine::open(Arc::new(follower.clone()) as Arc<dyn Dir>, opts()).unwrap();
             engine
                 .append(&WalEntry {
                     record_id: rid(200),
@@ -422,8 +413,7 @@ mod tests {
             engine.sync_all().unwrap();
         }
         let report =
-            catch_up_range(&peer, 0, Arc::new(follower.clone()) as Arc<dyn Dir>, opts())
-                .unwrap();
+            catch_up_range(&peer, 0, Arc::new(follower.clone()) as Arc<dyn Dir>, opts()).unwrap();
         assert!(report.rebuilt);
         assert_eq!(digest_of(&follower), digest_of(&peer.dir));
         let scan = scan_source(&follower).unwrap();
@@ -459,8 +449,7 @@ mod tests {
         let peer = DirPeer { dir, epoch: 1, calls: Mutex::new(0) };
         let follower = SimDir::new();
         let report =
-            catch_up_range(&peer, 0, Arc::new(follower.clone()) as Arc<dyn Dir>, opts())
-                .unwrap();
+            catch_up_range(&peer, 0, Arc::new(follower.clone()) as Arc<dyn Dir>, opts()).unwrap();
         assert_eq!(report.records, usize::from(n));
         assert_eq!(report.tokens, usize::from(n));
         assert!(

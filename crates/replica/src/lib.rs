@@ -55,7 +55,7 @@ pub mod sink;
 
 pub use catchup::{catch_up_chunk, catch_up_range, probe_range, CatchUpReport, PeerStatus};
 pub use node::{RangeInit, ReplicaError, ReplicaNode, Role};
-pub use peer::{Pending, PeerLink, ReplicationMode};
+pub use peer::{PeerLink, Pending, ReplicationMode};
 pub use sink::ReplicatingSink;
 // Kept for `benchmark/src/topology.rs`; in-tree code names `orsp_server::Topology`.
 pub use orsp_server::Topology;

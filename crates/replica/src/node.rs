@@ -68,10 +68,9 @@ impl fmt::Display for ReplicaError {
             ReplicaError::Net(e) => write!(f, "peer call failed: {e}"),
             ReplicaError::Storage(e) => write!(f, "storage failed: {e}"),
             ReplicaError::Protocol(d) => write!(f, "protocol violation: {d}"),
-            ReplicaError::DigestMismatch { ours, theirs } => write!(
-                f,
-                "catch-up digest mismatch: rebuilt {ours:08x}, primary {theirs:08x}"
-            ),
+            ReplicaError::DigestMismatch { ours, theirs } => {
+                write!(f, "catch-up digest mismatch: rebuilt {ours:08x}, primary {theirs:08x}")
+            }
         }
     }
 }
@@ -215,12 +214,7 @@ impl ReplicaNode {
                 )
             })
             .collect();
-        let shared = Arc::new(Shared {
-            topology,
-            ranges: map,
-            peers,
-            metrics: Metrics::new(obs),
-        });
+        let shared = Arc::new(Shared { topology, ranges: map, peers, metrics: Metrics::new(obs) });
         let (tx, worker) = if mode == ReplicationMode::Async {
             let (tx, rx) = mpsc::channel::<QueuedBatch>();
             let shared_for_worker = Arc::clone(&shared);
@@ -459,14 +453,10 @@ impl ReplicaHook for ReplicaNode {
             };
             st.epoch = epoch;
             st.engine.set_epoch(epoch);
-            if let Err(e) = st.engine.checkpoint(&scan.store, &scan.stats, &scan.spent_tokens)
-            {
+            if let Err(e) = st.engine.checkpoint(&scan.store, &scan.stats, &scan.spent_tokens) {
                 return ReplicateOutcome::Failed(format!("promotion checkpoint: {e}"));
             }
-            ingest.absorb_histories(
-                scan.store.into_histories(),
-                scan.spent_tokens.iter().copied(),
-            );
+            ingest.absorb_histories(scan.store.into_histories(), scan.spent_tokens.iter().copied());
             st.role = Role::Primary;
             // The serving ledger, seeded from the same scan, now skips
             // replayed spends; the range's own set is not needed.
@@ -540,9 +530,7 @@ mod tests {
     use orsp_net::{ClientConfig, FrameService, NetPool, NetServer, ServerConfig};
     use orsp_obs::TraceContext;
     use orsp_server::{GroupCommitConfig, IngestOutcome, IngestStats, WalEntry, WalSink};
-    use orsp_storage::{
-        state_digest, FaultPlan, FsyncPolicy, SegmentFile, SimDir, StorageOptions,
-    };
+    use orsp_storage::{state_digest, FaultPlan, FsyncPolicy, SegmentFile, SimDir, StorageOptions};
     use orsp_types::{EntityId, Interaction, InteractionKind, SimDuration, Timestamp};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::{Duration, Instant};
@@ -692,10 +680,8 @@ mod tests {
 
     #[test]
     fn a_stale_epoch_answer_demotes_the_range_and_refuses_the_write() {
-        let (dir, peer, node, obs) = scripted_primary(
-            || Ok(Response::StaleEpoch { range: 0, current: 5 }),
-            false,
-        );
+        let (dir, peer, node, obs) =
+            scripted_primary(|| Ok(Response::StaleEpoch { range: 0, current: 5 }), false);
         let before = dir.sync_count();
         let refused = node.replicate_batch(0, &[item(1)]).expect_err("fenced");
         assert!(refused.to_string().contains("fenced at epoch 5"), "{refused}");
@@ -827,7 +813,12 @@ mod tests {
 
     impl InProcess {
         fn link(node: &Arc<ReplicaNode>, replays: usize, cut: Option<SimDir>) -> Arc<dyn PeerLink> {
-            Arc::new(InProcess { node: Arc::clone(node), ingest: ShardedIngest::new(1), replays, cut })
+            Arc::new(InProcess {
+                node: Arc::clone(node),
+                ingest: ShardedIngest::new(1),
+                replays,
+                cut,
+            })
         }
     }
 
@@ -893,7 +884,13 @@ mod tests {
             Topology::new(1, 2, 2),
             ReplicationMode::Sync,
             vec![None, None],
-            vec![RangeInit { range: 0, role: Role::Follower, epoch: 1, dir, engine: Arc::new(engine) }],
+            vec![RangeInit {
+                range: 0,
+                role: Role::Follower,
+                epoch: 1,
+                dir,
+                engine: Arc::new(engine),
+            }],
             &Registry::new(),
         ));
         node.seed_spent_tokens(0, report.spent_tokens);

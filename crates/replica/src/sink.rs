@@ -52,10 +52,7 @@ impl WalSink for ReplicatingSink {
         let topology = self.node.topology();
         let mut buckets: BTreeMap<u32, Vec<WalBatchItem>> = BTreeMap::new();
         for item in items {
-            buckets
-                .entry(topology.range_of(&item.entry.record_id))
-                .or_default()
-                .push(*item);
+            buckets.entry(topology.range_of(&item.entry.record_id)).or_default().push(*item);
         }
         for (range, batch) in buckets {
             self.node.replicate_batch(range, &batch)?;

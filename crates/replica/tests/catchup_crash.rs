@@ -9,12 +9,11 @@
 //! and require the final state to be `state_digest` bit-identical to
 //! the primary with the adopted epoch durable.
 
-use orsp_replica::{catch_up_chunk, catch_up_range, PeerLink};
 use orsp_net::{NetError, Request, Response};
+use orsp_replica::{catch_up_chunk, catch_up_range, PeerLink};
 use orsp_server::{IngestStats, WalEntry};
 use orsp_storage::{
-    scan_source, state_digest, Dir, FaultPlan, FsyncPolicy, SimDir, StorageEngine,
-    StorageOptions,
+    scan_source, state_digest, Dir, FaultPlan, FsyncPolicy, SimDir, StorageEngine, StorageOptions,
 };
 use orsp_types::{EntityId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp};
 use std::sync::Arc;
@@ -45,8 +44,7 @@ fn opts() -> StorageOptions {
 /// tokens, fsynced.
 fn primary_dir(n: u8) -> SimDir {
     let dir = SimDir::new();
-    let (engine, _) =
-        StorageEngine::open(Arc::new(dir.clone()) as Arc<dyn Dir>, opts()).unwrap();
+    let (engine, _) = StorageEngine::open(Arc::new(dir.clone()) as Arc<dyn Dir>, opts()).unwrap();
     for i in 0..n {
         for offset in [0, 50] {
             engine
@@ -98,8 +96,7 @@ fn power_cut_at_any_byte_mid_catch_up_converges_on_retry() {
     // Clean run sizes the kill line: every byte a full catch-up writes
     // (manifest, segments, spend markers, epoch checkpoint — all of it).
     let clean = SimDir::new();
-    let report =
-        catch_up_range(&peer, 0, Arc::new(clean.clone()) as Arc<dyn Dir>, opts()).unwrap();
+    let report = catch_up_range(&peer, 0, Arc::new(clean.clone()) as Arc<dyn Dir>, opts()).unwrap();
     assert!(report.rebuilt);
     assert_eq!(report.digest, want);
     let total = clean.bytes_written();
@@ -114,15 +111,14 @@ fn power_cut_at_any_byte_mid_catch_up_converges_on_retry() {
 
         // Power restored: surviving bytes only, fault plan cleared.
         let restored = follower.reopen();
-        let report =
-            catch_up_range(&peer, 0, Arc::new(restored.clone()) as Arc<dyn Dir>, opts())
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "cut at byte {cut}: catch-up after power restore failed: {e} \
+        let report = catch_up_range(&peer, 0, Arc::new(restored.clone()) as Arc<dyn Dir>, opts())
+            .unwrap_or_else(|e| {
+                panic!(
+                    "cut at byte {cut}: catch-up after power restore failed: {e} \
                          (first attempt survived: {})",
-                        first.is_ok()
-                    )
-                });
+                    first.is_ok()
+                )
+            });
         assert_eq!(report.epoch, 5, "cut at byte {cut}: epoch not adopted");
         assert_eq!(report.digest, want, "cut at byte {cut}: digests disagree");
         assert_eq!(
@@ -166,8 +162,7 @@ fn power_cut_while_replacing_diverged_state_never_resurrects_it() {
     // Clean replacement sizes the kill line (reopen resets the byte
     // counter, so the divergence seeding is not on it).
     let clean = diverged().reopen();
-    let report =
-        catch_up_range(&peer, 0, Arc::new(clean.clone()) as Arc<dyn Dir>, opts()).unwrap();
+    let report = catch_up_range(&peer, 0, Arc::new(clean.clone()) as Arc<dyn Dir>, opts()).unwrap();
     assert!(report.rebuilt);
     let total = clean.bytes_written();
     assert!(total > 0);
@@ -177,11 +172,10 @@ fn power_cut_while_replacing_diverged_state_never_resurrects_it() {
         let _ = catch_up_range(&peer, 0, Arc::new(follower.clone()) as Arc<dyn Dir>, opts());
 
         let restored = follower.reopen();
-        let report =
-            catch_up_range(&peer, 0, Arc::new(restored.clone()) as Arc<dyn Dir>, opts())
-                .unwrap_or_else(|e| {
-                    panic!("cut at byte {cut}: catch-up after power restore failed: {e}")
-                });
+        let report = catch_up_range(&peer, 0, Arc::new(restored.clone()) as Arc<dyn Dir>, opts())
+            .unwrap_or_else(|e| {
+                panic!("cut at byte {cut}: catch-up after power restore failed: {e}")
+            });
         assert_eq!(report.digest, want, "cut at byte {cut}");
         let scan = scan_source(&restored).unwrap();
         assert!(

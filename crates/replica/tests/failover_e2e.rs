@@ -31,8 +31,7 @@ mod common;
 use common::{fast_client, small_world, spawn_node, wait_ready};
 use orsp_core::{listings, run_client_side, service_for_world, PipelineConfig, RspPipeline};
 use orsp_net::{
-    InMemoryTransport, NetPool, NetServer, Request, Response, ServerConfig, TcpTransport,
-    Transport,
+    InMemoryTransport, NetPool, NetServer, Request, Response, ServerConfig, TcpTransport, Transport,
 };
 use orsp_proxy::{BackendLink, ProxyConfig, ProxyService};
 use orsp_search::SearchQuery;
@@ -79,9 +78,8 @@ fn sigkill_of_the_primary_mid_load_loses_no_acked_upload() {
 
     // Pre-pick three loopback ports so every child can be handed the
     // full peer list up front.
-    let reserved: Vec<std::net::TcpListener> = (0..CLUSTER)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
+    let reserved: Vec<std::net::TcpListener> =
+        (0..CLUSTER).map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap()).collect();
     let addrs: Vec<SocketAddr> = reserved.iter().map(|l| l.local_addr().unwrap()).collect();
     drop(reserved);
 
@@ -102,8 +100,8 @@ fn sigkill_of_the_primary_mid_load_loses_no_acked_upload() {
         links,
         ProxyConfig { replication_factor: 2, ..ProxyConfig::default() },
     ));
-    let proxy_server = NetServer::bind("127.0.0.1:0", proxy.clone(), ServerConfig::default())
-        .expect("bind proxy");
+    let proxy_server =
+        NetServer::bind("127.0.0.1:0", proxy.clone(), ServerConfig::default()).expect("bind proxy");
     let transport =
         TcpTransport::connect(proxy_server.local_addr(), fast_client()).expect("connect proxy");
 
@@ -116,11 +114,8 @@ fn sigkill_of_the_primary_mid_load_loses_no_acked_upload() {
             let mut victim = victim;
             let deadline = Instant::now() + Duration::from_secs(300);
             while Instant::now() < deadline {
-                let forwarded = proxy
-                    .obs()
-                    .snapshot()
-                    .counter("proxy_backend0_forwarded_total")
-                    .unwrap_or(0);
+                let forwarded =
+                    proxy.obs().snapshot().counter("proxy_backend0_forwarded_total").unwrap_or(0);
                 if forwarded >= KILL_AFTER_FORWARDS {
                     break;
                 }
@@ -192,16 +187,11 @@ fn sigkill_of_the_primary_mid_load_loses_no_acked_upload() {
     // The proxy observed and survived the loss: range 0 now routes to
     // its follower (node 1) at a bumped epoch.
     let snapshot = proxy.obs().snapshot();
-    assert!(
-        snapshot.counter("proxy_promotions_total").unwrap_or(0) >= 1,
-        "no promotion recorded"
-    );
+    assert!(snapshot.counter("proxy_promotions_total").unwrap_or(0) >= 1, "no promotion recorded");
     let failovers: u64 = (0..CLUSTER)
         .map(|i| {
             snapshot.counter(&format!("proxy_backend{i}_read_failover_total")).unwrap_or(0)
-                + snapshot
-                    .counter(&format!("proxy_backend{i}_write_failover_total"))
-                    .unwrap_or(0)
+                + snapshot.counter(&format!("proxy_backend{i}_write_failover_total")).unwrap_or(0)
         })
         .sum();
     assert!(failovers >= 1, "no failover counted against the dead backend");

@@ -91,8 +91,7 @@ impl PeerLink for LocalFollower {
     fn call(&self, request: &Request) -> Result<Response, NetError> {
         match request {
             Request::Replicate { range, epoch, promote, items } => {
-                match self.node.apply_replicate(&self.ingest, *range, *epoch, *promote, items)
-                {
+                match self.node.apply_replicate(&self.ingest, *range, *epoch, *promote, items) {
                     ReplicateOutcome::Applied { epoch, applied, .. } => {
                         Ok(Response::ReplicateAck { epoch, applied })
                     }

@@ -11,9 +11,7 @@ use orsp_crypto::{TokenWallet, UploadRequest};
 use orsp_net::{NetClient, RemoteIssuer, TcpTransport};
 use orsp_server::RejectReason;
 use orsp_types::rng::rng_for;
-use orsp_types::{
-    DeviceId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp,
-};
+use orsp_types::{DeviceId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};

@@ -112,10 +112,8 @@ mod tests {
     #[test]
     fn query_filters_by_zip_and_category() {
         let idx = index();
-        let hits = idx.query(&SearchQuery {
-            zipcode: 11111,
-            category: Category::Restaurant(Cuisine::Thai),
-        });
+        let hits = idx
+            .query(&SearchQuery { zipcode: 11111, category: Category::Restaurant(Cuisine::Thai) });
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|l| l.zipcode == 11111));
     }
@@ -124,10 +122,7 @@ mod tests {
     fn missing_query_returns_empty() {
         let idx = index();
         assert!(idx
-            .query(&SearchQuery {
-                zipcode: 99999,
-                category: Category::Restaurant(Cuisine::Thai)
-            })
+            .query(&SearchQuery { zipcode: 99999, category: Category::Restaurant(Cuisine::Thai) })
             .is_empty());
     }
 

@@ -25,11 +25,9 @@ pub fn call_log(world: &World, user: UserId) -> Vec<CallRecord> {
         .iter()
         .filter(|e| e.user == user)
         .filter_map(|e| match e.kind {
-            ActivityKind::PhoneCall { duration } => Some(CallRecord {
-                time: e.start,
-                number: world.entity(e.entity)?.phone,
-                duration,
-            }),
+            ActivityKind::PhoneCall { duration } => {
+                Some(CallRecord { time: e.start, number: world.entity(e.entity)?.phone, duration })
+            }
             _ => None,
         })
         .collect()

@@ -129,7 +129,7 @@ mod tests {
         let m = EnergyModel::default();
         let mut r = EnergyReport::default();
         r.record_fix(FixSource::Gps, &m); // 1400 mJ
-        // Over 1000 seconds: 1.4 mJ/s = 1.4 mW.
+                                          // Over 1000 seconds: 1.4 mJ/s = 1.4 mW.
         assert!((r.average_power_mw(SimDuration::seconds(1_000)) - 1.4).abs() < 1e-9);
         assert_eq!(r.average_power_mw(SimDuration::ZERO), 0.0);
     }

@@ -65,10 +65,7 @@ pub fn hr_trace(world: &World, user_id: UserId) -> Vec<HrSample> {
                 let mut t = end + SimDuration::minutes(5);
                 let burst_end = t + SimDuration::minutes(rng.gen_range(15..40));
                 while t < burst_end {
-                    samples.push(HrSample {
-                        time: t,
-                        bpm: 110.0 + rng.gen_range(0.0..30.0),
-                    });
+                    samples.push(HrSample { time: t, bpm: 110.0 + rng.gen_range(0.0..30.0) });
                     t = t + SAMPLE_EVERY;
                 }
             }
@@ -85,8 +82,7 @@ pub fn mean_delta_in(samples: &[HrSample], start: Timestamp, end: Timestamp) -> 
     if lo >= hi {
         return None;
     }
-    let mean: f64 =
-        samples[lo..hi].iter().map(|s| s.bpm).sum::<f64>() / (hi - lo) as f64;
+    let mean: f64 = samples[lo..hi].iter().map(|s| s.bpm).sum::<f64>() / (hi - lo) as f64;
     Some(mean - BASELINE_BPM)
 }
 
@@ -157,12 +153,8 @@ mod tests {
             mean_delta_in(&samples, Timestamp::from_seconds(5_000), Timestamp::from_seconds(6_000)),
             None
         );
-        let d = mean_delta_in(
-            &samples,
-            Timestamp::from_seconds(0),
-            Timestamp::from_seconds(3_000),
-        )
-        .unwrap();
+        let d = mean_delta_in(&samples, Timestamp::from_seconds(0), Timestamp::from_seconds(3_000))
+            .unwrap();
         assert!((d - 6.0).abs() < 1e-9, "mean 71 vs baseline 65: {d}");
     }
 

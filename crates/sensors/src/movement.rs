@@ -213,10 +213,7 @@ mod tests {
         let w = world();
         let tl = MovementTimeline::build(&w, UserId::new(1));
         assert_eq!(tl.segments.first().unwrap().start, Timestamp::EPOCH);
-        assert_eq!(
-            tl.segments.last().unwrap().end,
-            Timestamp::EPOCH + w.config.horizon
-        );
+        assert_eq!(tl.segments.last().unwrap().end, Timestamp::EPOCH + w.config.horizon);
     }
 
     #[test]

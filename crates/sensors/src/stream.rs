@@ -127,7 +127,11 @@ fn render_periodic(
             }
             _ => seg.location,
         };
-        fixes.push(LocationFix { time: t, point: noisy(truth, FixSource::Gps, rng), source: FixSource::Gps });
+        fixes.push(LocationFix {
+            time: t,
+            point: noisy(truth, FixSource::Gps, rng),
+            source: FixSource::Gps,
+        });
         energy.record_fix(FixSource::Gps, model);
         t = t + interval;
     }
@@ -186,8 +190,18 @@ mod tests {
     #[test]
     fn traces_are_deterministic() {
         let w = world();
-        let a = render_user_trace(&w, UserId::new(0), SamplingPolicy::accel_gated(), &EnergyModel::default());
-        let b = render_user_trace(&w, UserId::new(0), SamplingPolicy::accel_gated(), &EnergyModel::default());
+        let a = render_user_trace(
+            &w,
+            UserId::new(0),
+            SamplingPolicy::accel_gated(),
+            &EnergyModel::default(),
+        );
+        let b = render_user_trace(
+            &w,
+            UserId::new(0),
+            SamplingPolicy::accel_gated(),
+            &EnergyModel::default(),
+        );
         assert_eq!(a, b);
     }
 
@@ -210,12 +224,9 @@ mod tests {
     fn gated_uses_less_energy_than_fast_periodic() {
         let w = world();
         let model = EnergyModel::default();
-        let fast =
-            render_user_trace(&w, UserId::new(2), SamplingPolicy::naive_fast(), &model);
-        let gated =
-            render_user_trace(&w, UserId::new(2), SamplingPolicy::accel_gated(), &model);
-        let wifi =
-            render_user_trace(&w, UserId::new(2), SamplingPolicy::wifi_assisted(), &model);
+        let fast = render_user_trace(&w, UserId::new(2), SamplingPolicy::naive_fast(), &model);
+        let gated = render_user_trace(&w, UserId::new(2), SamplingPolicy::accel_gated(), &model);
+        let wifi = render_user_trace(&w, UserId::new(2), SamplingPolicy::wifi_assisted(), &model);
         assert!(
             gated.energy.total_mj < fast.energy.total_mj / 2.0,
             "gated {} vs fast {}",
@@ -235,14 +246,11 @@ mod tests {
         let w = world();
         let user = UserId::new(3);
         let tl = MovementTimeline::build(&w, user);
-        let tr = render_user_trace(&w, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
+        let tr =
+            render_user_trace(&w, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
         let settle = SimDuration::minutes(3);
-        for seg in tl.segments.iter().filter(|s| s.kind.is_stationary() && s.duration() >= settle)
-        {
-            let covered = tr
-                .fixes
-                .iter()
-                .any(|f| f.time >= seg.start && f.time < seg.end);
+        for seg in tl.segments.iter().filter(|s| s.kind.is_stationary() && s.duration() >= settle) {
+            let covered = tr.fixes.iter().any(|f| f.time >= seg.start && f.time < seg.end);
             assert!(covered, "stationary segment at {} has no fix", seg.start);
         }
     }
@@ -267,7 +275,8 @@ mod tests {
         let w = world();
         let user = UserId::new(5);
         let tl = MovementTimeline::build(&w, user);
-        let tr = render_user_trace(&w, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
+        let tr =
+            render_user_trace(&w, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
         for f in &tr.fixes {
             let seg = tl
                 .segments

@@ -281,10 +281,7 @@ impl AggregatePublisher {
         store: &HistoryStore,
         min_support: usize,
     ) -> HashMap<EntityId, EntityAggregate> {
-        Self::all(store)
-            .into_iter()
-            .filter(|(_, agg)| agg.histories >= min_support)
-            .collect()
+        Self::all(store).into_iter().filter(|(_, agg)| agg.histories >= min_support).collect()
     }
 
     /// Average distance travelled for histories with a given interaction
@@ -426,10 +423,7 @@ mod tests {
             a.merge(&b);
             assert_eq!(a.finalize(), whole, "split {split}");
             assert_eq!(a.finalize().mean_dwell_min.to_bits(), whole.mean_dwell_min.to_bits());
-            assert_eq!(
-                a.finalize().repeat_fraction.to_bits(),
-                whole.repeat_fraction.to_bits()
-            );
+            assert_eq!(a.finalize().repeat_fraction.to_bits(), whole.repeat_fraction.to_bits());
         }
     }
 

@@ -75,7 +75,12 @@ impl AttestationGate {
     }
 
     /// The device answers with a quote.
-    pub fn present_quote(&mut self, device: DeviceId, quote: &Quote, now: Timestamp) -> GateOutcome {
+    pub fn present_quote(
+        &mut self,
+        device: DeviceId,
+        quote: &Quote,
+        now: Timestamp,
+    ) -> GateOutcome {
         let Some(key) = self.registry.key_of(device) else {
             return GateOutcome::UnknownDevice;
         };
@@ -118,8 +123,7 @@ mod tests {
     fn setup() -> (AttestationGate, Attestor, StdRng) {
         let mut rng = StdRng::seed_from_u64(3);
         let attestor = Attestor::provision(&mut rng, 256, GENUINE);
-        let mut gate =
-            AttestationGate::new(Measurement::of_binary(GENUINE), SimDuration::DAY);
+        let mut gate = AttestationGate::new(Measurement::of_binary(GENUINE), SimDuration::DAY);
         gate.register_device(DeviceId::new(1), attestor.public_key().clone());
         (gate, attestor, rng)
     }

@@ -146,9 +146,7 @@ impl IngestService {
 mod tests {
     use super::*;
     use orsp_crypto::{BigUint, Token, TokenWallet};
-    use orsp_types::{
-        DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration,
-    };
+    use orsp_types::{DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -174,11 +172,7 @@ mod tests {
         }
     }
 
-    fn fresh_token(
-        wallet: &mut TokenWallet,
-        mint: &mut TokenMint,
-        rng: &mut StdRng,
-    ) -> Token {
+    fn fresh_token(wallet: &mut TokenWallet, mint: &mut TokenMint, rng: &mut StdRng) -> Token {
         wallet.request_token(rng, mint, Timestamp::EPOCH).unwrap();
         wallet.take_token().unwrap()
     }

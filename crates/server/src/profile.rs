@@ -44,7 +44,13 @@ impl Quantiles {
             let idx = (q * (samples.len() - 1) as f64).round() as usize;
             samples[idx]
         };
-        Some(Quantiles { p01: at(0.01), p05: at(0.05), p50: at(0.50), p95: at(0.95), p99: at(0.99) })
+        Some(Quantiles {
+            p01: at(0.01),
+            p05: at(0.05),
+            p50: at(0.50),
+            p95: at(0.95),
+            p99: at(0.99),
+        })
     }
 
     /// Where a value sits relative to the bulk: 0 inside `[p05, p95]`,
@@ -82,15 +88,10 @@ impl HistoryStats {
     /// Compute the summary for one history.
     pub fn of(history: &InteractionHistory) -> HistoryStats {
         let gaps = history.gaps();
-        let min_gap_days = gaps
-            .iter()
-            .map(|g| g.as_days_f64())
-            .fold(f64::MAX, f64::min);
-        let mut durations: Vec<f64> =
-            history.iter().map(|r| r.duration.as_minutes_f64()).collect();
+        let min_gap_days = gaps.iter().map(|g| g.as_days_f64()).fold(f64::MAX, f64::min);
+        let mut durations: Vec<f64> = history.iter().map(|r| r.duration.as_minutes_f64()).collect();
         durations.sort_by(|a, b| a.total_cmp(b));
-        let median_duration_min =
-            durations.get(durations.len() / 2).copied().unwrap_or(0.0);
+        let median_duration_min = durations.get(durations.len() / 2).copied().unwrap_or(0.0);
         let span_days = history.span().as_days_f64().max(1.0);
         let active_days: std::collections::HashSet<i64> =
             history.iter().map(|r| r.start.day_index()).collect();

@@ -94,9 +94,7 @@ mod tests {
     use super::*;
     use crate::store::StoredHistory;
     use orsp_crypto::{TokenMint, TokenWallet};
-    use orsp_types::{
-        DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration,
-    };
+    use orsp_types::{DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::{HashMap, HashSet};

@@ -256,8 +256,7 @@ impl ShardedIngest {
     /// Admit one upload: verify the token signature (pure RSA, no lock),
     /// then delegate to [`Self::ingest_verified`].
     pub fn ingest(&self, upload: &UploadRequest, mint_key: &RsaPublicKey) -> IngestOutcome {
-        let valid =
-            verify_unblinded(mint_key, &upload.token.message, &upload.token.signature);
+        let valid = verify_unblinded(mint_key, &upload.token.message, &upload.token.signature);
         self.ingest_verified(upload, valid)
     }
 
@@ -319,10 +318,7 @@ impl ShardedIngest {
                             let mut q = shard.queue.lock();
                             let t = q.next_ticket;
                             q.next_ticket += 1;
-                            q.pending.push_back((
-                                t,
-                                WalBatchItem { spend: Some(key), entry },
-                            ));
+                            q.pending.push_back((t, WalBatchItem { spend: Some(key), entry }));
                             t
                         };
                         drop(store);
@@ -420,8 +416,8 @@ impl ShardedIngest {
         // batch is full, so `window_us` bounds the straggler wait
         // instead of being paid in full on every commit.
         if config.window_us > 0 {
-            let deadline = std::time::Instant::now()
-                + std::time::Duration::from_micros(config.window_us);
+            let deadline =
+                std::time::Instant::now() + std::time::Duration::from_micros(config.window_us);
             let mut seen = {
                 let _rank_q = lockorder::enter(rank::GROUP_QUEUE);
                 shard.queue.lock().pending.len()
@@ -445,8 +441,7 @@ impl ShardedIngest {
                 let n = q.pending.len().min(config.batch_max.max(1));
                 debug_assert!(n > 0, "leader with an undrained ticket, empty queue");
                 let first = q.pending.front().map(|(t, _)| *t).unwrap_or(ticket);
-                let batch: Vec<WalBatchItem> =
-                    q.pending.drain(..n).map(|(_, item)| item).collect();
+                let batch: Vec<WalBatchItem> = q.pending.drain(..n).map(|(_, item)| item).collect();
                 (first, batch)
             };
             let last = first + batch.len() as u64 - 1;
@@ -539,9 +534,7 @@ impl ShardedIngest {
             let _rank = lockorder::enter(rank::STORE_SHARD);
             self.store_locks.fetch_add(1, Relaxed);
             let store = shard.store.lock();
-            out.extend(
-                store.histories_for_entity(entity).map(|(rid, s)| (*rid, s.clone())),
-            );
+            out.extend(store.histories_for_entity(entity).map(|(rid, s)| (*rid, s.clone())));
         }
         out
     }
@@ -592,9 +585,7 @@ impl ShardedIngest {
 mod tests {
     use super::*;
     use orsp_crypto::{TokenMint, TokenWallet};
-    use orsp_types::{
-        DeviceId, Interaction, InteractionKind, SimDuration, Timestamp,
-    };
+    use orsp_types::{DeviceId, Interaction, InteractionKind, SimDuration, Timestamp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -665,8 +656,7 @@ mod tests {
         assert_eq!(stats.accepted, 40);
 
         // Reshard to a different count: same contents, same counters.
-        let resharded =
-            ShardedIngest::from_service(IngestService::from_parts(store, stats), 16);
+        let resharded = ShardedIngest::from_service(IngestService::from_parts(store, stats), 16);
         assert_eq!(resharded.shard_count(), 16);
         assert_eq!(resharded.store_len(), 40);
         assert_eq!(resharded.stats().accepted, 40);
@@ -693,10 +683,8 @@ mod tests {
             assert_eq!(*parts, cloned, "entity {entity:?}");
         }
         let entity = EntityId::new(2);
-        let via_shards = crate::AggregatePublisher::from_histories(
-            entity,
-            ingest.histories_for_entity(entity),
-        );
+        let via_shards =
+            crate::AggregatePublisher::from_histories(entity, ingest.histories_for_entity(entity));
         let (merged, _) = ingest.into_merged();
         let via_merged = crate::AggregatePublisher::for_entity(&merged, entity);
         assert_eq!(via_shards, via_merged, "shard layout must not leak into aggregates");
@@ -768,16 +756,14 @@ mod tests {
         assert!(batches.iter().all(|b| b.iter().all(|i| i.spend.is_some())));
         // Single shard ⇒ the concatenated batches are the apply order;
         // the store must agree record for record.
-        let logged: Vec<RecordId> =
-            batches.iter().flatten().map(|i| i.entry.record_id).collect();
+        let logged: Vec<RecordId> = batches.iter().flatten().map(|i| i.entry.record_id).collect();
         let (store, _) = ingest.into_merged();
         assert_eq!(logged.len(), store.len());
         for rid in &logged {
             assert!(store.iter().any(|(id, _)| id == rid));
         }
         // Each logged spend is a distinct token.
-        let spends: HashSet<[u8; 32]> =
-            batches.iter().flatten().filter_map(|i| i.spend).collect();
+        let spends: HashSet<[u8; 32]> = batches.iter().flatten().filter_map(|i| i.spend).collect();
         assert_eq!(spends.len(), 60);
     }
 
@@ -861,10 +847,7 @@ mod tests {
                 let (ingest, key) = (&ingest, &key);
                 s.spawn(move || {
                     for u in chunk {
-                        assert!(matches!(
-                            ingest.ingest(u, key),
-                            IngestOutcome::Accepted
-                        ));
+                        assert!(matches!(ingest.ingest(u, key), IngestOutcome::Accepted));
                     }
                 });
             }

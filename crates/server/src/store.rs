@@ -107,9 +107,11 @@ impl HistoryStore {
         &self,
         entity: EntityId,
     ) -> impl Iterator<Item = (&RecordId, &StoredHistory)> {
-        self.by_entity.get(&entity).into_iter().flatten().map(move |rid| {
-            (rid, self.records.get(rid).expect("entity index out of sync"))
-        })
+        self.by_entity
+            .get(&entity)
+            .into_iter()
+            .flatten()
+            .map(move |rid| (rid, self.records.get(rid).expect("entity index out of sync")))
     }
 
     /// Move an already-built history into the store. Server-side

@@ -108,8 +108,7 @@ impl Topology {
     /// Every range this node holds a copy of, in range order. The born
     /// range (`range == node`) is always first.
     pub fn held_ranges(&self) -> Vec<u32> {
-        let mut held: Vec<u32> =
-            (0..self.cluster_size).filter(|&r| self.holds(r)).collect();
+        let mut held: Vec<u32> = (0..self.cluster_size).filter(|&r| self.holds(r)).collect();
         held.sort_by_key(|&r| (r != self.node, r));
         held
     }

@@ -602,10 +602,7 @@ mod tests {
         bytes[second_start + 20] ^= 0x40;
         let r = replay(&bytes).unwrap();
         assert_eq!(r.entries.len(), 1, "prefix before the corruption is recovered");
-        assert_eq!(
-            r.fault,
-            Some(WalFault::BadCrc { index: 1, offset: second_start as u64 })
-        );
+        assert_eq!(r.fault, Some(WalFault::BadCrc { index: 1, offset: second_start as u64 }));
         assert!(!r.torn_tail());
     }
 
@@ -630,10 +627,7 @@ mod tests {
         bytes[WAL_HEADER_LEN + 4..WAL_HEADER_LEN + 8].copy_from_slice(&crc.to_le_bytes());
         let r = replay(&bytes).unwrap();
         assert!(r.entries.is_empty());
-        assert_eq!(
-            r.fault,
-            Some(WalFault::BadKind { index: 0, offset: WAL_HEADER_LEN as u64 })
-        );
+        assert_eq!(r.fault, Some(WalFault::BadKind { index: 0, offset: WAL_HEADER_LEN as u64 }));
     }
 
     #[test]
@@ -657,10 +651,7 @@ mod tests {
             encode_token_spend(&[9u8; 32]),
             encode_record(&entry(2, 1_000)),
         ]);
-        assert_eq!(
-            bytes.len(),
-            WAL_HEADER_LEN + 2 * WAL_RECORD_LEN + 2 * WAL_TOKEN_RECORD_LEN
-        );
+        assert_eq!(bytes.len(), WAL_HEADER_LEN + 2 * WAL_RECORD_LEN + 2 * WAL_TOKEN_RECORD_LEN);
         let r = replay(&bytes).unwrap();
         assert!(r.is_clean());
         assert_eq!(r.entries, vec![entry(1, 0), entry(2, 1_000)]);
@@ -701,10 +692,7 @@ mod tests {
         assert_eq!(payload.len(), TOKEN_PAYLOAD_LEN);
         let r = replay(&log_of([frame(&payload)])).unwrap();
         assert!(r.entries.is_empty());
-        assert_eq!(
-            r.fault,
-            Some(WalFault::BadTag { index: 0, offset: WAL_HEADER_LEN as u64 })
-        );
+        assert_eq!(r.fault, Some(WalFault::BadTag { index: 0, offset: WAL_HEADER_LEN as u64 }));
         // An unknown tag with a plausible length fails the same way.
         let mut payload = vec![9u8];
         payload.extend_from_slice(&[0u8; 32]);

@@ -17,9 +17,9 @@ use orsp_storage::{reshard, FsDir, StorageOptions};
 use std::sync::Arc;
 
 fn arg(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1).unwrap_or_else(|| panic!("{flag} takes a value")).clone()
-    })
+    args.iter()
+        .position(|a| a == flag)
+        .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{flag} takes a value")).clone())
 }
 
 fn main() {
@@ -31,10 +31,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let shards: u32 = arg(&args, "--shards")
-        .expect("--shards N is required")
-        .parse()
-        .expect("--shards count");
+    let shards: u32 =
+        arg(&args, "--shards").expect("--shards N is required").parse().expect("--shards count");
     let opts = StorageOptions {
         shard_count: shards,
         max_segment_bytes: arg(&args, "--segment-bytes")

@@ -38,9 +38,7 @@
 
 use crate::error::{Result, StorageError};
 use orsp_server::{crc32, HistoryStore, IngestStats};
-use orsp_types::{
-    EntityId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp,
-};
+use orsp_types::{EntityId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp};
 use std::collections::HashSet;
 
 const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50; // "OCKP"
@@ -129,12 +127,12 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.data.len()).ok_or_else(
-            || StorageError::Corrupt {
+        let end = self.at.checked_add(n).filter(|&e| e <= self.data.len()).ok_or_else(|| {
+            StorageError::Corrupt {
                 name: self.name.to_string(),
                 detail: format!("payload exhausted at byte {}", self.at),
-            },
-        )?;
+            }
+        })?;
         let slice = &self.data[self.at..end];
         self.at = end;
         Ok(slice)

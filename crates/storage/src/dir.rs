@@ -146,8 +146,7 @@ impl Dir for FsDir {
 
     fn list(&self) -> Result<Vec<String>> {
         let mut names = Vec::new();
-        let entries =
-            fs::read_dir(&self.root).map_err(|e| StorageError::io("list", "", &e))?;
+        let entries = fs::read_dir(&self.root).map_err(|e| StorageError::io("list", "", &e))?;
         for entry in entries {
             let entry = entry.map_err(|e| StorageError::io("list", "", &e))?;
             let is_file =
@@ -163,8 +162,7 @@ impl Dir for FsDir {
     }
 
     fn delete(&self, name: &str) -> Result<()> {
-        fs::remove_file(self.path_of(name))
-            .map_err(|e| StorageError::io("delete", name, &e))?;
+        fs::remove_file(self.path_of(name)).map_err(|e| StorageError::io("delete", name, &e))?;
         self.sync_root()
     }
 
@@ -173,10 +171,7 @@ impl Dir for FsDir {
             .write(true)
             .open(self.path_of(name))
             .map_err(|e| StorageError::io("truncate", name, &e))?;
-        let current = file
-            .metadata()
-            .map_err(|e| StorageError::io("truncate", name, &e))?
-            .len();
+        let current = file.metadata().map_err(|e| StorageError::io("truncate", name, &e))?.len();
         if len >= current {
             return Ok(());
         }

@@ -43,8 +43,8 @@ use crate::dir::Dir;
 use crate::error::{Result, StorageError};
 use crate::manifest::{load_latest, write_manifest, Manifest};
 use crate::segment::{
-    checkpoint_name, manifest_name, parse_checkpoint_name, parse_manifest_name,
-    parse_segment_name, SegmentWriter,
+    checkpoint_name, manifest_name, parse_checkpoint_name, parse_manifest_name, parse_segment_name,
+    SegmentWriter,
 };
 use orsp_obs::{Counter, Histogram};
 use orsp_server::{
@@ -241,9 +241,7 @@ impl StorageEngine {
                 // No manifest can be a crash before the very first
                 // manifest write — but then no checkpoint can exist
                 // either. A checkpoint without a manifest is bit rot.
-                if let Some(orphan) =
-                    names.iter().find(|n| parse_checkpoint_name(n).is_some())
-                {
+                if let Some(orphan) = names.iter().find(|n| parse_checkpoint_name(n).is_some()) {
                     return Err(StorageError::Unrecoverable(format!(
                         "checkpoint {orphan} exists but no manifest references it"
                     )));
@@ -280,10 +278,7 @@ impl StorageEngine {
                     if !is_final {
                         return Err(StorageError::Corrupt {
                             name: name.clone(),
-                            detail: format!(
-                                "non-final segment holds only {} bytes",
-                                data.len()
-                            ),
+                            detail: format!("non-final segment holds only {} bytes", data.len()),
                         });
                     }
                     torn_tails += 1;
@@ -304,21 +299,18 @@ impl StorageEngine {
                             (replayed.entries, replayed.spent_tokens)
                         }
                         Some(fault) => {
-                            return Err(StorageError::SegmentFault {
-                                name: name.clone(),
-                                fault,
-                            });
+                            return Err(StorageError::SegmentFault { name: name.clone(), fault });
                         }
                     }
                 };
                 spent_tokens.extend(tokens);
                 for entry in entries {
-                    store
-                        .append(entry.record_id, entry.entity, entry.interaction)
-                        .map_err(|e| StorageError::Corrupt {
+                    store.append(entry.record_id, entry.entity, entry.interaction).map_err(
+                        |e| StorageError::Corrupt {
                             name: name.clone(),
                             detail: format!("replayed entry rejected by store: {e}"),
-                        })?;
+                        },
+                    )?;
                     stats.accepted += 1;
                     records_replayed += 1;
                 }
@@ -708,8 +700,7 @@ mod tests {
         }
         let reopened = dir.reopen();
         let (_, report) =
-            StorageEngine::open(Arc::new(reopened), opts(4, 1 << 20, FsyncPolicy::Always))
-                .unwrap();
+            StorageEngine::open(Arc::new(reopened), opts(4, 1 << 20, FsyncPolicy::Always)).unwrap();
         assert_eq!(report.records_replayed, 50);
         assert_eq!(report.stats.accepted, 50);
         assert!(stores_equal(&report.store, &reference_store(50)));
@@ -725,19 +716,13 @@ mod tests {
         for i in 0..20 {
             engine.append(&entry(i)).unwrap();
         }
-        let segment_count = dir
-            .list()
-            .unwrap()
-            .iter()
-            .filter(|n| parse_segment_name(n).is_some())
-            .count();
+        let segment_count =
+            dir.list().unwrap().iter().filter(|n| parse_segment_name(n).is_some()).count();
         assert!(segment_count > 2, "expected rotation, saw {segment_count} segments");
         engine.sync_all().unwrap();
-        let (_, report) = StorageEngine::open(
-            Arc::new(dir.reopen()),
-            opts(1, 200, FsyncPolicy::OnRotate),
-        )
-        .unwrap();
+        let (_, report) =
+            StorageEngine::open(Arc::new(dir.reopen()), opts(1, 200, FsyncPolicy::OnRotate))
+                .unwrap();
         assert_eq!(report.records_replayed, 20);
         assert!(stores_equal(&report.store, &reference_store(20)));
     }
@@ -762,11 +747,9 @@ mod tests {
             let e = entry(i);
             engine.append(&e).unwrap();
         }
-        let (_, report) = StorageEngine::open(
-            Arc::new(dir.reopen()),
-            opts(2, 1 << 20, FsyncPolicy::Always),
-        )
-        .unwrap();
+        let (_, report) =
+            StorageEngine::open(Arc::new(dir.reopen()), opts(2, 1 << 20, FsyncPolicy::Always))
+                .unwrap();
         assert!(report.from_checkpoint);
         assert_eq!(report.records_from_checkpoint, 30);
         assert_eq!(report.records_replayed, 10);
@@ -794,20 +777,16 @@ mod tests {
         let len = dir.read(&seg).unwrap().len();
         dir.truncate_file(&seg, len - 30);
         let rebooted = dir.reopen();
-        let (_, report) = StorageEngine::open(
-            Arc::new(rebooted.clone()),
-            opts(1, 1 << 20, FsyncPolicy::Always),
-        )
-        .unwrap();
+        let (_, report) =
+            StorageEngine::open(Arc::new(rebooted.clone()), opts(1, 1 << 20, FsyncPolicy::Always))
+                .unwrap();
         assert_eq!(report.torn_tails, 1);
         assert_eq!(report.records_replayed, 9);
         assert!(stores_equal(&report.store, &reference_store(9)));
         // The repair rewrote the tail: a second recovery is clean.
-        let (_, second) = StorageEngine::open(
-            Arc::new(rebooted.reopen()),
-            opts(1, 1 << 20, FsyncPolicy::Always),
-        )
-        .unwrap();
+        let (_, second) =
+            StorageEngine::open(Arc::new(rebooted.reopen()), opts(1, 1 << 20, FsyncPolicy::Always))
+                .unwrap();
         assert_eq!(second.torn_tails, 0);
         assert_eq!(second.records_replayed, 9);
     }
@@ -816,18 +795,13 @@ mod tests {
     fn corruption_in_a_non_final_segment_is_refused() {
         let dir = SimDir::new();
         let (engine, _) =
-            StorageEngine::open(Arc::new(dir.clone()), opts(1, 200, FsyncPolicy::Always))
-                .unwrap();
+            StorageEngine::open(Arc::new(dir.clone()), opts(1, 200, FsyncPolicy::Always)).unwrap();
         for i in 0..20 {
             engine.append(&entry(i)).unwrap();
         }
         // Flip a payload byte in the FIRST data segment (not the tail).
-        let first = dir
-            .list()
-            .unwrap()
-            .into_iter()
-            .find(|n| parse_segment_name(n).is_some())
-            .unwrap();
+        let first =
+            dir.list().unwrap().into_iter().find(|n| parse_segment_name(n).is_some()).unwrap();
         dir.flip_byte(&first, 20);
         let err = open_err(dir.reopen(), opts(1, 200, FsyncPolicy::Always));
         match err {
@@ -849,11 +823,8 @@ mod tests {
                 engine.append(&entry(i)).unwrap();
             }
             dir.crash_now();
-            let (_, report) = StorageEngine::open(
-                Arc::new(dir.reopen()),
-                opts(1, 1 << 20, policy),
-            )
-            .unwrap();
+            let (_, report) =
+                StorageEngine::open(Arc::new(dir.reopen()), opts(1, 1 << 20, policy)).unwrap();
             if expect_all {
                 assert_eq!(report.records_replayed, 25, "Always must lose nothing");
             } else {
@@ -882,11 +853,9 @@ mod tests {
             engine.set_epoch(3);
             engine.checkpoint(&store, &stats, &no_tokens()).unwrap();
         }
-        let (engine, report) = StorageEngine::open(
-            Arc::new(dir.reopen()),
-            opts(1, 1 << 20, FsyncPolicy::Always),
-        )
-        .unwrap();
+        let (engine, report) =
+            StorageEngine::open(Arc::new(dir.reopen()), opts(1, 1 << 20, FsyncPolicy::Always))
+                .unwrap();
         assert_eq!(report.epoch, 3, "the fence must survive a restart");
         assert_eq!(engine.epoch(), 3);
         assert_eq!(report.stats.accepted, 4);

@@ -48,7 +48,7 @@ pub use error::{Result, StorageError};
 pub use manifest::{load_latest, write_manifest, Manifest};
 pub use reshard::{reshard, scan_source, state_digest, ReshardReport, SourceScan};
 pub use segment::{
-    checkpoint_name, manifest_name, parse_checkpoint_name, parse_manifest_name,
-    parse_segment_name, segment_name, SegmentWriter, SEGMENT_HEADER_BYTES,
+    checkpoint_name, manifest_name, parse_checkpoint_name, parse_manifest_name, parse_segment_name,
+    segment_name, SegmentWriter, SEGMENT_HEADER_BYTES,
 };
 pub use sim::{FaultPlan, SimDir};

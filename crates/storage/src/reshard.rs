@@ -178,10 +178,7 @@ pub fn scan_source(dir: &dyn Dir) -> Result<SourceScan> {
                 if !is_final {
                     return Err(StorageError::Corrupt {
                         name: name.clone(),
-                        detail: format!(
-                            "non-final segment holds only {} bytes",
-                            data.len()
-                        ),
+                        detail: format!("non-final segment holds only {} bytes", data.len()),
                     });
                 }
                 torn_tails += 1;
@@ -198,21 +195,18 @@ pub fn scan_source(dir: &dyn Dir) -> Result<SourceScan> {
                         (replayed.entries, replayed.spent_tokens)
                     }
                     Some(fault) => {
-                        return Err(StorageError::SegmentFault {
-                            name: name.clone(),
-                            fault,
-                        });
+                        return Err(StorageError::SegmentFault { name: name.clone(), fault });
                     }
                 }
             };
             spent_tokens.extend(tokens);
             for entry in entries {
-                store
-                    .append(entry.record_id, entry.entity, entry.interaction)
-                    .map_err(|e| StorageError::Corrupt {
+                store.append(entry.record_id, entry.entity, entry.interaction).map_err(|e| {
+                    StorageError::Corrupt {
                         name: name.clone(),
                         detail: format!("replayed entry rejected by store: {e}"),
-                    })?;
+                    }
+                })?;
                 stats.accepted += 1;
                 records_replayed += 1;
             }
@@ -247,8 +241,7 @@ pub fn reshard(
 ) -> Result<ReshardReport> {
     if !dst.list()?.is_empty() {
         return Err(StorageError::Unrecoverable(
-            "destination directory is not empty — reshard only creates, never merges"
-                .to_string(),
+            "destination directory is not empty — reshard only creates, never merges".to_string(),
         ));
     }
     let scan = scan_source(src.as_ref())?;
@@ -309,8 +302,7 @@ pub fn reshard(
     engine.checkpoint(&replayed.store, &scan.stats, &replayed.spent_tokens)?;
     drop(engine);
     let (_, recovered) = crate::StorageEngine::open(Arc::clone(&dst), opts)?;
-    let dst_digest =
-        state_digest(&recovered.store, &recovered.stats, &recovered.spent_tokens);
+    let dst_digest = state_digest(&recovered.store, &recovered.stats, &recovered.spent_tokens);
     if dst_digest != digest {
         return Err(StorageError::Unrecoverable(format!(
             "reshard verification failed: source digest {digest:08x}, \
@@ -395,8 +387,7 @@ mod tests {
     fn two_to_four_round_trip_preserves_state_and_digest() {
         let src = populate(2, 60, Some(30));
         let dst = SimDir::new();
-        let report =
-            reshard(Arc::new(src.clone()), Arc::new(dst.clone()), opts(4)).unwrap();
+        let report = reshard(Arc::new(src.clone()), Arc::new(dst.clone()), opts(4)).unwrap();
         assert_eq!(report.src_shards, 2);
         assert_eq!(report.dst_shards, 4);
         assert_eq!(report.records, 60);
@@ -417,8 +408,7 @@ mod tests {
     fn shrink_four_to_one_works_too() {
         let src = populate(4, 40, None);
         let dst = SimDir::new();
-        let report =
-            reshard(Arc::new(src.clone()), Arc::new(dst.clone()), opts(1)).unwrap();
+        let report = reshard(Arc::new(src.clone()), Arc::new(dst.clone()), opts(1)).unwrap();
         assert_eq!((report.src_shards, report.dst_shards), (4, 1));
         let (src_store, src_stats, src_tokens) = recovered(&src, 4);
         let (dst_store, dst_stats, dst_tokens) = recovered(&dst, 1);
@@ -464,8 +454,7 @@ mod tests {
 
     #[test]
     fn empty_directory_source_is_refused() {
-        let err = reshard(Arc::new(SimDir::new()), Arc::new(SimDir::new()), opts(4))
-            .unwrap_err();
+        let err = reshard(Arc::new(SimDir::new()), Arc::new(SimDir::new()), opts(4)).unwrap_err();
         assert!(matches!(err, StorageError::Unrecoverable(_)), "got {err}");
     }
 
@@ -522,8 +511,7 @@ mod tests {
         let len = src.read(&seg).unwrap().len();
         src.truncate_file(&seg, len - 20);
         let dst = SimDir::new();
-        let report =
-            reshard(Arc::new(src.clone()), Arc::new(dst.clone()), opts(3)).unwrap();
+        let report = reshard(Arc::new(src.clone()), Arc::new(dst.clone()), opts(3)).unwrap();
         assert_eq!(report.torn_tails, 1);
         assert_eq!(report.records, 9);
         // Read-only: the torn segment was not repaired in the source.

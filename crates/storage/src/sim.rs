@@ -372,10 +372,8 @@ mod tests {
 
     #[test]
     fn truncate_is_durable_and_crash_gated() {
-        let dir = SimDir::with_plan(FaultPlan {
-            lose_unsynced_on_crash: true,
-            ..FaultPlan::default()
-        });
+        let dir =
+            SimDir::with_plan(FaultPlan { lose_unsynced_on_crash: true, ..FaultPlan::default() });
         let mut f = dir.create("a").unwrap();
         f.append(b"durable").unwrap();
         f.sync().unwrap();

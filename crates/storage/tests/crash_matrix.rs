@@ -46,9 +46,8 @@ fn reference_store(n: usize) -> HistoryStore {
 
 fn stores_equal(a: &HistoryStore, b: &HistoryStore) -> bool {
     a.len() == b.len()
-        && a.iter().all(|(id, stored)| {
-            b.iter().any(|(other_id, other)| other_id == id && other == stored)
-        })
+        && a.iter()
+            .all(|(id, stored)| b.iter().any(|(other_id, other)| other_id == id && other == stored))
 }
 
 fn opts(shards: u32, seg_bytes: u64, fsync: FsyncPolicy) -> StorageOptions {
@@ -255,13 +254,9 @@ fn multi_shard_cuts_recover_the_accepted_prefix() {
 fn on_rotate_policy_bounds_loss_to_the_unsynced_tail() {
     // Small segments so rotation (and its fsync) happens repeatedly;
     // a power cut drops everything the OS never flushed.
-    let dir = SimDir::with_plan(FaultPlan {
-        lose_unsynced_on_crash: true,
-        ..FaultPlan::default()
-    });
+    let dir = SimDir::with_plan(FaultPlan { lose_unsynced_on_crash: true, ..FaultPlan::default() });
     let (engine, _) =
-        StorageEngine::open(Arc::new(dir.clone()), opts(1, 300, FsyncPolicy::OnRotate))
-            .unwrap();
+        StorageEngine::open(Arc::new(dir.clone()), opts(1, 300, FsyncPolicy::OnRotate)).unwrap();
     // 300-byte segments hold 4 records each; 22 leaves 2 records in the
     // never-synced tail segment.
     for i in 0..22 {
@@ -269,8 +264,7 @@ fn on_rotate_policy_bounds_loss_to_the_unsynced_tail() {
     }
     dir.crash_now();
     let (_, report) =
-        StorageEngine::open(Arc::new(dir.reopen()), opts(1, 300, FsyncPolicy::OnRotate))
-            .unwrap();
+        StorageEngine::open(Arc::new(dir.reopen()), opts(1, 300, FsyncPolicy::OnRotate)).unwrap();
     let recovered = report.records_replayed as usize;
     // Rotated segments were synced: those records survive; the unsynced
     // tail does not; what survives is exactly a prefix.
@@ -285,8 +279,7 @@ fn short_read_of_a_segment_is_a_torn_tail_only_at_the_tail() {
     // refused as corruption.
     let dir = SimDir::new();
     let (engine, _) =
-        StorageEngine::open(Arc::new(dir.clone()), opts(1, 1 << 20, FsyncPolicy::Always))
-            .unwrap();
+        StorageEngine::open(Arc::new(dir.clone()), opts(1, 1 << 20, FsyncPolicy::Always)).unwrap();
     for i in 0..10 {
         engine.append(&entry(i)).unwrap();
     }
@@ -305,8 +298,7 @@ fn short_read_of_a_segment_is_a_torn_tail_only_at_the_tail() {
         ..FaultPlan::default()
     });
     let (_, report) =
-        StorageEngine::open(Arc::new(rebooted), opts(1, 1 << 20, FsyncPolicy::Always))
-            .unwrap();
+        StorageEngine::open(Arc::new(rebooted), opts(1, 1 << 20, FsyncPolicy::Always)).unwrap();
     assert_eq!(report.torn_tails, 1);
     assert!(stores_equal(&report.store, &reference_store(report.records_replayed as usize)));
 }
@@ -377,10 +369,8 @@ fn mid_group_power_cut_recovers_exactly_the_acked_groups() {
             stores_equal(&report.store, &reference_store(expect_records)),
             "cut at byte {cut}: recovered store differs from the acked groups"
         );
-        let expect_tokens: HashSet<[u8; 32]> = (0..acked)
-            .flat_map(|b| group(b, PER_BATCH))
-            .filter_map(|item| item.spend)
-            .collect();
+        let expect_tokens: HashSet<[u8; 32]> =
+            (0..acked).flat_map(|b| group(b, PER_BATCH)).filter_map(|item| item.spend).collect();
         assert_eq!(
             report.spent_tokens, expect_tokens,
             "cut at byte {cut}: recovered spend ledger differs from the acked groups"
@@ -478,13 +468,9 @@ fn crash_then_token_replay_is_still_rejected() {
         release_at: Timestamp::EPOCH,
     };
 
-    let dir = SimDir::with_plan(FaultPlan {
-        lose_unsynced_on_crash: true,
-        ..FaultPlan::default()
-    });
+    let dir = SimDir::with_plan(FaultPlan { lose_unsynced_on_crash: true, ..FaultPlan::default() });
     let (engine, _) =
-        StorageEngine::open(Arc::new(dir.clone()), opts(2, 1 << 20, FsyncPolicy::Always))
-            .unwrap();
+        StorageEngine::open(Arc::new(dir.clone()), opts(2, 1 << 20, FsyncPolicy::Always)).unwrap();
     let ingest = ShardedIngest::new(2);
     ingest.set_wal_with(
         Arc::new(engine) as Arc<dyn WalSink>,
@@ -498,8 +484,7 @@ fn crash_then_token_replay_is_still_rejected() {
     dir.crash_now();
 
     let (_, report) =
-        StorageEngine::open(Arc::new(dir.reopen()), opts(2, 1 << 20, FsyncPolicy::Always))
-            .unwrap();
+        StorageEngine::open(Arc::new(dir.reopen()), opts(2, 1 << 20, FsyncPolicy::Always)).unwrap();
     assert_eq!(report.records_replayed, 6, "fsync=always: every accepted upload survives");
     assert_eq!(report.spent_tokens.len(), 6, "every spend recovered with its record");
 
@@ -533,8 +518,7 @@ fn fsdir_round_trips_recovery_and_checkpoints_on_real_files() {
     }
     // "Restart the process": recover from real files.
     let dir = Arc::new(FsDir::open(&root).unwrap());
-    let (engine, report) =
-        StorageEngine::open(dir, opts(2, 1024, FsyncPolicy::OnRotate)).unwrap();
+    let (engine, report) = StorageEngine::open(dir, opts(2, 1024, FsyncPolicy::OnRotate)).unwrap();
     assert_eq!(report.records_replayed, N as u64);
     assert!(stores_equal(&report.store, &reference_store(N as usize)));
 

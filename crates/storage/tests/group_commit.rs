@@ -16,9 +16,7 @@
 //!   and the same spent-token ledger either way.
 
 use orsp_server::{HistoryStore, WalBatchItem, WalEntry, WalSink};
-use orsp_storage::{
-    parse_segment_name, Dir, FsyncPolicy, SimDir, StorageEngine, StorageOptions,
-};
+use orsp_storage::{parse_segment_name, Dir, FsyncPolicy, SimDir, StorageEngine, StorageOptions};
 use orsp_types::{EntityId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -99,9 +97,8 @@ fn history_only_batches_are_byte_identical_to_sequential_appends() {
                         opts(shards, seg_bytes, FsyncPolicy::Always),
                     )
                     .unwrap();
-                    let items: Vec<WalBatchItem> = (0..N)
-                        .map(|i| WalBatchItem { spend: None, entry: entry(i) })
-                        .collect();
+                    let items: Vec<WalBatchItem> =
+                        (0..N).map(|i| WalBatchItem { spend: None, entry: entry(i) }).collect();
                     for chunk in items.chunks(batch_size) {
                         engine.append_upload_batch(chunk).unwrap();
                     }
@@ -137,8 +134,7 @@ fn batches_with_spends_recover_the_same_state_as_the_sequential_sink_path() {
     // record, per upload.
     let sequential = SimDir::new();
     {
-        let (engine, _) =
-            StorageEngine::open(Arc::new(sequential.clone()), options()).unwrap();
+        let (engine, _) = StorageEngine::open(Arc::new(sequential.clone()), options()).unwrap();
         for i in 0..N {
             engine.log_token_spend(&spend_key(i)).unwrap();
             engine.log_append(&entry(i)).unwrap();
@@ -149,24 +145,20 @@ fn batches_with_spends_recover_the_same_state_as_the_sequential_sink_path() {
     let batched = SimDir::new();
     {
         let (engine, _) = StorageEngine::open(Arc::new(batched.clone()), options()).unwrap();
-        let items: Vec<WalBatchItem> = (0..N)
-            .map(|i| WalBatchItem { spend: Some(spend_key(i)), entry: entry(i) })
-            .collect();
+        let items: Vec<WalBatchItem> =
+            (0..N).map(|i| WalBatchItem { spend: Some(spend_key(i)), entry: entry(i) }).collect();
         for chunk in items.chunks(9) {
             engine.log_upload_batch(chunk).unwrap();
         }
     }
 
-    let (_, seq_report) =
-        StorageEngine::open(Arc::new(sequential.reopen()), options()).unwrap();
-    let (_, batch_report) =
-        StorageEngine::open(Arc::new(batched.reopen()), options()).unwrap();
+    let (_, seq_report) = StorageEngine::open(Arc::new(sequential.reopen()), options()).unwrap();
+    let (_, batch_report) = StorageEngine::open(Arc::new(batched.reopen()), options()).unwrap();
 
     assert_eq!(seq_report.records_replayed, N as u64);
     assert_eq!(batch_report.records_replayed, N as u64);
     let digest = |store: &HistoryStore| -> Vec<(RecordId, usize)> {
-        let mut d: Vec<_> =
-            store.iter().map(|(id, s)| (*id, s.history.records().len())).collect();
+        let mut d: Vec<_> = store.iter().map(|(id, s)| (*id, s.history.records().len())).collect();
         d.sort();
         d
     };

@@ -40,9 +40,7 @@ fn main() {
     {
         Some(addr) => addr,
         None => {
-            eprintln!(
-                "usage: orsp-top --addr ADDR [--interval-ms N] [--once] [--top K]"
-            );
+            eprintln!("usage: orsp-top --addr ADDR [--interval-ms N] [--once] [--top K]");
             std::process::exit(2);
         }
     };
@@ -139,7 +137,14 @@ fn render(
         out.push_str("\nCONNECTIONS\n");
         out.push_str(&format!(
             "  {:<8} {:>10} {:>9} {:>9} {:>8} {:>9} {:>10} {:>9}\n",
-            "open", "high-water", "accepted", "requests", "shed", "deadline", "wakeups", "proto-err"
+            "open",
+            "high-water",
+            "accepted",
+            "requests",
+            "shed",
+            "deadline",
+            "wakeups",
+            "proto-err"
         ));
         out.push_str(&format!(
             "  {:<8} {:>10} {:>9} {:>9} {:>8} {:>9} {:>10} {:>9}\n",
@@ -297,9 +302,7 @@ fn range_rows(stats: &StatsSnapshot) -> Vec<(u64, i64, i64)> {
     }
     let mut out: Vec<(u64, i64, i64)> = rows
         .into_iter()
-        .map(|(r, (primary, epoch))| {
-            (r, primary.unwrap_or(r as i64), epoch.unwrap_or(0))
-        })
+        .map(|(r, (primary, epoch))| (r, primary.unwrap_or(r as i64), epoch.unwrap_or(0)))
         .collect();
     out.sort_by_key(|(r, _, _)| *r);
     out

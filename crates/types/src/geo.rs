@@ -50,10 +50,7 @@ impl GeoPoint {
     /// Linear interpolation toward `other`; `t = 0` is `self`, `t = 1` is
     /// `other`.
     pub fn lerp(&self, other: &GeoPoint, t: f64) -> GeoPoint {
-        GeoPoint::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
+        GeoPoint::new(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
     }
 
     /// The midpoint between two points.
@@ -89,10 +86,7 @@ impl BoundingBox {
     /// The box centered at `center` extending `radius` meters in every
     /// direction.
     pub fn around(center: GeoPoint, radius: f64) -> Self {
-        BoundingBox {
-            min: center.offset(-radius, -radius),
-            max: center.offset(radius, radius),
-        }
+        BoundingBox { min: center.offset(-radius, -radius), max: center.offset(radius, radius) }
     }
 
     /// Width in meters.

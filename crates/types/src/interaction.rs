@@ -304,17 +304,16 @@ mod tests {
 
     #[test]
     fn span_and_total_duration() {
-        let h =
-            InteractionHistory::from_records(vec![visit(0, 100, 1.0), visit(900, 100, 1.0)])
-                .unwrap();
+        let h = InteractionHistory::from_records(vec![visit(0, 100, 1.0), visit(900, 100, 1.0)])
+            .unwrap();
         assert_eq!(h.span(), SimDuration::seconds(1_000));
         assert_eq!(h.total_duration(), SimDuration::seconds(200));
     }
 
     #[test]
     fn from_records_sorts() {
-        let h = InteractionHistory::from_records(vec![visit(500, 10, 1.0), visit(0, 10, 2.0)])
-            .unwrap();
+        let h =
+            InteractionHistory::from_records(vec![visit(500, 10, 1.0), visit(0, 10, 2.0)]).unwrap();
         assert_eq!(h.first().unwrap().start, Timestamp::EPOCH);
     }
 
@@ -347,9 +346,8 @@ mod tests {
 
     #[test]
     fn mean_distance() {
-        let h =
-            InteractionHistory::from_records(vec![visit(0, 10, 100.0), visit(100, 10, 300.0)])
-                .unwrap();
+        let h = InteractionHistory::from_records(vec![visit(0, 10, 100.0), visit(100, 10, 300.0)])
+            .unwrap();
         assert!((h.mean_distance_m().unwrap() - 200.0).abs() < 1e-12);
         assert!(InteractionHistory::new().mean_distance_m().is_none());
     }

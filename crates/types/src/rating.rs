@@ -110,12 +110,8 @@ impl StarHistogram {
         if total == 0 {
             return None;
         }
-        let sum: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(stars, &n)| stars as f64 * n as f64)
-            .sum();
+        let sum: f64 =
+            self.counts.iter().enumerate().map(|(stars, &n)| stars as f64 * n as f64).sum();
         Some(Rating::new(sum / total as f64))
     }
 

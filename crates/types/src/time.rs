@@ -362,9 +362,7 @@ mod tests {
     #[test]
     fn duration_sum() {
         let total: SimDuration =
-            [SimDuration::MINUTE, SimDuration::HOUR, SimDuration::seconds(1)]
-                .into_iter()
-                .sum();
+            [SimDuration::MINUTE, SimDuration::HOUR, SimDuration::seconds(1)].into_iter().sum();
         assert_eq!(total.as_seconds(), 3_661);
     }
 

@@ -104,10 +104,7 @@ mod tests {
             user: UserId::new(1),
             entity: EntityId::new(2),
             start: Timestamp::from_seconds(1_000),
-            kind: ActivityKind::Visit {
-                dwell: SimDuration::seconds(600),
-                travel_distance_m: 10.0,
-            },
+            kind: ActivityKind::Visit { dwell: SimDuration::seconds(600), travel_distance_m: 10.0 },
             group: None,
             is_fraud: false,
         };

@@ -130,10 +130,8 @@ mod tests {
         let good = restaurant(1, 4.5, true);
         let bad = restaurant(2, 1.5, true);
         let n = 500;
-        let mean_good: f64 = (0..n)
-            .map(|i| m.true_rating(&user(i, false), &good).value())
-            .sum::<f64>()
-            / n as f64;
+        let mean_good: f64 =
+            (0..n).map(|i| m.true_rating(&user(i, false), &good).value()).sum::<f64>() / n as f64;
         let mean_bad: f64 =
             (0..n).map(|i| m.true_rating(&user(i, false), &bad).value()).sum::<f64>() / n as f64;
         assert!(mean_good - mean_bad > 2.0, "good {mean_good} vs bad {mean_bad}");
@@ -143,7 +141,8 @@ mod tests {
     fn taste_varies_across_users() {
         let m = OpinionModel::new(7);
         let e = restaurant(1, 3.0, true);
-        let ratings: Vec<f64> = (0..50).map(|i| m.true_rating(&user(i, false), &e).value()).collect();
+        let ratings: Vec<f64> =
+            (0..50).map(|i| m.true_rating(&user(i, false), &e).value()).collect();
         let distinct = ratings
             .iter()
             .map(|r| (r * 1000.0) as i64)

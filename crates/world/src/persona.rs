@@ -142,10 +142,8 @@ mod tests {
     #[test]
     fn explorer_skews_toward_habit() {
         let mut rng = StdRng::seed_from_u64(13);
-        let mean: f64 = (0..5_000)
-            .map(|_| Persona::sample(&mut rng, 0.1, 0.1).explorer)
-            .sum::<f64>()
-            / 5_000.0;
+        let mean: f64 =
+            (0..5_000).map(|_| Persona::sample(&mut rng, 0.1, 0.1).explorer).sum::<f64>() / 5_000.0;
         assert!(mean < 0.5, "power-law-ish skew expected, mean={mean}");
     }
 }

@@ -77,11 +77,7 @@ pub fn fig3_scenario(seed: u64) -> Fig3Scenario {
         make_dentist(1, "Dentist B", 4.7, GeoPoint::new(0.0, 3_000.0)),
         make_dentist(2, "Dentist C", 2.9, GeoPoint::new(3_000.0, -1_000.0)),
     ];
-    let dentists = Fig3Dentists {
-        a: EntityId::new(0),
-        b: EntityId::new(1),
-        c: EntityId::new(2),
-    };
+    let dentists = Fig3Dentists { a: EntityId::new(0), b: EntityId::new(1), c: EntityId::new(2) };
 
     let mut users = Vec::new();
     let mut events = Vec::new();
@@ -101,11 +97,11 @@ pub fn fig3_scenario(seed: u64) -> Fig3Scenario {
     };
 
     let visit = |events: &mut Vec<ActivityEvent>,
-                     user: UserId,
-                     dentist: EntityId,
-                     t: Timestamp,
-                     travel: f64,
-                     rng: &mut rand::rngs::StdRng| {
+                 user: UserId,
+                 dentist: EntityId,
+                 t: Timestamp,
+                 travel: f64,
+                 rng: &mut rand::rngs::StdRng| {
         events.push(ActivityEvent {
             user,
             entity: dentist,

@@ -386,8 +386,8 @@ impl Generator {
             }
             let entity = &self.entities[id.raw() as usize];
             let dist = entity.location.distance_to(&user.home);
-            let utility = user.persona.quality_weight * rating
-                - 2.5 * dist / user.persona.travel_tolerance_m;
+            let utility =
+                user.persona.quality_weight * rating - 2.5 * dist / user.persona.travel_tolerance_m;
             if best.map_or(true, |(_, u)| utility > u) {
                 best = Some((id, utility));
             }
@@ -399,7 +399,13 @@ impl Generator {
         }
     }
 
-    fn maybe_review(&mut self, rng: &mut StdRng, user_idx: usize, entity_id: EntityId, t: Timestamp) {
+    fn maybe_review(
+        &mut self,
+        rng: &mut StdRng,
+        user_idx: usize,
+        entity_id: EntityId,
+        t: Timestamp,
+    ) {
         let user = &self.users[user_idx];
         let p = user.persona.reviewer.review_probability(
             self.config.review_prob_per_interaction,
@@ -438,10 +444,8 @@ impl Generator {
         }
         let favoured: Vec<Cuisine> = cuisines.into_iter().take(rng.gen_range(2..=3)).collect();
         // Candidate restaurants per favoured cuisine, computed once.
-        let candidates_by_cuisine: Vec<Vec<EntityId>> = favoured
-            .iter()
-            .map(|&c| self.candidates(&user, Category::Restaurant(c)))
-            .collect();
+        let candidates_by_cuisine: Vec<Vec<EntityId>> =
+            favoured.iter().map(|&c| self.candidates(&user, Category::Restaurant(c))).collect();
         // Local friends, computed once.
         let neighbours: Vec<usize> = (0..self.users.len())
             .filter(|&i| i != user_idx && self.users[i].zipcode == user.zipcode)
@@ -456,8 +460,7 @@ impl Generator {
         while t < horizon_s {
             let ci = rng.gen_range(0..favoured.len());
             let candidates = &candidates_by_cuisine[ci];
-            if let Some(entity_id) =
-                self.choose_entity(&mut rng, &user, candidates, &known, visits)
+            if let Some(entity_id) = self.choose_entity(&mut rng, &user, candidates, &known, visits)
             {
                 let day_start = Timestamp::from_seconds(t - t.rem_euclid(86_400));
                 // Lunch or dinner.
@@ -507,24 +510,21 @@ impl Generator {
                 // Friends attend group outings; friendships are local, so
                 // friends come from the user's own zipcode.
                 if let Some(gid) = group {
-                    let size = 1 + (rng.gen::<f64>() * (self.config.group_size_mean - 1.0) * 2.0)
-                        .round() as usize;
+                    let size = 1
+                        + (rng.gen::<f64>() * (self.config.group_size_mean - 1.0) * 2.0).round()
+                            as usize;
                     for _ in 0..size.min(5) {
                         if neighbours.is_empty() {
                             break;
                         }
                         let fi = neighbours[rng.gen_range(0..neighbours.len())];
                         let friend = self.users[fi].clone();
-                        let ftravel =
-                            friend.travel_distance_to(&entity.location, hour, is_weekend);
+                        let ftravel = friend.travel_distance_to(&entity.location, hour, is_weekend);
                         self.events.push(ActivityEvent {
                             user: friend.id,
                             entity: entity_id,
                             start,
-                            kind: ActivityKind::Visit {
-                                dwell,
-                                travel_distance_m: ftravel,
-                            },
+                            kind: ActivityKind::Visit { dwell, travel_distance_m: ftravel },
                             group: Some(gid),
                             is_fraud: false,
                         });
@@ -532,8 +532,7 @@ impl Generator {
                 }
 
                 // The user learns their true opinion after the visit.
-                let experienced =
-                    self.opinions.true_rating(&user, &entity).value();
+                let experienced = self.opinions.true_rating(&user, &entity).value();
                 known.insert(entity_id, experienced);
                 visits += 1;
                 self.maybe_review(&mut rng, user_idx, entity_id, start + dwell);
@@ -570,8 +569,7 @@ impl Generator {
                 // Stay with the current doctor unless dissatisfied.
                 let entity_id = match current {
                     Some(id) if known.get(&id).copied().unwrap_or(3.0) >= 2.5 => id,
-                    _ => match self.choose_entity(&mut rng, &user, &candidates, &known, visits)
-                    {
+                    _ => match self.choose_entity(&mut rng, &user, &candidates, &known, visits) {
                         Some(id) => id,
                         None => break,
                     },
@@ -581,8 +579,7 @@ impl Generator {
                 let hour = rng.gen_range(9.0..16.5);
                 let start = day_start + SimDuration::seconds((hour * 3_600.0) as i64);
                 let dwell = SimDuration::minutes(rng.gen_range(25..75));
-                let travel =
-                    user.travel_distance_to(&entity.location, hour, start.is_weekend());
+                let travel = user.travel_distance_to(&entity.location, hour, start.is_weekend());
                 self.events.push(ActivityEvent {
                     user: user.id,
                     entity: entity_id,
@@ -656,9 +653,7 @@ impl Generator {
                     let mut best = candidates[0];
                     let mut best_d = f64::MAX;
                     for &c in &candidates {
-                        let d = self.entities[c.raw() as usize]
-                            .location
-                            .distance_to(&user.home)
+                        let d = self.entities[c.raw() as usize].location.distance_to(&user.home)
                             * rng.gen_range(0.5..1.5);
                         if d < best_d {
                             best_d = d;
@@ -688,9 +683,7 @@ impl Generator {
                 user: user.id,
                 entity: entity_id,
                 start: job_done,
-                kind: ActivityKind::Payment {
-                    amount_cents: rng.gen_range(8_000..60_000),
-                },
+                kind: ActivityKind::Payment { amount_cents: rng.gen_range(8_000..60_000) },
                 group: None,
                 is_fraud: false,
             });
@@ -700,7 +693,8 @@ impl Generator {
                 // quick succession that signal *dissatisfaction*.
                 let callbacks = rng.gen_range(1..=3);
                 for cb in 0..callbacks {
-                    let cb_start = job_done + SimDuration::days(1 + cb as i64 * 2)
+                    let cb_start = job_done
+                        + SimDuration::days(1 + cb as i64 * 2)
                         + SimDuration::minutes(rng.gen_range(0..600));
                     self.events.push(ActivityEvent {
                         user: user.id,
@@ -823,7 +817,12 @@ mod tests {
         let w = World::generate(WorldConfig::city(9)).unwrap();
         let mut seen = std::collections::HashSet::new();
         for r in &w.reviews {
-            assert!(seen.insert((r.user, r.entity)), "duplicate review by {} of {}", r.user, r.entity);
+            assert!(
+                seen.insert((r.user, r.entity)),
+                "duplicate review by {} of {}",
+                r.user,
+                r.entity
+            );
         }
     }
 
@@ -847,10 +846,8 @@ mod tests {
         assert!(!by_group.is_empty(), "group outings occur");
         let mut multi = 0;
         for members in by_group.values() {
-            let visits: Vec<_> = members
-                .iter()
-                .filter(|e| matches!(e.kind, ActivityKind::Visit { .. }))
-                .collect();
+            let visits: Vec<_> =
+                members.iter().filter(|e| matches!(e.kind, ActivityKind::Visit { .. })).collect();
             if visits.len() > 1 {
                 multi += 1;
                 let first = visits[0];
@@ -889,9 +886,9 @@ mod tests {
                 calls.entry((e.user, e.entity)).or_default().push(e.start);
             }
         }
-        let burst = calls.values().any(|starts| {
-            starts.windows(2).any(|w| (w[1] - w[0]).abs() <= SimDuration::days(8))
-        });
+        let burst = calls
+            .values()
+            .any(|starts| starts.windows(2).any(|w| (w[1] - w[0]).abs() <= SimDuration::days(8)));
         assert!(burst, "callback confound should appear in a city-sized world");
     }
 
@@ -925,10 +922,7 @@ mod tests {
         // exactly §4.1's "tried out many options before settling" point.)
         let mut top: HashMap<UserId, (EntityId, usize)> = HashMap::new();
         for (&(u, e), &(n, _)) in &pairs {
-            if !matches!(
-                w.entity(e).unwrap().category,
-                orsp_types::Category::Restaurant(_)
-            ) {
+            if !matches!(w.entity(e).unwrap().category, orsp_types::Category::Restaurant(_)) {
                 continue;
             }
             let cur = top.entry(u).or_insert((e, 0));
@@ -942,8 +936,8 @@ mod tests {
             .map(|(&u, &(e, _))| {
                 let user = w.user(u).unwrap();
                 let entity = w.entity(e).unwrap();
-                let effort = user.home.distance_to(&entity.location)
-                    / user.persona.travel_tolerance_m;
+                let effort =
+                    user.home.distance_to(&entity.location) / user.persona.travel_tolerance_m;
                 let op = w.opinions.true_rating(user, entity).value();
                 (effort, op)
             })
@@ -976,10 +970,7 @@ mod tests {
             let mut n = 0;
             for (&(u, e), &c) in &counts {
                 if c >= min && c <= max {
-                    sum += w
-                        .opinions
-                        .true_rating(w.user(u).unwrap(), w.entity(e).unwrap())
-                        .value();
+                    sum += w.opinions.true_rating(w.user(u).unwrap(), w.entity(e).unwrap()).value();
                     n += 1;
                 }
             }

@@ -35,12 +35,7 @@ impl User {
 
     /// Distance from the relevant anchor to a target — the "distance
     /// travelled since previous stationary spot" effort feature.
-    pub fn travel_distance_to(
-        &self,
-        target: &GeoPoint,
-        hour_of_day: f64,
-        is_weekend: bool,
-    ) -> f64 {
+    pub fn travel_distance_to(&self, target: &GeoPoint, hour_of_day: f64, is_weekend: bool) -> f64 {
         self.anchor_at(hour_of_day, is_weekend).distance_to(target)
     }
 }

@@ -34,18 +34,10 @@ fn main() {
             .into_iter()
             .map(|l| {
                 let explicit = ReviewSummary {
-                    histogram: outcome
-                        .explicit_histograms
-                        .get(&l.id)
-                        .cloned()
-                        .unwrap_or_default(),
+                    histogram: outcome.explicit_histograms.get(&l.id).cloned().unwrap_or_default(),
                 };
                 let inferred = InferredSummary {
-                    histogram: outcome
-                        .inferred_histograms
-                        .get(&l.id)
-                        .cloned()
-                        .unwrap_or_default(),
+                    histogram: outcome.inferred_histograms.get(&l.id).cloned().unwrap_or_default(),
                     ..Default::default()
                 };
                 (l.id, explicit, inferred)
@@ -54,11 +46,9 @@ fn main() {
         ranker.rank(candidates)
     };
 
-    for text in [
-        format!("thai near {zip:05}"),
-        format!("dentist in {zip:05}"),
-        format!("plumber {zip:05}"),
-    ] {
+    for text in
+        [format!("thai near {zip:05}"), format!("dentist in {zip:05}"), format!("plumber {zip:05}")]
+    {
         let ranked = rank_for(&text);
         println!("query: {text:?} -> {} results", ranked.len());
         for r in ranked.iter().take(3) {

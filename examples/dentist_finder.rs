@@ -24,11 +24,8 @@ fn main() {
 
     let outcome = RspPipeline::new(PipelineConfig::default()).run(&scenario.world);
 
-    let dentists = [
-        ("A", scenario.dentists.a),
-        ("B", scenario.dentists.b),
-        ("C", scenario.dentists.c),
-    ];
+    let dentists =
+        [("A", scenario.dentists.a), ("B", scenario.dentists.b), ("C", scenario.dentists.c)];
 
     // Figure 3(a): who keeps their patients?
     println!("--- How often do patients come back? (visits per user) ---\n");
@@ -66,7 +63,10 @@ fn main() {
         let line = AggregatePublisher::mean_distance_by_count(agg);
         let trend: Vec<String> =
             line.iter().take(6).map(|(n, d)| format!("{n}v:{d:.0}m")).collect();
-        println!("Dentist {label}: correlation(visits, distance) = {r:+.2}   [{}]", trend.join(" "));
+        println!(
+            "Dentist {label}: correlation(visits, distance) = {r:+.2}   [{}]",
+            trend.join(" ")
+        );
     }
 
     println!();

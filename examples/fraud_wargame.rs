@@ -71,7 +71,10 @@ fn main() {
     // Score every fraud record the way the detector did, with reasons.
     let categories = category_map(&world);
     let detector = FraudDetector::new(outcome.profiles.clone());
-    println!("\ntypical-user profiles learned from {} anonymous histories", outcome.record_owner.len());
+    println!(
+        "\ntypical-user profiles learned from {} anonymous histories",
+        outcome.record_owner.len()
+    );
 
     let flagged: std::collections::HashSet<_> = outcome.fraud_flagged.iter().collect();
     let mut caught = 0;
@@ -81,12 +84,8 @@ fn main() {
         let (user, entity) = outcome.record_owner[rid];
         // The store may have discarded it already; recompute the verdict
         // from the pre-filter aggregate path for display.
-        let verdict = outcome
-            .ingest
-            .store()
-            .iter()
-            .find(|(id, _)| *id == rid)
-            .map(|(_, stored)| {
+        let verdict =
+            outcome.ingest.store().iter().find(|(id, _)| *id == rid).map(|(_, stored)| {
                 detector.score(categories[&stored.entity], &HistoryStats::of(&stored.history))
             });
         let status = if flagged.contains(rid) {
@@ -114,11 +113,8 @@ fn main() {
         }
     }
 
-    let honest_flagged = outcome
-        .fraud_flagged
-        .iter()
-        .filter(|r| !outcome.fraud_truth.contains(*r))
-        .count();
+    let honest_flagged =
+        outcome.fraud_flagged.iter().filter(|r| !outcome.fraud_truth.contains(*r)).count();
     println!("\nsummary: {caught} fraud histories caught, {slipped} slipped through,");
     println!("         {honest_flagged} honest histories wrongly flagged");
     println!(

@@ -26,17 +26,14 @@ fn main() {
         ..WorldConfig::tiny(4242)
     };
     let world = World::generate(config).unwrap();
-    let devices: Vec<DeviceId> =
-        world.users.iter().map(|u| DeviceId::new(u.id.raw())).collect();
+    let devices: Vec<DeviceId> = world.users.iter().map(|u| DeviceId::new(u.id.raw())).collect();
     let entities: Vec<EntityId> = world.entities.iter().map(|e| e.id).collect();
 
     println!("== Audit 1: can the RSP link one user's histories across entities? ==\n");
     for scheme in [LinkageScheme::DevicePrefixed, LinkageScheme::Unlinkable] {
-        let outcome = RspPipeline::new(PipelineConfig {
-            linkage_scheme: scheme,
-            ..Default::default()
-        })
-        .run(&world);
+        let outcome =
+            RspPipeline::new(PipelineConfig { linkage_scheme: scheme, ..Default::default() })
+                .run(&world);
         let report = outcome.observer.linkage_attack(scheme, &devices, &entities);
         println!(
             "  {scheme:?}: adversary links {:.0}% of same-user record pairs (precision {:.0}%)",
@@ -52,11 +49,7 @@ fn main() {
             SimDuration::ZERO,
             MixConfig { threshold: 1, max_latency: SimDuration::ZERO },
         ),
-        (
-            "deferred 24h + batch mixing    ",
-            SimDuration::hours(24),
-            MixConfig::default(),
-        ),
+        ("deferred 24h + batch mixing    ", SimDuration::hours(24), MixConfig::default()),
     ] {
         let outcome = RspPipeline::new(PipelineConfig {
             client: ClientConfig { upload_window: window, ..Default::default() },
@@ -83,7 +76,8 @@ fn main() {
     let mut mint = TokenMint::new(&mut rng, 256, 1_000, SimDuration::DAY);
     let mapper = std::sync::Arc::new(EntityMapper::new(directory_entries(&world)));
     let user = world.users[0].id;
-    let trace = render_user_trace(&world, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
+    let trace =
+        render_user_trace(&world, user, SamplingPolicy::accel_gated(), &EnergyModel::default());
     let mut client = RspClient::install(
         &mut rng,
         DeviceId::new(user.raw()),

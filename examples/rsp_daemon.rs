@@ -76,9 +76,8 @@ fn main() {
         token: wallet.take_token().expect("token in wallet"),
         release_at: Timestamp::EPOCH + SimDuration::hours(13),
     };
-    let verdict = client
-        .upload(upload, Timestamp::EPOCH + SimDuration::hours(13))
-        .expect("upload RPC");
+    let verdict =
+        client.upload(upload, Timestamp::EPOCH + SimDuration::hours(13)).expect("upload RPC");
     println!("client: anonymous upload -> {verdict:?}");
     assert_eq!(verdict, Ok(()), "daemon accepted the record");
 

@@ -27,10 +27,8 @@ fn full_pipeline_produces_inferred_opinions() {
     assert_eq!(outcome.ingest.stats().double_spend, 0);
 
     // Inferred opinions exist and dwarf explicit reviews.
-    let inferred_total: u64 =
-        outcome.inferred_histograms.values().map(|h| h.total()).sum();
-    let explicit_total: u64 =
-        outcome.explicit_histograms.values().map(|h| h.total()).sum();
+    let inferred_total: u64 = outcome.inferred_histograms.values().map(|h| h.total()).sum();
+    let explicit_total: u64 = outcome.explicit_histograms.values().map(|h| h.total()).sum();
     assert!(inferred_total > 0);
     assert!(
         inferred_total > explicit_total,
@@ -57,18 +55,10 @@ fn search_ranks_with_inferred_summaries() {
             .into_iter()
             .map(|l| {
                 let explicit = ReviewSummary {
-                    histogram: outcome
-                        .explicit_histograms
-                        .get(&l.id)
-                        .cloned()
-                        .unwrap_or_default(),
+                    histogram: outcome.explicit_histograms.get(&l.id).cloned().unwrap_or_default(),
                 };
                 let inferred = InferredSummary {
-                    histogram: outcome
-                        .inferred_histograms
-                        .get(&l.id)
-                        .cloned()
-                        .unwrap_or_default(),
+                    histogram: outcome.inferred_histograms.get(&l.id).cloned().unwrap_or_default(),
                     ..Default::default()
                 };
                 (l.id, explicit, inferred)

@@ -19,12 +19,8 @@ fn attacked_world() -> (World, usize) {
         .find(|e| matches!(e.category, Category::ServiceProvider(_)))
         .unwrap()
         .id;
-    let restaurant = world
-        .entities
-        .iter()
-        .find(|e| matches!(e.category, Category::Restaurant(_)))
-        .unwrap()
-        .id;
+    let restaurant =
+        world.entities.iter().find(|e| matches!(e.category, Category::Restaurant(_))).unwrap().id;
     let attacks = vec![
         Attack::CallSpam {
             attacker: UserId::new(0),
@@ -51,12 +47,10 @@ fn naive_attacks_are_detected_with_low_false_positives() {
     assert!(injected > 100);
     let outcome = RspPipeline::new(PipelineConfig::default()).run(&world);
 
-    let flagged: std::collections::HashSet<_> =
-        outcome.fraud_flagged.iter().copied().collect();
+    let flagged: std::collections::HashSet<_> = outcome.fraud_flagged.iter().copied().collect();
     assert!(!outcome.fraud_truth.is_empty(), "attack records reached the server");
 
-    let detected =
-        outcome.fraud_truth.iter().filter(|r| flagged.contains(*r)).count();
+    let detected = outcome.fraud_truth.iter().filter(|r| flagged.contains(*r)).count();
     let detection_rate = detected as f64 / outcome.fraud_truth.len() as f64;
     assert!(
         detection_rate >= 0.5,
@@ -88,19 +82,11 @@ fn fraud_filter_removes_flagged_histories_from_aggregates() {
     );
 
     // Specifically, the spam target's aggregate activity shrinks.
-    let spam_target = world
-        .events
-        .iter()
-        .find(|e| e.is_fraud)
-        .map(|e| e.entity)
-        .unwrap();
+    let spam_target = world.events.iter().find(|e| e.is_fraud).map(|e| e.entity).unwrap();
     let hist_with = with_filter.aggregates.get(&spam_target).map(|a| a.histories).unwrap_or(0);
     let hist_without =
         without_filter.aggregates.get(&spam_target).map(|a| a.histories).unwrap_or(0);
-    assert!(
-        hist_with <= hist_without,
-        "target histories {hist_with} vs unfiltered {hist_without}"
-    );
+    assert!(hist_with <= hist_without, "target histories {hist_with} vs unfiltered {hist_without}");
 }
 
 #[test]

@@ -22,9 +22,8 @@ fn table1_totals_and_categories() {
 #[test]
 fn fig1a_median_reviews_ordering_and_bands() {
     let reports = Crawler::crawl_all(42);
-    let median = |svc: ServiceKind| {
-        reports.iter().find(|r| r.service == svc).unwrap().median_reviews()
-    };
+    let median =
+        |svc: ServiceKind| reports.iter().find(|r| r.service == svc).unwrap().median_reviews();
     let yelp = median(ServiceKind::Yelp);
     let angies = median(ServiceKind::AngiesList);
     let hg = median(ServiceKind::Healthgrades);
@@ -38,9 +37,8 @@ fn fig1a_median_reviews_ordering_and_bands() {
 #[test]
 fn fig1b_rich_results_per_query() {
     let reports = Crawler::crawl_all(42);
-    let median = |svc: ServiceKind| {
-        reports.iter().find(|r| r.service == svc).unwrap().median_rich_results()
-    };
+    let median =
+        |svc: ServiceKind| reports.iter().find(|r| r.service == svc).unwrap().median_rich_results();
     // Paper: 12 / 2 / 1.
     assert!((6.0..=20.0).contains(&median(ServiceKind::Yelp)));
     assert!((1.0..=4.0).contains(&median(ServiceKind::AngiesList)));
@@ -51,12 +49,7 @@ fn fig1b_rich_results_per_query() {
 fn fig1b_rich_results_are_small_fraction_of_results() {
     let reports = Crawler::crawl_all(42);
     for r in &reports {
-        assert!(
-            r.median_rich_fraction() < 0.3,
-            "{}: {}",
-            r.service,
-            r.median_rich_fraction()
-        );
+        assert!(r.median_rich_fraction() < 0.3, "{}: {}", r.service, r.median_rich_fraction());
     }
 }
 
@@ -65,11 +58,7 @@ fn fig1c_order_of_magnitude_discrepancy() {
     for platform in ServiceKind::INTERACTION_PLATFORMS {
         let study = EngagementStudy::generate(platform, 42);
         assert_eq!(study.entities.len(), 1_000, "paper's sample size");
-        assert!(
-            study.median_discrepancy() >= 10.0,
-            "{platform}: {}",
-            study.median_discrepancy()
-        );
+        assert!(study.median_discrepancy() >= 10.0, "{platform}: {}", study.median_discrepancy());
     }
 }
 
@@ -79,14 +68,8 @@ fn calibration_is_robust_across_seeds() {
     for seed in [1u64, 99, 12345] {
         let reports = Crawler::crawl_all(seed);
         let yelp = reports.iter().find(|r| r.service == ServiceKind::Yelp).unwrap();
-        let hg = reports
-            .iter()
-            .find(|r| r.service == ServiceKind::Healthgrades)
-            .unwrap();
+        let hg = reports.iter().find(|r| r.service == ServiceKind::Healthgrades).unwrap();
         assert!(yelp.median_reviews() > hg.median_reviews(), "seed {seed}");
-        assert!(
-            yelp.median_rich_results() > hg.median_rich_results(),
-            "seed {seed}"
-        );
+        assert!(yelp.median_rich_results() > hg.median_rich_results(), "seed {seed}");
     }
 }

@@ -40,8 +40,7 @@ fn served_pipeline_digest_matches_in_process() {
     let service = service_for_world(&world, &config);
     let public = service.mint_public_key();
     let transport = InMemoryTransport::new(service);
-    let run = run_client_side(&pipeline, &world, &public, &transport)
-        .expect("served client half");
+    let run = run_client_side(&pipeline, &world, &public, &transport).expect("served client half");
     assert!(run.uploads_accepted > 100, "accepted {}", run.uploads_accepted);
     // Rejections (mix reordering within a record) must match the
     // in-process admission outcome exactly — compared via stats below.

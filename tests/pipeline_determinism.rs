@@ -161,8 +161,7 @@ fn durability_changes_nothing_at_any_thread_count() {
         let (engine, report) =
             StorageEngine::open(Arc::new(dir.clone()), StorageOptions::default()).unwrap();
         assert_eq!(report.records_replayed, 0);
-        let pipeline =
-            RspPipeline::new(PipelineConfig { threads, ..PipelineConfig::default() });
+        let pipeline = RspPipeline::new(PipelineConfig { threads, ..PipelineConfig::default() });
         // The pipeline drops its handle on the engine when it returns.
         let outcome = pipeline.run_logged(&world, Some(Arc::new(engine)));
         assert_eq!(
@@ -214,9 +213,8 @@ fn sink_failure_changes_nothing_and_is_counted() {
     arm_tracing();
     // No other test in this binary wires a failing sink, so the global
     // counter moves only here: one `AcceptedNotDurable` = one count.
-    let errors = || {
-        orsp_obs::global().snapshot().counter("storage_append_errors_total").unwrap_or(0)
-    };
+    let errors =
+        || orsp_obs::global().snapshot().counter("storage_append_errors_total").unwrap_or(0);
     let world = test_world();
     let baseline_digest = outcome_digest(&run_with_threads(&world, 2));
     let before = errors();

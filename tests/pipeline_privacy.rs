@@ -19,8 +19,7 @@ fn world() -> World {
 #[test]
 fn unlinkable_record_ids_defeat_linkage_attack() {
     let world = world();
-    let devices: Vec<DeviceId> =
-        world.users.iter().map(|u| DeviceId::new(u.id.raw())).collect();
+    let devices: Vec<DeviceId> = world.users.iter().map(|u| DeviceId::new(u.id.raw())).collect();
     let entities: Vec<EntityId> = world.entities.iter().map(|e| e.id).collect();
 
     let unlinkable = RspPipeline::new(PipelineConfig {
@@ -34,13 +33,9 @@ fn unlinkable_record_ids_defeat_linkage_attack() {
     })
     .run(&world);
 
-    let r_unlink = unlinkable.observer.linkage_attack(
-        LinkageScheme::Unlinkable,
-        &devices,
-        &entities,
-    );
-    let r_naive =
-        naive.observer.linkage_attack(LinkageScheme::DevicePrefixed, &devices, &entities);
+    let r_unlink =
+        unlinkable.observer.linkage_attack(LinkageScheme::Unlinkable, &devices, &entities);
+    let r_naive = naive.observer.linkage_attack(LinkageScheme::DevicePrefixed, &devices, &entities);
 
     // Under unlinkable ids the only remaining signal is co-batching —
     // same-user uploads cluster in time, so same-batch pairs are
@@ -48,11 +43,7 @@ fn unlinkable_record_ids_defeat_linkage_attack() {
     // bounded: low recall AND low precision, versus the naive scheme's
     // near-perfect linkage.
     assert!(r_unlink.recall() < 0.25, "unlinkable recall {}", r_unlink.recall());
-    assert!(
-        r_unlink.precision() < 0.5,
-        "unlinkable precision {}",
-        r_unlink.precision()
-    );
+    assert!(r_unlink.precision() < 0.5, "unlinkable precision {}", r_unlink.precision());
     assert!(r_naive.recall() > 0.9, "naive recall {}", r_naive.recall());
     assert!(r_naive.precision() > 0.99);
     assert!(
@@ -74,10 +65,7 @@ fn async_uploads_and_mixing_defeat_timing_attack() {
     })
     .run(&world);
     let deferred = RspPipeline::new(PipelineConfig {
-        client: ClientConfig {
-            upload_window: SimDuration::hours(24),
-            ..Default::default()
-        },
+        client: ClientConfig { upload_window: SimDuration::hours(24), ..Default::default() },
         mix: MixConfig::default(),
         ..Default::default()
     })
@@ -103,10 +91,8 @@ fn server_cannot_enumerate_a_users_entities() {
     for (rid, (user, _)) in &outcome.record_owner {
         per_user.entry(*user).or_default().push(*rid);
     }
-    let user_with_many = per_user
-        .values()
-        .find(|v| v.len() >= 5)
-        .expect("some user interacted with 5+ entities");
+    let user_with_many =
+        per_user.values().find(|v| v.len() >= 5).expect("some user interacted with 5+ entities");
     // Pairwise: first byte matches happen at chance rate (~1/256), never
     // systematically.
     let mut first_byte_matches = 0;

@@ -16,8 +16,8 @@
 //! floor applied after the union.
 
 use orsp_core::{
-    complete_served, complete_served_multi, digest_hex, listings, outcome_digest,
-    run_client_side, serve, service_for_world, shard_index, PipelineConfig, RspPipeline,
+    complete_served, complete_served_multi, digest_hex, listings, outcome_digest, run_client_side,
+    serve, service_for_world, shard_index, PipelineConfig, RspPipeline,
 };
 use orsp_net::{
     ClientConfig, InMemoryTransport, NetPool, NetServer, Request, Response, RspService,
@@ -66,8 +66,7 @@ impl Cluster {
     fn start(world: &World, config: &PipelineConfig) -> Cluster {
         let backends: Vec<(NetServer, Arc<RspService>)> = (0..BACKENDS)
             .map(|_| {
-                serve(world, config, "127.0.0.1:0", ServerConfig::default())
-                    .expect("bind backend")
+                serve(world, config, "127.0.0.1:0", ServerConfig::default()).expect("bind backend")
             })
             .collect();
         let links: Vec<Arc<dyn BackendLink>> = backends
@@ -78,9 +77,8 @@ impl Cluster {
             })
             .collect();
         let proxy = Arc::new(ProxyService::new(links, ProxyConfig::default()));
-        let proxy_server =
-            NetServer::bind("127.0.0.1:0", proxy.clone(), ServerConfig::default())
-                .expect("bind proxy");
+        let proxy_server = NetServer::bind("127.0.0.1:0", proxy.clone(), ServerConfig::default())
+            .expect("bind proxy");
         Cluster { backends, proxy_server, proxy }
     }
 
@@ -124,8 +122,7 @@ fn proxy_over_three_backends_matches_one_node_bit_for_bit() {
     // The cluster: same world, same seed, three backends, one proxy.
     let cluster = Cluster::start(&world, &config);
     let transport = cluster.transport();
-    let run = run_client_side(&pipeline, &world, &public, &transport)
-        .expect("proxied client half");
+    let run = run_client_side(&pipeline, &world, &public, &transport).expect("proxied client half");
 
     // Admission through the proxy is the same decision sequence.
     assert!(run.uploads_accepted > 100, "accepted {}", run.uploads_accepted);
@@ -172,10 +169,7 @@ fn proxy_over_three_backends_matches_one_node_bit_for_bit() {
                     "missing namespaced backend snapshot {key}"
                 );
                 assert!(
-                    snapshot
-                        .counter(&format!("proxy_backend{i}_forwarded_total"))
-                        .unwrap_or(0)
-                        > 0,
+                    snapshot.counter(&format!("proxy_backend{i}_forwarded_total")).unwrap_or(0) > 0,
                     "backend {i} was never routed to"
                 );
             }
@@ -186,12 +180,8 @@ fn proxy_over_three_backends_matches_one_node_bit_for_bit() {
     // Teardown both topologies and finish the analytics half.
     let services = cluster.into_services();
     let served_multi = complete_served_multi(&pipeline, &world, run, services);
-    let served_single = complete_served(
-        &pipeline,
-        &world,
-        single_run,
-        single_transport.into_service(),
-    );
+    let served_single =
+        complete_served(&pipeline, &world, single_run, single_transport.into_service());
 
     assert_eq!(served_multi.ingest.stats(), in_process.ingest.stats());
     assert_eq!(served_multi.tokens_issued, in_process.tokens_issued);

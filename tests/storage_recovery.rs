@@ -58,8 +58,7 @@ fn served_run_killed_mid_flight_recovers_the_acknowledged_prefix() {
 
     // A disk that dies after ~8 KiB of log writes — mid-upload-stream.
     let dir = SimDir::with_plan(FaultPlan::crash_at(8_192));
-    let (engine, report) =
-        StorageEngine::open(Arc::new(dir.clone()), storage_options()).unwrap();
+    let (engine, report) = StorageEngine::open(Arc::new(dir.clone()), storage_options()).unwrap();
     assert_eq!(report.records_replayed, 0);
     let sink = Arc::new(RecordingSink { engine, logged: Mutex::new(Vec::new()) });
 
@@ -94,8 +93,7 @@ fn served_run_killed_mid_flight_recovers_the_acknowledged_prefix() {
     );
 
     // Reboot the machine; recover the data dir like a restarted daemon.
-    let (_, recovered) =
-        StorageEngine::open(Arc::new(dir.reopen()), storage_options()).unwrap();
+    let (_, recovered) = StorageEngine::open(Arc::new(dir.reopen()), storage_options()).unwrap();
 
     let mut reference = HistoryStore::new();
     for e in &acknowledged {
@@ -138,8 +136,7 @@ fn recovered_service_resumes_serving_with_the_recovered_store() {
     let live_stats = transport.service().ingest_stats();
 
     // Phase 2: "restart" — recover and stand up a service on the result.
-    let (_, recovered) =
-        StorageEngine::open(Arc::new(dir.reopen()), storage_options()).unwrap();
+    let (_, recovered) = StorageEngine::open(Arc::new(dir.reopen()), storage_options()).unwrap();
     assert_eq!(recovered.stats.accepted, run.uploads_accepted);
     let resumed = service_for_world_recovered(
         &world,

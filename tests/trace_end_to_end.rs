@@ -33,9 +33,7 @@ use orsp_replica::{PeerLink, RangeInit, ReplicaNode, ReplicatingSink, Replicatio
 use orsp_server::{GroupCommitConfig, Topology, WalSink};
 use orsp_storage::{Dir, FsyncPolicy, SimDir, StorageEngine, StorageOptions};
 use orsp_types::rng::rng_for;
-use orsp_types::{
-    DeviceId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp,
-};
+use orsp_types::{DeviceId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp};
 use orsp_world::{World, WorldConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,7 +50,8 @@ fn replica_node(node: usize, peer: std::net::SocketAddr) -> Arc<ReplicaNode> {
         .into_iter()
         .map(|range| {
             let dir: Arc<dyn Dir> = Arc::new(SimDir::new());
-            let options = StorageOptions { fsync: FsyncPolicy::Always, ..StorageOptions::default() };
+            let options =
+                StorageOptions { fsync: FsyncPolicy::Always, ..StorageOptions::default() };
             let (engine, _) = StorageEngine::open(Arc::clone(&dir), options).expect("engine");
             let role = if range == node as u32 { Role::Primary } else { Role::Follower };
             RangeInit { range, role, epoch: 0, dir, engine: Arc::new(engine) }
@@ -113,9 +112,8 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
     // always-sample with distinct deterministic id streams per process.
     let backends: Vec<(NetServer, Arc<RspService>)> = (0..BACKENDS)
         .map(|i| {
-            let (server, service) =
-                serve(&world, &config, "127.0.0.1:0", ServerConfig::default())
-                    .expect("bind backend");
+            let (server, service) = serve(&world, &config, "127.0.0.1:0", ServerConfig::default())
+                .expect("bind backend");
             service.obs().tracer().set_seed(100 + i as u64);
             service.obs().tracer().set_sampling(10_000);
             (server, service)
@@ -136,15 +134,14 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
     let links: Vec<Arc<dyn BackendLink>> = backends
         .iter()
         .map(|(server, _)| {
-            Arc::new(NetPool::new(server.local_addr(), fast_client(), 2))
-                as Arc<dyn BackendLink>
+            Arc::new(NetPool::new(server.local_addr(), fast_client(), 2)) as Arc<dyn BackendLink>
         })
         .collect();
     let proxy = Arc::new(ProxyService::new(links, ProxyConfig::default()));
     proxy.obs().tracer().set_seed(7);
     proxy.obs().tracer().set_sampling(10_000);
-    let proxy_server = NetServer::bind("127.0.0.1:0", proxy.clone(), ServerConfig::default())
-        .expect("bind proxy");
+    let proxy_server =
+        NetServer::bind("127.0.0.1:0", proxy.clone(), ServerConfig::default()).expect("bind proxy");
     let addr = proxy_server.local_addr();
 
     // One device round trip, entirely through the proxy: blind token,
@@ -185,11 +182,8 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
     let root = trace.root().expect("trace has a root");
     assert_eq!(root.name, "proxy/upload");
     assert_eq!(root.process, "proxy");
-    let backend_call = trace
-        .spans
-        .iter()
-        .find(|s| s.name == "backend_call")
-        .expect("no backend_call span");
+    let backend_call =
+        trace.spans.iter().find(|s| s.name == "backend_call").expect("no backend_call span");
     assert_eq!(backend_call.parent_span_id, root.span_id);
     assert_eq!(backend_call.process, "proxy");
     let server_upload =
@@ -211,10 +205,7 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
     {
         assert!(chain.iter().any(|n| n == expected), "{expected} missing from {chain:?}");
     }
-    assert!(
-        trace.spans.iter().any(|s| s.name == "ingest_shard"),
-        "shard handoff span missing"
-    );
+    assert!(trace.spans.iter().any(|s| s.name == "ingest_shard"), "shard handoff span missing");
 
     // The primary's flush and its forward are siblings under the
     // covering fsync; the follower's apply parents under the forward.
@@ -228,11 +219,8 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
     let replicate = primary_span("replicate");
     assert_eq!(replicate.parent_span_id, fsync.span_id, "replicate's parent");
     assert_eq!(primary_span("storage_fsync").parent_span_id, fsync.span_id, "local flush's parent");
-    let applied = trace
-        .spans
-        .iter()
-        .find(|s| s.name == "server/replicate")
-        .expect("no follower span");
+    let applied =
+        trace.spans.iter().find(|s| s.name == "server/replicate").expect("no follower span");
     assert_ne!(applied.process, server_upload.process, "the follower is the other backend");
     assert_eq!(applied.parent_span_id, replicate.span_id);
 
@@ -255,10 +243,7 @@ fn sampled_upload_trace_connects_proxy_backend_and_fsync() {
 
     // Drained means drained: the upload trace is handed out once.
     let again = client.traces().expect("second traces RPC");
-    assert!(
-        !again.iter().any(|t| t.trace_id == trace.trace_id),
-        "trace was exported twice"
-    );
+    assert!(!again.iter().any(|t| t.trace_id == trace.trace_id), "trace was exported twice");
 
     proxy_server.shutdown();
     for (server, _) in backends {
