@@ -8,16 +8,33 @@
 //! Measures: issue/redeem throughput at 256-, 512-, 1024- and 2048-bit
 //! moduli, rejection of forged and double-spent tokens, rate-limit
 //! enforcement, and the success probability of the Ru-guessing attack
-//! the token scheme bounds.
+//! the token scheme bounds. Redemption runs through `ShardedIngest`, the
+//! admission core every served upload goes through.
 
 use orsp_bench::{arg_u64, compare, f, header, seed_from_args};
 use orsp_crypto::{
-    derive_record_id, BigUint, DeviceSecret, SpendOutcome, Token, TokenMint, TokenWallet,
+    derive_record_id, sha256, BigUint, DeviceSecret, Token, TokenMint, TokenWallet, UploadRequest,
 };
-use orsp_types::{DeviceId, EntityId, SimDuration, Timestamp};
+use orsp_server::{IngestOutcome, RejectReason, ShardedIngest};
+use orsp_types::{
+    DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
+
+/// Upload `i` of a run: a history of its own, so the store takes every
+/// upload and the token alone decides the outcome.
+fn upload(i: usize, token: Token) -> UploadRequest {
+    let at = Timestamp::from_seconds(i as i64);
+    UploadRequest {
+        record_id: RecordId::from_bytes(sha256(&(i as u64).to_le_bytes())),
+        entity: EntityId::new(i as u64 % 16),
+        interaction: Interaction::solo(InteractionKind::Visit, at, SimDuration::minutes(30), 50.0),
+        token,
+        release_at: at,
+    }
+}
 
 fn main() {
     let seed = seed_from_args();
@@ -27,14 +44,16 @@ fn main() {
     let now = Timestamp::EPOCH;
 
     // Throughput at each modulus size, fewer tokens at the larger ones.
-    // The 512-bit mint and its tokens go on to the attack checks below.
+    // Redemption is one in-memory shard of the served admission core (no
+    // WAL). The 512-bit mint, its ingest and its uploads go on to the
+    // attack checks below.
     println!("\nBlind tokens by RSA modulus size (issue = blind + sign + unblind + verify;");
-    println!("redeem = verify + ledger):");
+    println!("redeem = verify + ledger + store append through ShardedIngest):");
     println!("  {:>5} {:>7} {:>14} {:>14}", "bits", "tokens", "issue tok/s", "redeem tok/s");
     let mut kept = None;
     let sizes = [(256, n_tokens), (512, n_tokens), (1024, n_tokens / 4), (2048, n_tokens / 10)];
     for (bits, count) in sizes {
-        let count = count.max(1);
+        let count = count.max(1) as usize;
         let mut mint = TokenMint::new(&mut rng, bits, u32::MAX, SimDuration::DAY);
         let mut wallet = TokenWallet::new(DeviceId::new(1), mint.public_key().clone());
         let t0 = Instant::now();
@@ -42,36 +61,46 @@ fn main() {
             wallet.request_token(&mut rng, &mut mint, now).unwrap();
         }
         let issue_elapsed = t0.elapsed();
-        let tokens: Vec<Token> = (0..count).map(|_| wallet.take_token().unwrap()).collect();
+        let uploads: Vec<UploadRequest> =
+            (0..count).map(|i| upload(i, wallet.take_token().unwrap())).collect();
+        let ingest = ShardedIngest::new(1);
         let t1 = Instant::now();
-        let accepted =
-            tokens.iter().filter(|t| mint.redeem(t, now) == SpendOutcome::Accepted).count();
+        let accepted = uploads
+            .iter()
+            .filter(|u| matches!(ingest.ingest(u, mint.public_key()), IngestOutcome::Accepted))
+            .count();
         let redeem_elapsed = t1.elapsed();
-        assert_eq!(accepted, count as usize);
+        assert_eq!(accepted, count);
         println!(
             "  {bits:>5} {count:>7} {:>14} {:>14}",
             f(count as f64 / issue_elapsed.as_secs_f64()),
             f(count as f64 / redeem_elapsed.as_secs_f64())
         );
         if bits == 512 {
-            kept = Some((mint, tokens));
+            kept = Some((mint, ingest, uploads));
         }
     }
-    let (mut mint, tokens) = kept.expect("the 512-bit size is measured");
+    let (mint, ingest, uploads) = kept.expect("the 512-bit size is measured");
+    let key = mint.public_key();
 
     // Double spend: every replay is caught.
-    let replays =
-        tokens.iter().filter(|t| mint.redeem(t, now) == SpendOutcome::DoubleSpend).count();
+    let replays = uploads
+        .iter()
+        .filter(|u| {
+            matches!(ingest.ingest(u, key), IngestOutcome::Rejected(RejectReason::DoubleSpend))
+        })
+        .count();
     println!("  double-spend replays rejected:           {replays}/{n_tokens}");
 
     // Forgery: random signatures never verify.
     let mut forged_accepted = 0;
-    for i in 0..200u64 {
+    for i in 0..200 {
         let forged = Token {
             message: [(i % 251) as u8; 32],
-            signature: BigUint::random_below(&mut rng, &mint.public_key().n),
+            signature: BigUint::random_below(&mut rng, &key.n),
         };
-        if mint.redeem(&forged, now) == SpendOutcome::Accepted {
+        if matches!(ingest.ingest(&upload(uploads.len() + i, forged), key), IngestOutcome::Accepted)
+        {
             forged_accepted += 1;
         }
     }
@@ -103,7 +132,7 @@ fn main() {
     compare(
         "forged/double-spent uploads rejected",
         "all",
-        &format!("{}", replays as u64 + 200 - forged_accepted),
+        &format!("{}", replays + 200 - forged_accepted),
     );
     compare("rate limit bounds token grants", "5", &got.to_string());
     assert_eq!(forged_accepted, 0);

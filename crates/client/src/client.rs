@@ -263,11 +263,6 @@ impl RspClient {
         LocalHistoryStore::record_id_for(&self.secret, entity)
     }
 
-    /// Release upload requests whose deferral has elapsed.
-    pub fn release_uploads(&mut self, now: Timestamp) -> Vec<UploadRequest> {
-        self.scheduler.release_due(now)
-    }
-
     /// Drain all queued uploads (end of simulation).
     pub fn drain_uploads(&mut self) -> Vec<UploadRequest> {
         self.scheduler.drain_all()

@@ -82,19 +82,6 @@ impl UploadScheduler {
         true
     }
 
-    /// Pop every request whose release time has arrived.
-    pub fn release_due(&mut self, now: Timestamp) -> Vec<UploadRequest> {
-        let mut out = Vec::new();
-        while let Some(q) = self.queue.peek() {
-            if q.0.release_at <= now {
-                out.push(self.queue.pop().unwrap().0);
-            } else {
-                break;
-            }
-        }
-        out
-    }
-
     /// Drain everything regardless of release time (end of simulation).
     pub fn drain_all(&mut self) -> Vec<UploadRequest> {
         let mut out: Vec<UploadRequest> = Vec::with_capacity(self.queue.len());
@@ -154,13 +141,12 @@ mod tests {
             ));
         }
         assert_eq!(sched.pending(), 20);
-        // Nothing released immediately unless delay was ~0; all released
-        // by the end of the window.
-        let early = sched.release_due(now).len();
+        // Almost every upload is deferred, none past the window.
+        let all = sched.drain_all();
+        assert_eq!(all.len(), 20);
+        let early = all.iter().filter(|r| r.release_at == now).count();
         assert!(early <= 3, "most uploads deferred, got {early} immediately");
-        let late = sched.release_due(now + SimDuration::hours(12));
-        assert_eq!(early + late.len(), 20);
-        for r in &late {
+        for r in &all {
             assert!(r.release_at <= now + SimDuration::hours(12));
             assert!(r.release_at >= now);
         }
@@ -181,7 +167,8 @@ mod tests {
                 now,
             );
         }
-        let all = sched.release_due(now + SimDuration::DAY);
+        let all = sched.drain_all();
+        assert_eq!(all.len(), 30);
         for pair in all.windows(2) {
             assert!(pair[0].release_at <= pair[1].release_at);
         }

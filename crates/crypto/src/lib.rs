@@ -15,9 +15,9 @@
 //! * [`blind`] — Chaum blind signatures \[CRYPTO '83\], the primitive the
 //!   paper cites for rate-limit tokens: the RSP signs a *blinded* token so
 //!   that issue and redemption are unlinkable;
-//! * [`token`] — the blind-token protocol: rate-limited issuance,
-//!   verification, a double-spend ledger, and the [`UploadRequest`] a
-//!   token is spent on;
+//! * [`token`] — the blind-token protocol: rate-limited issuance, the
+//!   token's ledger key, and the [`UploadRequest`] a token is spent on
+//!   (the spend ledger itself lives in `orsp-server`'s `ShardedIngest`);
 //! * [`record`] — derivation of [`orsp_types::RecordId`] from the device
 //!   secret `Ru` and an entity id.
 //!
@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attest;
 pub mod bigint;
 pub mod blind;
 pub mod hmac;
@@ -44,13 +43,9 @@ pub mod rsa;
 pub mod sha256;
 pub mod token;
 
-pub use attest::{
-    AttestError, AttestationChallenge, AttestationVerifier, Attestor, KeyRegistry, Measurement,
-    Quote,
-};
 pub use bigint::BigUint;
 pub use blind::{BlindSignature, BlindedMessage, BlindingSession};
 pub use record::{derive_record_id, DeviceSecret};
 pub use rsa::{RsaKeyPair, RsaPublicKey};
 pub use sha256::{sha256, Sha256};
-pub use token::{SpendOutcome, Token, TokenIssuer, TokenMint, TokenWallet, UploadRequest};
+pub use token::{Token, TokenIssuer, TokenMint, TokenWallet, UploadRequest};

@@ -193,14 +193,17 @@ pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Authenticated blind-token issuance (§4.2 rate limiting): the mint
-    /// sees the device and a blinded message, never the token itself.
+    /// Blind-token issuance (§4.2 rate limiting): the mint sees a device
+    /// number and a blinded message, never the token itself. The caller
+    /// chooses both `device` and `now`, and nothing authenticates either
+    /// yet, so the per-device limit binds only callers that keep to one
+    /// device number and an honest clock.
     IssueToken {
-        /// The requesting device (issuance is authenticated).
+        /// The device the rate limit is charged to, as the caller names it.
         device: DeviceId,
         /// The blinded token digest to sign.
         blinded: BlindedMessage,
-        /// Simulated request time (drives the rate window).
+        /// The caller's clock (drives the rate window).
         now: Timestamp,
     },
     /// Anonymous history upload. Update-only by design: no RPC retrieves

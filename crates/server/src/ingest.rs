@@ -11,8 +11,9 @@
 //! ([`crate::ShardedIngest`]) against.
 
 use crate::store::HistoryStore;
-use orsp_crypto::{SpendOutcome, TokenMint, UploadRequest};
-use orsp_types::Timestamp;
+use orsp_crypto::blind::verify_unblinded;
+use orsp_crypto::{RsaPublicKey, UploadRequest};
+use std::collections::HashSet;
 
 /// Why an upload was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,6 +63,9 @@ impl IngestStats {
 pub struct IngestService {
     store: HistoryStore,
     stats: IngestStats,
+    /// Ledger keys [`Self::ingest`] has spent. Only the sequential
+    /// reference fills it; the served ledger is [`crate::ShardedIngest`]'s.
+    spent: HashSet<[u8; 32]>,
 }
 
 impl Default for IngestService {
@@ -73,36 +77,34 @@ impl Default for IngestService {
 impl IngestService {
     /// A fresh service with an empty store.
     pub fn new() -> Self {
-        IngestService { store: HistoryStore::new(), stats: IngestStats::default() }
+        Self::from_parts(HistoryStore::new(), IngestStats::default())
     }
 
     /// Assemble a service from an already-populated store and its
     /// counters — how [`crate::deterministic_ingest`] and the served
     /// drain path hand back what [`crate::ShardedIngest`] admitted.
     pub fn from_parts(store: HistoryStore, stats: IngestStats) -> Self {
-        IngestService { store, stats }
+        IngestService { store, stats, spent: HashSet::new() }
     }
 
-    /// Process one upload at time `now` — the sequential reference for
-    /// the admission rule (tests only; traffic goes through
-    /// [`crate::ShardedIngest::ingest_verified`]). The mint is consulted
-    /// for token redemption (it owns this path's spend ledger).
+    /// Process one upload — the sequential reference for the admission
+    /// rule (tests only; traffic goes through
+    /// [`crate::ShardedIngest::ingest_verified`]). A token whose signature
+    /// does not verify under `mint_key` never reaches the spend set, and
+    /// a spent token stays spent even when the store refuses its record.
     pub fn ingest(
         &mut self,
         upload: &UploadRequest,
-        mint: &mut TokenMint,
-        now: Timestamp,
+        mint_key: &RsaPublicKey,
     ) -> Result<(), RejectReason> {
-        match mint.redeem(&upload.token, now) {
-            SpendOutcome::Invalid => {
-                self.stats.count(RejectReason::BadToken);
-                return Err(RejectReason::BadToken);
-            }
-            SpendOutcome::DoubleSpend => {
-                self.stats.count(RejectReason::DoubleSpend);
-                return Err(RejectReason::DoubleSpend);
-            }
-            SpendOutcome::Accepted => {}
+        let token = &upload.token;
+        if !verify_unblinded(mint_key, &token.message, &token.signature) {
+            self.stats.count(RejectReason::BadToken);
+            return Err(RejectReason::BadToken);
+        }
+        if !self.spent.insert(token.ledger_key()) {
+            self.stats.count(RejectReason::DoubleSpend);
+            return Err(RejectReason::DoubleSpend);
         }
         match self.store.append(upload.record_id, upload.entity, upload.interaction) {
             Ok(()) => {
@@ -145,8 +147,10 @@ impl IngestService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orsp_crypto::{BigUint, Token, TokenWallet};
-    use orsp_types::{DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration};
+    use orsp_crypto::{BigUint, Token, TokenMint, TokenWallet};
+    use orsp_types::{
+        DeviceId, EntityId, Interaction, InteractionKind, RecordId, SimDuration, Timestamp,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -182,20 +186,24 @@ mod tests {
         let (mut mint, mut wallet, mut rng) = setup();
         let mut svc = IngestService::new();
         let t = fresh_token(&mut wallet, &mut mint, &mut rng);
-        assert!(svc.ingest(&upload(t, 1, 5, 0), &mut mint, Timestamp::EPOCH).is_ok());
+        assert!(svc.ingest(&upload(t, 1, 5, 0), mint.public_key()).is_ok());
         assert_eq!(svc.stats().accepted, 1);
         assert_eq!(svc.store().len(), 1);
     }
 
     #[test]
     fn forged_token_rejected() {
-        let (mut mint, _, _) = setup();
+        // A forgery of a real token's message never spends that message:
+        // the genuine token for it is still accepted afterwards.
+        let (mut mint, mut wallet, mut rng) = setup();
         let mut svc = IngestService::new();
-        let forged = Token { message: [9u8; 32], signature: BigUint::from_u64(42) };
-        let err = svc.ingest(&upload(forged, 1, 5, 0), &mut mint, Timestamp::EPOCH);
+        let t = fresh_token(&mut wallet, &mut mint, &mut rng);
+        let forged = Token { message: t.message, signature: BigUint::from_u64(42) };
+        let err = svc.ingest(&upload(forged, 1, 5, 0), mint.public_key());
         assert_eq!(err, Err(RejectReason::BadToken));
         assert_eq!(svc.stats().bad_token, 1);
         assert!(svc.store().is_empty());
+        assert_eq!(svc.ingest(&upload(t, 1, 5, 0), mint.public_key()), Ok(()));
     }
 
     #[test]
@@ -203,8 +211,8 @@ mod tests {
         let (mut mint, mut wallet, mut rng) = setup();
         let mut svc = IngestService::new();
         let t = fresh_token(&mut wallet, &mut mint, &mut rng);
-        assert!(svc.ingest(&upload(t.clone(), 1, 5, 0), &mut mint, Timestamp::EPOCH).is_ok());
-        let err = svc.ingest(&upload(t, 2, 5, 100), &mut mint, Timestamp::EPOCH);
+        assert!(svc.ingest(&upload(t.clone(), 1, 5, 0), mint.public_key()).is_ok());
+        let err = svc.ingest(&upload(t, 2, 5, 100), mint.public_key());
         assert_eq!(err, Err(RejectReason::DoubleSpend));
         assert_eq!(svc.stats().double_spend, 1);
     }
@@ -215,10 +223,13 @@ mod tests {
         let mut svc = IngestService::new();
         let t1 = fresh_token(&mut wallet, &mut mint, &mut rng);
         let t2 = fresh_token(&mut wallet, &mut mint, &mut rng);
-        assert!(svc.ingest(&upload(t1, 1, 5, 0), &mut mint, Timestamp::EPOCH).is_ok());
-        let err = svc.ingest(&upload(t2, 1, 6, 100), &mut mint, Timestamp::EPOCH);
+        assert!(svc.ingest(&upload(t1, 1, 5, 0), mint.public_key()).is_ok());
+        let err = svc.ingest(&upload(t2.clone(), 1, 6, 100), mint.public_key());
         assert_eq!(err, Err(RejectReason::EntityMismatch));
         assert_eq!(svc.stats().entity_mismatch, 1);
+        // The refused record still spent its token.
+        let err = svc.ingest(&upload(t2, 2, 6, 100), mint.public_key());
+        assert_eq!(err, Err(RejectReason::DoubleSpend));
     }
 
     #[test]
@@ -227,8 +238,8 @@ mod tests {
         let mut svc = IngestService::new();
         let t1 = fresh_token(&mut wallet, &mut mint, &mut rng);
         let t2 = fresh_token(&mut wallet, &mut mint, &mut rng);
-        assert!(svc.ingest(&upload(t1, 1, 5, 1_000), &mut mint, Timestamp::EPOCH).is_ok());
-        let err = svc.ingest(&upload(t2, 1, 5, 10), &mut mint, Timestamp::EPOCH);
+        assert!(svc.ingest(&upload(t1, 1, 5, 1_000), mint.public_key()).is_ok());
+        let err = svc.ingest(&upload(t2, 1, 5, 10), mint.public_key());
         assert_eq!(err, Err(RejectReason::BadRecord));
         assert_eq!(svc.stats().bad_record, 1);
         assert_eq!(svc.stats().rejected(), 1);

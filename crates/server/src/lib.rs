@@ -1,7 +1,7 @@
 //! # orsp-server
 //!
-//! The RSP's backend, implementing the server half of §4.2 and all of
-//! §4.3:
+//! The RSP's backend, implementing the server half of §4.2 and §4.3's
+//! typical-user fraud filter:
 //!
 //! * [`store`] — the anonymous history store: append-only records keyed by
 //!   opaque `hash(Ru, e)` ids. **There is deliberately no
@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregates;
-pub mod attest_gate;
 pub mod fraud;
 pub mod ingest;
 pub mod lockorder;
@@ -46,7 +45,6 @@ pub mod wal;
 pub use aggregates::{
     AggregateParts, AggregatePublisher, EntityAggregate, SupportParts, MIN_AGGREGATE_SUPPORT,
 };
-pub use attest_gate::{AttestationGate, GateOutcome};
 pub use fraud::{FraudDetector, FraudVerdict};
 pub use ingest::{IngestService, IngestStats, RejectReason};
 pub use profile::{CategoryProfile, HistoryStats, ProfileBuilder, Quantiles};

@@ -177,11 +177,11 @@ mod tests {
         assert_eq!(deterministic_ingest(&[], &key, 4, None).stats().rejected(), 0);
     }
 
-    /// A mixed batch for the deterministic-ingest tests, with the mint
-    /// returned for the sequential oracle: valid uploads, forged tokens,
+    /// A mixed batch for the deterministic-ingest tests, with the mint's
+    /// public key: valid uploads, forged tokens,
     /// replays under the same and under a *different* record id, an
     /// entity re-binding and an out-of-order record.
-    fn mixed_deliveries(seed: u64) -> (Vec<(Timestamp, UploadRequest)>, TokenMint) {
+    fn mixed_deliveries(seed: u64) -> (Vec<(Timestamp, UploadRequest)>, RsaPublicKey) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut mint = TokenMint::new(&mut rng, 256, u32::MAX, SimDuration::DAY);
         let mut wallet = TokenWallet::new(DeviceId::new(1), mint.public_key().clone());
@@ -228,19 +228,18 @@ mod tests {
             }
             out.push((t, u));
         }
-        (out, mint)
+        (out, mint.public_key().clone())
     }
 
     /// The whole point: the admitted store and every counter must match a
     /// plain sequential `IngestService::ingest` loop, at any thread count.
     #[test]
     fn deterministic_ingest_matches_sequential() {
-        let (deliveries, mut mint) = mixed_deliveries(11);
-        let key = mint.public_key().clone();
+        let (deliveries, key) = mixed_deliveries(11);
 
         let mut reference = IngestService::new();
-        for (at, u) in &deliveries {
-            let _ = reference.ingest(u, &mut mint, *at);
+        for (_, u) in &deliveries {
+            let _ = reference.ingest(u, &key);
         }
         let want = reference.stats();
         assert!(
@@ -263,17 +262,15 @@ mod tests {
 
     #[test]
     fn deterministic_ingest_spends_tokens_once() {
-        let (deliveries, mint) = mixed_deliveries(12);
-        let stats = deterministic_ingest(&deliveries, mint.public_key(), 4, None).stats();
+        let (deliveries, key) = mixed_deliveries(12);
+        let stats = deterministic_ingest(&deliveries, &key, 4, None).stats();
         // Every distinct valid token was consumed exactly once, whether
         // or not the store then took its record; every further
         // presentation of it double-spent; forgeries never reached the
         // ledger.
         let valid: Vec<[u8; 32]> = deliveries
             .iter()
-            .filter(|(_, u)| {
-                verify_unblinded(mint.public_key(), &u.token.message, &u.token.signature)
-            })
+            .filter(|(_, u)| verify_unblinded(&key, &u.token.message, &u.token.signature))
             .map(|(_, u)| u.token.ledger_key())
             .collect();
         let distinct = valid.iter().collect::<HashSet<_>>().len() as u64;

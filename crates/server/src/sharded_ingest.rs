@@ -622,19 +622,21 @@ mod tests {
     fn sharded_admission_matches_sequential_counters() {
         let (ups, key) = minted_uploads(30, 7);
         let ingest = ShardedIngest::new(8);
-        for u in &ups {
-            assert!(matches!(ingest.ingest(u, &key), IngestOutcome::Accepted));
-        }
-        // Replays double-spend; a forged token is caught with no lock.
-        assert!(matches!(
-            ingest.ingest(&ups[0], &key),
-            IngestOutcome::Rejected(RejectReason::DoubleSpend)
-        ));
+        // A forgery of a real token's message is caught with no lock and
+        // never spends that message: the genuine token is accepted below.
         let mut forged = ups[1].clone();
         forged.token.signature = orsp_crypto::BigUint::from_u64(3);
         assert!(matches!(
             ingest.ingest(&forged, &key),
             IngestOutcome::Rejected(RejectReason::BadToken)
+        ));
+        for u in &ups {
+            assert!(matches!(ingest.ingest(u, &key), IngestOutcome::Accepted));
+        }
+        // Replays double-spend.
+        assert!(matches!(
+            ingest.ingest(&ups[0], &key),
+            IngestOutcome::Rejected(RejectReason::DoubleSpend)
         ));
         let stats = ingest.stats();
         assert_eq!(stats.accepted, 30);
