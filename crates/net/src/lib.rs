@@ -8,9 +8,10 @@
 //!   retrieval RPC exists, by design), aggregate fetch, and search.
 //! * [`router`] — [`RspService`]: one `handle(Request) -> Response`
 //!   facade over the server substrates (mint, ingest, aggregates, search).
-//! * [`server`] — [`NetServer`]: an epoll reactor over non-blocking
-//!   `std::net` sockets feeding a fixed worker pool (no async runtime,
-//!   per DESIGN §6; Linux-only) with per-connection deadlines, a bounded
+//! * [`server`] — [`NetServer`]: a leader/follower epoll event loop over
+//!   non-blocking `std::net` sockets, where the thread that takes a
+//!   connection's event serves its request (no async runtime, per
+//!   DESIGN §6; Linux-only), with per-connection deadlines, a bounded
 //!   connection slab, explicit `Busy` load-shedding, and graceful
 //!   drain-on-shutdown.
 //! * [`client`] — a blocking client with retry/backoff on `Busy`,
@@ -22,7 +23,7 @@
 //!
 //! Every service carries an `orsp-obs` registry: the router records
 //! per-RPC latency and outcome counters, the server its accept/shed and
-//! per-kind protocol-error counters, the reactor its open-connection and
+//! per-kind protocol-error counters, the event loop its open-connection and
 //! slab-occupancy gauges. The whole registry is scrapeable in-process
 //! (`RspService::obs`) or over the wire via the `Stats` RPC.
 

@@ -1,16 +1,20 @@
-//! The TCP server front: [`NetServer`] over the readiness-driven reactor.
+//! The TCP server front: [`NetServer`] over the leader/follower event
+//! loop.
 //!
-//! The reactor ([`crate::reactor`], Linux epoll) holds every connection in
-//! a slab of non-blocking sockets and hands only ready, fully-framed
-//! requests to a fixed worker pool — an idle connection costs a slab
-//! slot, not a thread, so a mostly-idle device fleet scales to the
-//! [`ServerConfig::max_connections`] bound instead of the worker count.
+//! The event loop ([`crate::reactor`], Linux epoll) holds every
+//! connection in a slab of non-blocking sockets. A fixed set of
+//! [`ServerConfig::workers`] threads shares one epoll set; the thread
+//! that takes a connection's readiness event reads, decodes, executes,
+//! writes and re-arms it, so a request never changes threads. An idle
+//! connection costs a slab slot, not a thread, so a mostly-idle device
+//! fleet scales to the [`ServerConfig::max_connections`] bound instead of
+//! the thread count.
 //!
 //! The contracts (no async runtime, per DESIGN §6): overload is an
 //! explicit [`Response::Busy`] frame and a close, never a silent drop;
-//! every connection runs under read/write deadlines on the reactor's
-//! timer wheel; shutdown drains — queued and in-flight requests get their
-//! responses before the threads join.
+//! every connection runs under read/write deadlines on the event loop's
+//! timer wheel; shutdown drains — executing requests get their responses
+//! before the threads join.
 
 use crate::error::WireError;
 use crate::reactor::EventServer;
@@ -25,9 +29,12 @@ use std::time::Duration;
 /// Server tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads executing requests.
+    /// Server threads. Each waits on the shared epoll set and serves the
+    /// connection whose event it takes, start to finish, so at most this
+    /// many requests execute at once; while all of them execute, further
+    /// requests wait in their sockets' kernel buffers.
     pub workers: usize,
-    /// Connections held beyond one per worker before new ones are shed
+    /// Connections held beyond one per thread before new ones are shed
     /// with `Busy`, when [`ServerConfig::max_connections`] is left at its
     /// default.
     pub queue_depth: usize,
@@ -35,15 +42,11 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-connection write deadline.
     pub write_timeout: Duration,
-    /// Connection slots in the reactor slab; a connection arriving with
+    /// Connection slots in the slab; a connection arriving with
     /// every slot taken is shed with `Busy`. `0` means
     /// `workers + queue_depth`. Raise it (e.g. `--max-connections 10000`
     /// on the daemons) to hold a large mostly-idle fleet.
     pub max_connections: usize,
-    /// Bound on requests queued or executing across all connections;
-    /// past it a decoded request is answered `Busy`. `0` means unbounded
-    /// (the slab bound still applies).
-    pub max_inflight: usize,
 }
 
 impl Default for ServerConfig {
@@ -54,13 +57,12 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             max_connections: 0,
-            max_inflight: 0,
         }
     }
 }
 
 impl ServerConfig {
-    /// The reactor slab size: [`ServerConfig::max_connections`], with `0`
+    /// The connection slab size: [`ServerConfig::max_connections`], with `0`
     /// defaulting to `workers + queue_depth`.
     pub fn effective_max_connections(&self) -> usize {
         if self.max_connections == 0 {
@@ -101,7 +103,9 @@ pub struct ServerStats {
     pub open_connections: i64,
     /// Most connections ever held at once.
     pub slab_high_water: i64,
-    /// Times the reactor woke with at least one ready fd.
+    /// Times a server thread woke with an event: about one per request,
+    /// plus accepts and deferred flushes (the `wakeups` column of
+    /// `orsp-top`).
     pub readiness_wakeups: u64,
     /// Connections closed by an expired read/write deadline.
     pub deadline_closed: u64,
@@ -164,8 +168,8 @@ impl ServerMetrics {
 /// same frames through the same server loop.
 ///
 /// The trace context always travels as the explicit `ctx` argument —
-/// never as ambient per-thread state — which is what lets the event
-/// loop's worker pool execute any connection's request on any thread.
+/// never as ambient per-thread state — which is what lets any of the
+/// event loop's threads serve any connection's request.
 pub trait FrameService: Send + Sync {
     /// Handle one decoded request.
     fn handle(&self, request: Request) -> Response {
@@ -260,8 +264,9 @@ impl NetServer {
         }
     }
 
-    /// Graceful drain: stop accepting, serve what is queued and in
-    /// flight, join every thread, and return the final counters.
+    /// Graceful drain: stop accepting, close idle connections, finish and
+    /// flush the requests executing, join every thread, and return the
+    /// final counters.
     pub fn shutdown(mut self) -> ServerStats {
         self.reactor.stop();
         self.stats()

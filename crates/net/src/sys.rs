@@ -55,7 +55,6 @@ extern "C" {
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn close(fd: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
@@ -132,14 +131,14 @@ impl Drop for Epoll {
 
 // SAFETY: an epoll fd is just an integer handle, and the kernel allows
 // concurrent `epoll_ctl`/`epoll_wait` on the same instance from any
-// thread — that is how workers re-arm a connection's read interest
-// directly after a full response write.
+// thread — that is how every server thread waits on the one set and
+// re-arms the connection it just served.
 unsafe impl Send for Epoll {}
 unsafe impl Sync for Epoll {}
 
-/// An owned non-blocking eventfd — the reactor's cross-thread doorbell.
-/// Workers `ring()` it from any thread; the reactor registers it in the
-/// epoll set and `drain()`s it when it fires.
+/// An owned non-blocking eventfd — a cross-thread doorbell. Any thread
+/// may `ring()` it; the server registers it in its epoll set and rings
+/// it once to shut down.
 pub struct EventFd {
     fd: RawFd,
 }
@@ -157,20 +156,13 @@ impl EventFd {
         self.fd
     }
 
-    /// Wake the reactor. Async-signal-safe, callable from any thread;
+    /// Ring the doorbell. Async-signal-safe, callable from any thread;
     /// errors are ignored (the counter saturating still leaves the fd
     /// readable, which is all a doorbell needs).
     pub fn ring(&self) {
         let one: u64 = 1;
         // SAFETY: writes 8 bytes from a live stack buffer.
         unsafe { write(self.fd, one.to_ne_bytes().as_ptr(), 8) };
-    }
-
-    /// Reset the doorbell (reads the counter down to zero).
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        // SAFETY: reads 8 bytes into a live stack buffer.
-        unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
     }
 }
 
@@ -181,7 +173,7 @@ impl Drop for EventFd {
     }
 }
 
-// `EventFd` is ring/drain over an atomic kernel counter.
+// `EventFd` is a ring over an atomic kernel counter.
 unsafe impl Send for EventFd {}
 unsafe impl Sync for EventFd {}
 
@@ -196,15 +188,18 @@ mod tests {
     fn eventfd_rings_through_epoll() {
         let ep = Epoll::new().expect("epoll");
         let efd = EventFd::new().expect("eventfd");
-        ep.add(efd.raw(), EPOLLIN, 7).expect("add");
+        ep.add(efd.raw(), EPOLLIN | EPOLLONESHOT, 7).expect("add");
         let mut events = [EpollEvent { events: 0, data: 0 }; 4];
         assert_eq!(ep.wait(&mut events, 0).expect("wait"), 0, "silent before ring");
         efd.ring();
         let n = ep.wait(&mut events, 1000).expect("wait");
         assert_eq!(n, 1);
         assert_eq!({ events[0].data }, 7, "cookie round-trips");
-        efd.drain();
-        assert_eq!(ep.wait(&mut events, 0).expect("wait"), 0, "drained");
+        // Never drained, so every re-arm fires again: how the server's
+        // threads pass one shutdown ring along.
+        assert_eq!(ep.wait(&mut events, 0).expect("wait"), 0, "disarmed after one event");
+        ep.modify(efd.raw(), EPOLLIN | EPOLLONESHOT, 7).expect("rearm");
+        assert_eq!(ep.wait(&mut events, 1000).expect("wait"), 1, "still rung");
     }
 
     #[test]

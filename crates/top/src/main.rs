@@ -130,7 +130,9 @@ fn render(
     }
 
     // Connection health: the scraped process's own server core — the
-    // epoll reactor's slab gauges and its accept/request/shed counters.
+    // event loop's slab gauges and its accept/request/shed counters;
+    // `wakeups` is server-thread wake-ups with an event, about one per
+    // request.
     let open = stats.gauge("net_open_connections").unwrap_or(0);
     let high = stats.gauge("net_slab_high_water").unwrap_or(0);
     if stats.counter("net_accepted_total").is_some() {

@@ -39,10 +39,12 @@ echo "== crypto (Montgomery kernels and in-place inverse vs their oracles, CRT v
 cargo test -q --release -p orsp-crypto
 cargo run --release -p orsp-bench --bin e6_tokens
 
-echo "== net test suites (codec proptests, frame reassembly, TCP integration, idle fleet of 5000 on 4 workers, end-to-end digest) =="
+echo "== net test suites (codec proptests, frame reassembly, TCP integration, server contracts in release and debug, idle fleet of 5000 on 4 workers, end-to-end digest) =="
 cargo test -q --release -p orsp-net --test wire_proptests
 cargo test -q --release -p orsp-net --test frame_reassembly
 cargo test -q --release -p orsp-net --test tcp_roundtrip
+cargo test -q --release -p orsp-net --test server_contract
+cargo test -q -p orsp-net --test server_contract
 cargo test -q --release -p orsp-net --test idle_fleet
 cargo test -q --release -p orsp-core --test net_end_to_end
 
